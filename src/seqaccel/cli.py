@@ -17,7 +17,7 @@ from .formatting import format_exact, format_fixed
 from .lbq import lbq_transform
 from .modes import mode_from_name
 from .sequences import Sequence
-from .tables import Status, TransformEntry, TransformTable
+from .tables import BREAKDOWN_ENTRY, Status, TransformEntry, TransformTable
 
 
 def _add_mode_args(p):
@@ -163,7 +163,7 @@ def _oracle_table(seq, k_max):
             try:
                 table.set(k, n, TransformEntry.valid(oracle.t_determinant(seq, k, n)))
             except SeqAccelError:
-                table.set(k, n, TransformEntry.breakdown())
+                table.set(k, n, BREAKDOWN_ENTRY)
     return table
 
 

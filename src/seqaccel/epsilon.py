@@ -6,14 +6,18 @@ Internal columns carry all subscripts of the recursion
     eps_{j+1}^(n) = eps_{j-1}^(n+1) + 1 / (eps_j^(n+1) - eps_j^(n));
 
 only the even-subscript columns are exported, as entry (k, n) =
-eps_{2k}^(n).  The breakdown guard matches the lattice engine.
+eps_{2k}^(n).  Each column is a plain list over the labels, built by
+the rhombus kernel shared with the lattice engine
+(:mod:`seqaccel.rhombus`), so breakdown is marked (``None``) and
+propagated exactly as there.  Only the two live columns and the
+exported ones are held.
 """
 
 from __future__ import annotations
 
 from .errors import WindowError
-from .modes import negligible_difference
-from .tables import Status, TransformEntry, TransformTable
+from .rhombus import differences, rhombus
+from .tables import TransformTable
 
 
 def epsilon_transform(seq, max_order, breakdown_threshold=None):
@@ -23,36 +27,12 @@ def epsilon_transform(seq, max_order, breakdown_threshold=None):
     if breakdown_threshold is None:
         breakdown_threshold = mode.default_breakdown_threshold
     with mode.context():
-        zero = mode.convert(0)
-        cols = {
-            -1: {n: TransformEntry.valid(zero) for n in range(seq.start_label, seq.end_label + 2)},
-            0: {n: TransformEntry.valid(seq.at(n)) for n in seq.labels()},
-        }
-        for j in range(0, 2 * max_order):
-            prev = cols[j - 1]
-            cur = cols[j]
-            row = {}
-            for n in sorted(cur):
-                if n + 1 not in cur or n + 1 not in prev:
-                    continue
-                inputs = (prev[n + 1], cur[n], cur[n + 1])
-                if any(e.status is Status.BREAKDOWN for e in inputs):
-                    row[n] = TransformEntry.breakdown()
-                    continue
-                carry, a, b = (e.value for e in inputs)
-                diff = b - a
-                if negligible_difference(diff, a, b, mode, breakdown_threshold):
-                    row[n] = TransformEntry.breakdown()
-                    continue
-                row[n] = TransformEntry.valid(carry + 1 / diff)
-            cols[j + 1] = row
-    out = TransformTable(
-        max_order=max_order,
-        start_label=seq.start_label,
-        end_label=seq.end_label,
-        window_step=2,
-    )
-    for k in range(max_order + 1):
-        for n, entry in cols[2 * k].items():
-            out.set(k, n, entry)
-    return out
+        prev = [mode.convert(0)] * (len(seq) + 1)
+        cur = list(seq.values)
+        columns = [cur]
+        for j in range(1, 2 * max_order + 1):
+            d = differences(cur, mode, breakdown_threshold)
+            prev, cur = cur, rhombus(prev, (d,), False, mode)
+            if j % 2 == 0:
+                columns.append(cur)
+    return TransformTable.from_columns(columns, seq.start_label, seq.end_label, 2)

@@ -8,30 +8,35 @@ import mpmath
 from mpmath.libmp import to_rational
 
 
+def _integer_ratio(value):
+    """(numerator, denominator) of a scalar, with a positive denominator."""
+    if isinstance(value, (Fraction, int)):
+        return value.numerator, value.denominator
+    if isinstance(value, float):
+        return value.as_integer_ratio()
+    if isinstance(value, mpmath.mpf):
+        p, q = to_rational(value._mpf_)
+        return int(p), int(q)
+    raise TypeError(f"cannot render {type(value).__name__}")
+
+
 def to_fraction(value):
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(value)
-    if isinstance(value, mpmath.mpf):
-        p, q = to_rational(value._mpf_)
-        return Fraction(int(p), int(q))
-    raise TypeError(f"cannot render {type(value).__name__}")
+    return Fraction(*_integer_ratio(value))
 
 
 def format_fixed(value, digits):
     """Decimal string with ``digits`` places, rounding half to even."""
-    f = to_fraction(value)
-    scaled = f * 10**digits
-    floor, rem = divmod(scaled.numerator, scaled.denominator)
+    num, den = _integer_ratio(value)
+    scale = 10**digits
+    floor, rem = divmod(num * scale, den)
     double = 2 * rem
-    if double > scaled.denominator or (double == scaled.denominator and floor % 2):
+    if double > den or (double == den and floor % 2):
         floor += 1
     sign = "-" if floor < 0 else ""
     floor = abs(floor)
-    whole, frac = divmod(floor, 10**digits)
+    whole, frac = divmod(floor, scale)
     if digits == 0:
         return f"{sign}{whole}"
     return f"{sign}{whole}.{frac:0{digits}d}"

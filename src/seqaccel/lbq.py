@@ -7,9 +7,13 @@ The engine fills a two-index field U_k^n level by level from
                                  (U_{k+1}^{n+1} - U_{k+1}^n)),
 
 and reads off the transform column k as level 3k+3, so that
-T_0^(n) = S_n.  Division by a zero (exact mode) or negligibly small
-(float modes) difference factor marks the cell BREAKDOWN, and the
-mark poisons every cell that depends on it.
+T_0^(n) = S_n.  Each level is a plain list over the labels, built by
+the rhombus kernel it shares with the epsilon engine
+(:mod:`seqaccel.rhombus`), with ``None`` for a BREAKDOWN cell.  A zero
+(exact mode) or negligibly small (float modes) difference factor, or a
+float64 result that is not finite, marks the cell BREAKDOWN, and the
+mark poisons every cell that depends on it.  While filling, only the
+three live levels and the differences of the top two are held.
 """
 
 from __future__ import annotations
@@ -17,18 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import WindowError
-from .modes import negligible_difference
+from .rhombus import differences, rhombus
 from .sequences import Sequence
-from .tables import Status, TransformEntry, TransformTable
+from .tables import UNAVAILABLE_ENTRY, TransformTable, column_entries
 
 
 @dataclass
 class LatticeTable:
     """Levels of U_k^n keyed by level index k = 1, 2, 3, ...
 
-    Each level is a dict label -> TransformEntry.  Levels 1 and 2 are
-    closed-form (0 and n + label_offset) but stored explicitly over the
-    label range so the recursion below is uniform.  ``label_offset``
+    Each level is a dict label -> TransformEntry.  ``label_offset``
     shifts the second level only; the transform outputs are invariant
     under it.
     """
@@ -38,85 +40,48 @@ class LatticeTable:
     label_offset: int = 0
     levels: dict = field(default_factory=dict)
 
-    @property
-    def top_level(self):
-        return max(self.levels)
-
     def entry(self, k, n):
-        row = self.levels.get(k)
-        if row is None or n not in row:
-            return TransformEntry.unavailable()
-        return row[n]
+        return self.levels.get(k, {}).get(n, UNAVAILABLE_ENTRY)
 
 
-def init_lattice(seq, breakdown_threshold=None, label_offset=0):
-    """Populate levels 1..3 over the label range of ``seq``."""
+def _levels(seq, max_order, threshold, label_offset, keep):
+    """{m: U_m as a plain list} for the levels m = 1 .. 3 max_order + 3 with keep(m)."""
+    if max_order < 0:
+        raise WindowError("max_order must be nonnegative")
     mode = seq.mode
-    if breakdown_threshold is None:
-        breakdown_threshold = mode.default_breakdown_threshold
-    table = LatticeTable(seq, breakdown_threshold, label_offset)
-    zero = mode.convert(0)
-    table.levels[1] = {n: TransformEntry.valid(zero) for n in seq.labels()}
-    table.levels[2] = {
-        n: TransformEntry.valid(mode.convert(n + label_offset)) for n in seq.labels()
-    }
-    table.levels[3] = {n: TransformEntry.valid(seq.at(n)) for n in seq.labels()}
-    return table
-
-
-def extend_level(table):
-    """Append the next level in place and return the table."""
-    new = table.top_level + 1
-    below = table.levels[new - 3]
-    mid = table.levels[new - 2]
-    top = table.levels[new - 1]
-    if len(top) < 2 and len(top) > 0:
-        # one entry left on the top level: nothing above is computable
-        table.levels[new] = {}
-        return table
-    mode = table.source.mode
-    row = {}
-    for n in sorted(top):
-        if n + 1 not in top:
-            continue
-        inputs = (below[n + 1], mid[n], mid[n + 1], top[n], top[n + 1])
-        if any(e.status is Status.BREAKDOWN for e in inputs):
-            row[n] = TransformEntry.breakdown()
-            continue
-        carry, m0, m1, t0, t1 = (e.value for e in inputs)
-        d_top = t1 - t0
-        d_mid = m1 - m0
-        if negligible_difference(
-            d_top, t0, t1, mode, table.breakdown_threshold
-        ) or negligible_difference(d_mid, m0, m1, mode, table.breakdown_threshold):
-            row[n] = TransformEntry.breakdown()
-            continue
-        row[n] = TransformEntry.valid(carry - 1 / (d_top * d_mid))
-    table.levels[new] = row
-    return table
+    if threshold is None:
+        threshold = mode.default_breakdown_threshold
+    with mode.context():
+        below = [mode.convert(0)] * len(seq)
+        mid = [mode.convert(n + label_offset) for n in seq.labels()]
+        top = list(seq.values)
+        levels = {m: u for m, u in enumerate((below, mid, top), 1) if keep(m)}
+        d_top = differences(mid, mode, threshold)
+        for m in range(4, 3 * max_order + 4):
+            d_mid, d_top = d_top, differences(top, mode, threshold)
+            new = rhombus(below, (d_top, d_mid), True, mode)
+            if keep(m):
+                levels[m] = new
+            below, mid, top = mid, top, new
+    return levels
 
 
 def build_lattice(seq, max_order, breakdown_threshold=None, label_offset=0):
     """Full lattice up to level 3*max_order + 3."""
-    if max_order < 0:
-        raise WindowError("max_order must be nonnegative")
-    with seq.mode.context():
-        table = init_lattice(seq, breakdown_threshold, label_offset)
-        while table.top_level < 3 * max_order + 3:
-            extend_level(table)
-    return table
+    if breakdown_threshold is None:
+        breakdown_threshold = seq.mode.default_breakdown_threshold
+    levels = _levels(seq, max_order, breakdown_threshold, label_offset, lambda m: True)
+    return LatticeTable(seq, breakdown_threshold, label_offset, {
+        m: column_entries(u, seq.start_label) for m, u in levels.items()})
+
+
+def init_lattice(seq, breakdown_threshold=None, label_offset=0):
+    """Levels 1..3 over the label range of ``seq``."""
+    return build_lattice(seq, 0, breakdown_threshold, label_offset)
 
 
 def lbq_transform(seq, max_order, breakdown_threshold=None):
     """TransformTable of T_k^(n) = U_{3k+3}^n for k = 0..max_order."""
-    lattice = build_lattice(seq, max_order, breakdown_threshold)
-    out = TransformTable(
-        max_order=max_order,
-        start_label=seq.start_label,
-        end_label=seq.end_label,
-        window_step=3,
-    )
-    for k in range(max_order + 1):
-        for n, entry in lattice.levels[3 * k + 3].items():
-            out.set(k, n, entry)
-    return out
+    levels = _levels(seq, max_order, breakdown_threshold, 0, lambda m: m % 3 == 0)
+    return TransformTable.from_columns(
+        list(levels.values()), seq.start_label, seq.end_label, 3)

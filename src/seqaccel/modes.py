@@ -161,16 +161,3 @@ def mode_from_name(name, precision_bits=128):
         return BigFloat(precision_bits)
     raise ValueError(f"unknown scalar mode {name!r}")
 
-
-def negligible_difference(diff, a, b, mode, threshold):
-    """Breakdown guard for a difference factor ``diff = b - a``.
-
-    Exact mode tests for literal zero; float modes compare against
-    ``threshold`` relative to the larger operand magnitude.
-    """
-    if diff == 0:
-        return True
-    if mode.is_exact:
-        return False
-    scale = max(abs(a), abs(b))
-    return abs(diff) < threshold * scale

@@ -56,10 +56,6 @@ class Sequence:
     def map(self, fn):
         return Sequence(self.start_label, tuple(fn(v) for v in self.values), self.mode)
 
-    def shifted_labels(self, offset):
-        """Same values, labels shifted by ``offset``."""
-        return Sequence(self.start_label + offset, self.values, self.mode)
-
     def require_same_mode(self, other):
         if self.mode != other.mode:
             raise ModeMismatchError(

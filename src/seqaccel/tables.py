@@ -1,4 +1,10 @@
-"""Triangular transform tables with per-entry validity status."""
+"""Triangular transform tables with per-entry validity status.
+
+The engines compute plain-list columns with ``None`` for a BREAKDOWN
+cell (see :mod:`seqaccel.rhombus`) and build a table once, at the end,
+with :meth:`TransformTable.from_columns`.  Every BREAKDOWN cell then
+shares the one ``BREAKDOWN_ENTRY``.
+"""
 
 from __future__ import annotations
 
@@ -12,7 +18,8 @@ class Status(enum.Enum):
     UNAVAILABLE = "unavailable"
 
 
-@dataclass(frozen=True)
+# slotted: a table holds one entry per VALID cell, so the entry size sets its memory
+@dataclass(frozen=True, slots=True)
 class TransformEntry:
     value: object = None
     status: Status = Status.VALID
@@ -35,6 +42,15 @@ class TransformEntry:
 
 
 UNAVAILABLE_ENTRY = TransformEntry.unavailable()
+BREAKDOWN_ENTRY = TransformEntry.breakdown()
+
+
+def column_entries(column, start_label):
+    """{label: entry} of a plain-list column; ``None`` marks BREAKDOWN."""
+    return {
+        n: BREAKDOWN_ENTRY if v is None else TransformEntry(v)
+        for n, v in enumerate(column, start_label)
+    }
 
 
 @dataclass
@@ -51,6 +67,17 @@ class TransformTable:
     end_label: int
     window_step: int
     entries: dict = field(default_factory=dict)
+
+    @classmethod
+    def from_columns(cls, columns, start_label, end_label, window_step):
+        """Table whose column k is the plain list ``columns[k]`` over the labels
+        from ``start_label`` on; ``None`` marks BREAKDOWN."""
+        entries = {
+            (k, n): entry
+            for k, column in enumerate(columns)
+            for n, entry in column_entries(column, start_label).items()
+        }
+        return cls(len(columns) - 1, start_label, end_label, window_step, entries)
 
     def set(self, k, n, entry):
         self.entries[(k, n)] = entry

@@ -1,6 +1,11 @@
 """Command-line interface."""
 
+from fractions import Fraction
+
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqaccel.cli import main
 from seqaccel.formatting import format_exact, format_fixed
@@ -27,6 +32,32 @@ class TestFormatting:
         assert format_exact(Fraction(7, 4)) == "1.75"
         assert format_exact(Fraction(1, 3)) == "1/3"
         assert format_exact(0.5) == "0.5"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        case=st.one_of(
+            st.tuples(
+                st.one_of(
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.floats(-1e-300, 1e-300),
+                    st.fractions(max_denominator=10**6),
+                    st.floats(-1e6, 1e6).map(mpmath.mpf),
+                ),
+                st.integers(0, 12),
+            ),
+            # odd / 2^(d+1) is an exact float whose d-digit rounding is a tie
+            st.tuples(st.integers(-10**6, 10**6), st.integers(0, 12)).map(
+                lambda t: ((2 * t[0] + 1) / 2 ** (t[1] + 1), t[1])),
+        ),
+    )
+    def test_matches_fraction_rounding(self, case):
+        value, digits = case
+        exact = Fraction(float(value)) if isinstance(value, mpmath.mpf) else Fraction(value)
+        rounded = round(exact * 10**digits)  # half to even
+        sign = "-" if rounded < 0 else ""
+        whole, frac = divmod(abs(rounded), 10**digits)
+        want = f"{sign}{whole}" + (f".{frac:0{digits}d}" if digits else "")
+        assert format_fixed(value, digits) == want
 
 
 class TestTransform:
