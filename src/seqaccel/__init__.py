@@ -11,14 +11,13 @@ from .errors import (
     EmptyInputError,
     IngestError,
     KernelDegeneracyError,
-    ModeMismatchError,
     ModeUnsupportedError,
     SeqAccelError,
     SingularError,
     SpecError,
     WindowError,
 )
-from .lbq import build_lattice, init_lattice, lbq_transform
+from .lbq import build_lattice, lbq_transform
 from .modes import FLOAT64, RATIONAL, BigFloat, mode_from_name
 from .oracle import (
     check_bilinear,
@@ -42,7 +41,6 @@ __all__ = [
     "GeneratorSpec",
     "IngestError",
     "KernelDegeneracyError",
-    "ModeMismatchError",
     "ModeUnsupportedError",
     "RATIONAL",
     "SeqAccelError",
@@ -62,7 +60,6 @@ __all__ = [
     "forward_difference",
     "generate",
     "ingest",
-    "init_lattice",
     "kernel_coefficients",
     "kernel_construct",
     "lbq_transform",

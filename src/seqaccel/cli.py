@@ -16,8 +16,7 @@ from .errors import SeqAccelError
 from .formatting import format_exact, format_fixed
 from .lbq import lbq_transform
 from .modes import mode_from_name
-from .sequences import Sequence
-from .tables import BREAKDOWN_ENTRY, Status, TransformEntry, TransformTable
+from .tables import Status
 
 
 def _add_mode_args(p):
@@ -80,7 +79,6 @@ def build_parser():
     v.add_argument("--trials", type=int, default=10)
     v.add_argument("--seed", type=int, default=20110711)
     v.add_argument("--length", type=int, default=14)
-    v.add_argument("--mode", default="rational", choices=["rational"])
     return ap
 
 
@@ -156,23 +154,12 @@ def _entry_text(entry, digits):
     return format_fixed(entry.value, digits)
 
 
-def _oracle_table(seq, k_max):
-    table = TransformTable(k_max, seq.start_label, seq.end_label, window_step=3)
-    for k in range(k_max + 1):
-        for n in range(seq.start_label, seq.end_label - 3 * k + 1):
-            try:
-                table.set(k, n, TransformEntry.valid(oracle.t_determinant(seq, k, n)))
-            except SeqAccelError:
-                table.set(k, n, BREAKDOWN_ENTRY)
-    return table
-
-
 def transform_table(seq, algorithm, k_max, threshold=None):
     if algorithm == "lbq":
         return lbq_transform(seq, k_max, threshold)
     if algorithm == "epsilon":
         return epsilon_transform(seq, k_max, threshold)
-    return _oracle_table(seq, k_max)
+    return oracle.oracle_transform(seq, k_max)
 
 
 def cmd_generate(args):
@@ -240,42 +227,19 @@ def cmd_classify(args):
     return 0
 
 
-def _random_rational_sequence(rng, length, start_label):
-    values = [Fraction(rng.randint(-20, 20), rng.randint(1, 10)) for _ in range(length)]
-    from .modes import RATIONAL
-
-    return Sequence(start_label, tuple(values), RATIONAL)
-
-
 def cmd_verify(args):
     rng = random.Random(args.seed)
     failures = 0
     for trial in range(args.trials):
-        seq = _random_rational_sequence(rng, args.length, rng.randint(0, 3))
+        seq = seqgen.random_rational_sequence(rng, args.length, rng.randint(0, 3))
         report = oracle.check_bilinear(seq, args.k_max)
         ok = report.all_zero and report.checked > 0
         print(f"trial {trial}: bilinear residuals "
               f"({report.checked} cells) {'PASS' if ok else 'FAIL'}")
         failures += 0 if ok else 1
 
-        tab = lbq_transform(seq, 3)
-        mol = oracle.molecule_solution(seq, 12)
-        mismatches = 0
-        compared = 0
-        for k in range(1, 4):
-            for n in seq.labels():
-                entry = tab.get(k, n)
-                if not entry.ok:
-                    continue
-                try:
-                    det_val = oracle.t_determinant(seq, k, n)
-                    ratio = mol.ratio(3 * k + 3, n)
-                except SeqAccelError:
-                    continue
-                compared += 1
-                if entry.value != det_val or (ratio is not None and ratio != det_val):
-                    mismatches += 1
-        ok = mismatches == 0 and compared > 0
+        compared, mismatches = oracle.verify_routes(seq, 3)
+        ok = not mismatches and compared > 0
         print(f"trial {trial}: route equivalence "
               f"({compared} cells) {'PASS' if ok else 'FAIL'}")
         failures += 0 if ok else 1

@@ -29,9 +29,5 @@ class ModeUnsupportedError(SeqAccelError):
     """The requested quantity is not representable in the active scalar mode."""
 
 
-class ModeMismatchError(SeqAccelError):
-    """Scalar modes were mixed within one computation."""
-
-
 class IngestError(SeqAccelError):
     """A sequence file could not be parsed."""

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 from .errors import WindowError
 from .rhombus import differences, rhombus
-from .sequences import Sequence
 from .tables import UNAVAILABLE_ENTRY, TransformTable, column_entries
 
 
@@ -35,8 +34,6 @@ class LatticeTable:
     under it.
     """
 
-    source: Sequence
-    breakdown_threshold: object
     label_offset: int = 0
     levels: dict = field(default_factory=dict)
 
@@ -68,16 +65,9 @@ def _levels(seq, max_order, threshold, label_offset, keep):
 
 def build_lattice(seq, max_order, breakdown_threshold=None, label_offset=0):
     """Full lattice up to level 3*max_order + 3."""
-    if breakdown_threshold is None:
-        breakdown_threshold = seq.mode.default_breakdown_threshold
     levels = _levels(seq, max_order, breakdown_threshold, label_offset, lambda m: True)
-    return LatticeTable(seq, breakdown_threshold, label_offset, {
+    return LatticeTable(label_offset, {
         m: column_entries(u, seq.start_label) for m, u in levels.items()})
-
-
-def init_lattice(seq, breakdown_threshold=None, label_offset=0):
-    """Levels 1..3 over the label range of ``seq``."""
-    return build_lattice(seq, 0, breakdown_threshold, label_offset)
 
 
 def lbq_transform(seq, max_order, breakdown_threshold=None):

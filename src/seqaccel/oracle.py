@@ -1,11 +1,13 @@
 """Determinant route to the transformation, and identity checks.
 
-Everything here is deliberately independent of the lattice recursion:
+The routes here are deliberately independent of the lattice recursion:
 the transform values come from explicit determinant ratios, the
 molecule quantities F_k^n and G_k^n from closed formulas built on the
 Hankel-like determinants ``psi_det`` and ``phi_det``, and the bilinear
-identities are verified as residuals.  Agreement of these routes with
-the recursion is an end-to-end correctness check of both.
+identities are verified as residuals.  Every determinant row is a slice
+of one table of forward differences D^j S, built once per call.
+``verify_routes`` checks the lattice against both routes; agreement is
+an end-to-end correctness check of all three.
 """
 
 from __future__ import annotations
@@ -14,14 +16,45 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .determinants import determinant, solve_exact
-from .errors import SingularError, SpecError, WindowError
+from .errors import SeqAccelError, SingularError, SpecError, WindowError
+from .lbq import lbq_transform
 from .modes import RATIONAL
-from .sequences import Sequence, forward_difference
+from .sequences import Sequence
+from .tables import BREAKDOWN_ENTRY, TransformEntry, TransformTable
 
 
-def _diff_row(seq, order, n, width):
-    d = forward_difference(seq, order)
-    return [d.at(n + j) for j in range(width)]
+def _difference_table(seq, order):
+    """[D^0 S, D^1 S, ..., D^order S] as plain lists, stopping at the last nonempty one."""
+    table = [list(seq.values)]
+    for _ in range(min(order, len(seq) - 1)):
+        prev = table[-1]
+        table.append([b - a for a, b in zip(prev, prev[1:])])
+    return table
+
+
+def _hankel_det(seq, table, k, n, shift=0, head=None):
+    """k x k determinant over the columns n..n+k-1 of D^shift S.
+
+    The rows are ``head(label)`` if a head is given, then D^shift S,
+    D^(shift+2) S, ... read from the difference ``table``, since
+    D^(2i) (D^shift S) = D^(2i+shift) S.  Conventions: k = -1 gives 0,
+    k = 0 gives 1.
+    """
+    one = seq.mode.convert(1)
+    if k == -1:
+        return one * 0
+    if k == 0:
+        return one
+    if k < -1:
+        raise ValueError("order must be >= -1")
+    rows = [] if head is None else [[head(n + j) for j in range(k)]]
+    lo = n - seq.start_label
+    for order in range(shift, shift + 2 * (k - len(rows)), 2):
+        if lo < 0 or order >= len(table) or lo + k > len(table[order]):
+            raise WindowError(f"labels {n}..{n + k - 1} of the order-{order} "
+                              f"differences lie outside the sequence")
+        rows.append(table[order][lo:lo + k])
+    return determinant(rows, seq.mode.is_exact)
 
 
 def psi_det(v, k, n):
@@ -29,59 +62,57 @@ def psi_det(v, k, n):
 
     Conventions: k = -1 gives 0, k = 0 gives 1.
     """
-    one = v.mode.convert(1)
-    if k == -1:
-        return one * 0
-    if k == 0:
-        return one
-    if k < -1:
-        raise ValueError("order must be >= -1")
-    rows = [_diff_row(v, 2 * i, n, k) for i in range(k)]
-    return determinant(rows, v.mode.is_exact)
+    return _hankel_det(v, _difference_table(v, 2 * k - 2), k, n)
 
 
 def phi_det(v, k, n):
     """Like psi_det but the first row holds the column labels n..n+k-1."""
-    one = v.mode.convert(1)
-    if k == -1:
-        return one * 0
-    if k == 0:
-        return one
-    if k < -1:
-        raise ValueError("order must be >= -1")
-    rows = [[v.mode.convert(n + j) for j in range(k)]]
-    for i in range(k - 1):
-        rows.append(_diff_row(v, 2 * i, n, k))
-    return determinant(rows, v.mode.is_exact)
+    return _hankel_det(v, _difference_table(v, 2 * k - 4), k, n, head=v.mode.convert)
 
 
-def t_numerator(seq, k, n):
-    rows = [_diff_row(seq, 2 * i, n, k + 1) for i in range(k + 1)]
-    return determinant(rows, seq.mode.is_exact)
+def _t_denominator(seq, table, k, n):
+    if k < 0:
+        raise WindowError("transform order k must be nonnegative")
+    one = seq.mode.convert(1)
+    return _hankel_det(seq, table, k + 1, n, 2, lambda _: one)
 
 
 def t_denominator(seq, k, n):
-    one = seq.mode.convert(1)
-    rows = [[one] * (k + 1)]
-    for i in range(1, k + 1):
-        rows.append(_diff_row(seq, 2 * i, n, k + 1))
-    return determinant(rows, seq.mode.is_exact)
+    """(k+1) x (k+1) determinant with a row of ones over D^2 S, ..., D^(2k) S."""
+    return _t_denominator(seq, _difference_table(seq, 2 * k), k, n)
+
+
+def _t_value(seq, table, k, n):
+    den = _t_denominator(seq, table, k, n)
+    if den == 0:
+        raise SingularError(f"zero denominator determinant at (k={k}, n={n})")
+    return _hankel_det(seq, table, k + 1, n) / den
 
 
 def t_determinant(seq, k, n):
     """Transform value T_k^(n) as the ratio of the two (k+1)x(k+1) determinants."""
     with seq.mode.context():
-        den = t_denominator(seq, k, n)
-        if den == 0:
-            raise SingularError(f"zero denominator determinant at (k={k}, n={n})")
-        return t_numerator(seq, k, n) / den
+        return _t_value(seq, _difference_table(seq, 2 * k), k, n)
+
+
+def oracle_transform(seq, k_max):
+    """TransformTable of T_k^(n) from the determinant ratio; a failed cell is BREAKDOWN."""
+    table = TransformTable(k_max, seq.start_label, seq.end_label, window_step=3)
+    with seq.mode.context():
+        diffs = _difference_table(seq, 2 * k_max)
+        for k in range(k_max + 1):
+            for n in range(seq.start_label, seq.end_label - 3 * k + 1):
+                try:
+                    table.set(k, n, TransformEntry.valid(_t_value(seq, diffs, k, n)))
+                except SeqAccelError:
+                    table.set(k, n, BREAKDOWN_ENTRY)
+    return table
 
 
 @dataclass
 class MoleculeSolution:
     """Closed-formula F_k^n and G_k^n keyed by (level, label)."""
 
-    source: Sequence
     F: dict = field(default_factory=dict)
     G: dict = field(default_factory=dict)
 
@@ -95,51 +126,64 @@ class MoleculeSolution:
         return g / f
 
 
-def _psi_of_diff(seq, diff_order, k, n):
-    # conventions first so small levels never demand unavailable windows
-    if k <= 0:
-        return psi_det(seq, k, n)
-    return psi_det(forward_difference(seq, diff_order), k, n)
-
-
-def _phi_of_diff(seq, diff_order, k, n):
-    if k <= 0:
-        return phi_det(seq, k, n)
-    return phi_det(forward_difference(seq, diff_order), k, n)
-
-
-def molecule_levels(seq, level, n):
+def _molecule_cell(seq, table, level, n):
     """(F, G) at one lattice level via the six closed formulas."""
+
+    def det(shift, k, head=None):
+        # a Psi or Phi of D^shift S needs D^shift S to exist, even when
+        # Phi_1 reads only its label row
+        if k > 0 and shift >= len(table):
+            raise WindowError(f"difference order {shift} exceeds available length {len(seq)}")
+        return _hankel_det(seq, table, k, n, shift, head)
+
     k, r = divmod(level, 3)
     if r == 0:
-        return (
-            _psi_of_diff(seq, 3, k - 1, n),
-            _psi_of_diff(seq, 0, k, n),
-        )
+        return det(3, k - 1), det(0, k)
     if r == 1:
-        return (
-            _psi_of_diff(seq, 1, k, n),
-            -_psi_of_diff(seq, 4, k - 1, n),
-        )
-    return (
-        _psi_of_diff(seq, 2, k, n),
-        _phi_of_diff(seq, 1, k + 1, n),
-    )
+        return det(1, k), -det(4, k - 1)
+    return det(2, k), det(1, k + 1, seq.mode.convert)
 
 
 def molecule_solution(seq, max_level):
     """Populate F and G for levels 0..max_level wherever the window fits."""
-    mol = MoleculeSolution(seq)
+    mol = MoleculeSolution()
     with seq.mode.context():
+        table = _difference_table(seq, len(seq) - 1)
         for level in range(0, max_level + 1):
             for n in seq.labels():
                 try:
-                    f, g = molecule_levels(seq, level, n)
+                    f, g = _molecule_cell(seq, table, level, n)
                 except WindowError:
                     continue
                 mol.F[(level, n)] = f
                 mol.G[(level, n)] = g
     return mol
+
+
+def verify_routes(seq, k_max):
+    """Check T_k^(n), 1 <= k <= k_max, on every VALID lattice cell.
+
+    The lattice value must equal the determinant ratio and the molecule
+    ratio G/F at level 3k+3.  A route that raises or has no value counts
+    as a mismatch.  Returns the number of cells compared and the (k, n)
+    of each mismatch.
+    """
+    lattice = lbq_transform(seq, k_max)
+    mol = molecule_solution(seq, 3 * k_max + 3)
+    cells, mismatches = 0, []
+    for k in range(1, k_max + 1):
+        for n in seq.labels():
+            entry = lattice.get(k, n)
+            if not entry.ok:
+                continue
+            cells += 1
+            try:
+                agree = entry.value == t_determinant(seq, k, n) == mol.ratio(3 * k + 3, n)
+            except SeqAccelError:
+                agree = False
+            if not agree:
+                mismatches.append((k, n))
+    return cells, mismatches
 
 
 @dataclass
@@ -184,18 +228,16 @@ def _residual(term_a, term_b, term_c):
     return lhs - rhs, scale
 
 
-def check_bilinear(seq, k_max, n_range=None):
+def check_bilinear(seq, k_max):
     """Residuals of the three bilinear identities over all computable cells."""
     mol = molecule_solution(seq, k_max + 3)
-    if n_range is None:
-        n_range = seq.labels()
     residuals = {name: {} for name in _BILINEAR_FORMS}
     max_scaled = 0.0
     checked = 0
     with seq.mode.context():
         for name, form in _BILINEAR_FORMS.items():
             for k in range(1, k_max + 1):
-                for n in n_range:
+                for n in seq.labels():
                     out = form(mol.F, mol.G, k, n)
                     if out is None:
                         continue

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import EmptyInputError, IngestError, ModeUnsupportedError, SpecError
-from .modes import FLOAT64
+from .modes import FLOAT64, RATIONAL
 from .sequences import Sequence
 
 FAMILIES = ("archimedes_pi", "alt_harmonic", "zeta2", "geometric", "exp_series", "zeta")
@@ -214,3 +214,9 @@ def _is_int(text):
         return True
     except ValueError:
         return False
+
+
+def random_rational_sequence(rng, length, start_label=0):
+    """Random rationals num/den with num in [-20, 20], den in [1, 10], drawn in that order."""
+    values = [Fraction(rng.randint(-20, 20), rng.randint(1, 10)) for _ in range(length)]
+    return Sequence(start_label, tuple(values), RATIONAL)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptyInputError, ModeMismatchError, WindowError
+from .errors import EmptyInputError, WindowError
 from .modes import FLOAT64
 
 
@@ -55,12 +55,6 @@ class Sequence:
 
     def map(self, fn):
         return Sequence(self.start_label, tuple(fn(v) for v in self.values), self.mode)
-
-    def require_same_mode(self, other):
-        if self.mode != other.mode:
-            raise ModeMismatchError(
-                f"cannot mix scalar modes {self.mode.name} and {other.mode.name}"
-            )
 
 
 def forward_difference(seq, order=1):

@@ -89,9 +89,6 @@ class TransformTable:
     def rows(self):
         return range(self.start_label, self.end_label + 1)
 
-    def max_row_for(self, k):
-        return self.end_label - self.window_step * k
-
     def column(self, k):
         """Valid (n, value) pairs of column k, in label order."""
         out = []

@@ -1,22 +1,10 @@
 import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-
-from seqaccel import RATIONAL, Sequence
-
-
-def random_rational_sequence(rng, length=12, start_label=0,
-                             num_range=20, den_range=10):
-    values = [
-        Fraction(rng.randint(-num_range, num_range), rng.randint(1, den_range))
-        for _ in range(length)
-    ]
-    return Sequence(start_label, tuple(values), RATIONAL)
 
 
 @pytest.fixture

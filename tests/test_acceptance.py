@@ -9,7 +9,6 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import random_rational_sequence
 from reference_tables import TABLE_LN2, TABLE_PI, TABLE_ZETA2, ZETA2_50
 
 from seqaccel import (
@@ -27,10 +26,10 @@ from seqaccel import (
     generate,
     kernel_construct,
     lbq_transform,
-    molecule_solution,
-    t_determinant,
 )
 from seqaccel.formatting import to_fraction
+from seqaccel.oracle import verify_routes
+from seqaccel.seqgen import random_rational_sequence
 
 
 def cell_matches(entry, printed):
@@ -113,18 +112,9 @@ def test_criterion_4_oracle_equivalence():
     compared = 0
     for _ in range(100):
         seq = random_rational_sequence(rng, length=12, start_label=rng.randint(0, 2))
-        table = lbq_transform(seq, 3)
-        mol = molecule_solution(seq, 12)
-        for k in range(1, 4):
-            for n in seq.labels():
-                entry = table.get(k, n)
-                if entry.status is not Status.VALID:
-                    continue
-                det_val = t_determinant(seq, k, n)
-                assert entry.value == det_val
-                ratio = mol.ratio(3 * k + 3, n)
-                assert ratio is not None and ratio == det_val
-                compared += 1
+        cells, mismatches = verify_routes(seq, 3)
+        assert mismatches == [], mismatches
+        compared += cells
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     assert compared > 1000

@@ -189,6 +189,17 @@ class TestVerify:
         assert out.strip().endswith("PASS")
         assert "FAIL" not in out
 
+    def test_verify_fails_on_route_mismatch(self, capsys, monkeypatch):
+        from seqaccel import oracle
+
+        t_determinant = oracle.t_determinant
+        monkeypatch.setattr(oracle, "t_determinant",
+                            lambda seq, k, n: t_determinant(seq, k, n) + 1)
+        code, out, _ = run(capsys, "verify", "--trials", "1", "--k-max", "3", "--seed", "7")
+        assert code == 1
+        assert "route equivalence" in out and "FAIL" in out
+        assert out.strip().endswith("FAIL (1 checks)")
+
     def test_verify_deterministic(self, capsys):
         argv = ["verify", "--trials", "2", "--k-max", "5", "--seed", "42"]
         code1, out1, _ = run(capsys, *argv)

@@ -11,7 +11,6 @@ from seqaccel import (
     RATIONAL,
     BigFloat,
     EmptyInputError,
-    ModeMismatchError,
     Sequence,
     Status,
     TransformEntry,
@@ -80,12 +79,6 @@ class TestSequence:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
             Sequence(0, (), RATIONAL)
-
-    def test_mode_mismatch_detected(self):
-        a = seq_of([1], mode=RATIONAL)
-        b = seq_of([1], mode=FLOAT64)
-        with pytest.raises(ModeMismatchError):
-            a.require_same_mode(b)
 
 
 class TestForwardDifference:

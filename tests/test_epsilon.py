@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_rational_sequence
 
 from seqaccel import (
     RATIONAL,
@@ -16,6 +15,7 @@ from seqaccel import (
     epsilon_transform,
     generate,
 )
+from seqaccel.seqgen import random_rational_sequence
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_rational_sequence
 from reference_tables import TABLE_PI
 
 from seqaccel import (
@@ -20,11 +19,11 @@ from seqaccel import (
     build_lattice,
     forward_difference,
     generate,
-    init_lattice,
     kernel_construct,
     lbq_transform,
     t_determinant,
 )
+from seqaccel.seqgen import random_rational_sequence
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
@@ -35,18 +34,18 @@ def seq_of(values, start=0, mode=RATIONAL):
 
 class TestInit:
     def test_single_element(self):
-        lat = init_lattice(seq_of([5]))
+        lat = build_lattice(seq_of([5]), 0)
         assert lat.entry(3, 0).value == 5
         assert lat.entry(2, 0).value == 0
         assert lat.entry(1, 0).value == 0
 
     def test_second_level_carries_labels(self):
         seq, _ = generate(GeneratorSpec("archimedes_pi", 6, 1))
-        lat = init_lattice(seq)
+        lat = build_lattice(seq, 0)
         assert [lat.entry(2, n).value for n in seq.labels()] == [1, 2, 3, 4, 5, 6]
 
     def test_mode_propagates(self):
-        lat = init_lattice(seq_of([Fraction(1, 2), Fraction(1, 3)]))
+        lat = build_lattice(seq_of([Fraction(1, 2), Fraction(1, 3)]), 0)
         for k in (1, 2, 3):
             assert isinstance(lat.entry(k, 0).value, Fraction)
 

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_rational_sequence
 
 from seqaccel import (
     FLOAT64,
@@ -27,6 +26,7 @@ from seqaccel import (
     psi_det,
     t_determinant,
 )
+from seqaccel.seqgen import random_rational_sequence
 from seqaccel.oracle import t_denominator
 
 
@@ -60,6 +60,10 @@ class TestPsiPhi:
         v = seq_of([1, 2, 3])
         with pytest.raises(WindowError):
             psi_det(v, 2, 0)  # needs v_0..v_3
+        w = seq_of([1, 2, 4, 8, 16, 32, 64], start=3)
+        for det, k in ((psi_det, 1), (psi_det, 2), (phi_det, 2)):
+            with pytest.raises(WindowError):
+                det(w, k, 2)  # label 2 is below the start label
 
 
 class TestTDeterminant:
@@ -75,6 +79,12 @@ class TestTDeterminant:
     def test_pi_example_cell(self):
         seq, _ = generate(GeneratorSpec("archimedes_pi", 13, 1))
         assert t_determinant(seq, 2, 3) == pytest.approx(3.1415926509, abs=1e-9)
+
+    def test_window_errors(self):
+        s = seq_of([1 + Fraction(1, 2) ** n for n in range(8)], start=2)
+        for k, n in ((-1, 2), (0, 1), (1, 1)):  # negative order, label below start
+            with pytest.raises(WindowError):
+                t_determinant(s, k, n)
 
     def test_singular_denominator(self):
         s = seq_of([1, 2, 3, 4, 5, 6])  # second differences vanish
