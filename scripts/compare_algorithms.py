@@ -16,13 +16,16 @@ EXAMPLES = [
 
 
 def main():
+    """Print every comparison; the exit status is 1 if any CLI run failed."""
+    failed = False
     for family, count, k_max in EXAMPLES:
         print(f"\n== {family}: |T_k - S| vs |eps_2k - S| ==")
-        cli_main([
+        failed |= cli_main([
             "compare", "--family", family, "--count", count,
             "--k-max", k_max, "--digits", "10",
-        ])
+        ]) != 0
+    return int(failed)
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

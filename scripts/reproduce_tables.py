@@ -2,6 +2,8 @@
 """Print the transform tables for the three worked example sequences.
 
 Usage: python scripts/reproduce_tables.py [--mode {float64,bigfloat,rational}]
+
+The exit status is 1 if any table failed to print.
 """
 
 import argparse
@@ -29,14 +31,16 @@ def main():
     ap.add_argument("--mode", default="float64",
                     choices=["float64", "bigfloat", "rational"])
     args = ap.parse_args()
+    failed = False
     for title, argv, overrides in RUNS:
         mode = overrides.get(args.mode, args.mode) if overrides else args.mode
         if mode is None:
             print(f"\n== {title}: skipped (irrational values) ==")
             continue
         print(f"\n== {title} ({mode}) ==")
-        cli_main(argv + ["--mode", mode])
+        failed |= cli_main(argv + ["--mode", mode]) != 0
+    return int(failed)
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

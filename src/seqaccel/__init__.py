@@ -12,6 +12,7 @@ from .errors import (
     IngestError,
     KernelDegeneracyError,
     ModeUnsupportedError,
+    NonFiniteError,
     SeqAccelError,
     SingularError,
     SpecError,
@@ -42,6 +43,7 @@ __all__ = [
     "IngestError",
     "KernelDegeneracyError",
     "ModeUnsupportedError",
+    "NonFiniteError",
     "RATIONAL",
     "SeqAccelError",
     "Sequence",

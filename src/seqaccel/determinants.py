@@ -1,8 +1,12 @@
 """Determinant evaluation and exact linear solves.
 
-Exact (rational/integer) matrices go through fraction-free Bareiss
-elimination; floating matrices use Gaussian elimination with partial
-pivoting, which also yields a cheap pivot-ratio condition indicator.
+Exact determinants are taken on integer matrices: the oracle scales its
+difference table by the common denominator D of the sequence, so every
+row it hands over is integral, and divides the result by D**r once (r
+is the number of scaled rows).  ``bareiss_det`` is fraction-free
+Bareiss elimination on those integers; each of its divisions is exact.
+Floating matrices use Gaussian elimination with partial pivoting, which
+also yields a cheap pivot-ratio condition indicator.
 """
 
 from __future__ import annotations
@@ -20,28 +24,28 @@ class DetResult:
 
 
 def bareiss_det(rows):
-    """Exact determinant by fraction-free elimination with row pivoting."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    if n == 0:
-        return Fraction(1)
+    """Exact determinant of an integer matrix by Bareiss elimination with row swaps.
+
+    Each step replaces the trailing block by its 2x2 minors against the
+    pivot, divided by the previous pivot; the division is exact, so
+    every entry stays an integer.
+    """
+    a = list(rows)
+    if not a:
+        return 1
     sign = 1
     prev = 1
-    for c in range(n - 1):
-        if a[c][c] == 0:
-            for r in range(c + 1, n):
-                if a[r][c] != 0:
-                    a[c], a[r] = a[r], a[c]
-                    sign = -sign
-                    break
-            else:
-                return 0 * a[0][0]
-        for r in range(c + 1, n):
-            for j in range(c + 1, n):
-                a[r][j] = (a[r][j] * a[c][c] - a[r][c] * a[c][j]) / prev
-            a[r][c] = 0 * a[r][c]
-        prev = a[c][c]
-    return sign * a[n - 1][n - 1]
+    while len(a) > 1:
+        i = next((i for i, row in enumerate(a) if row[0]), None)
+        if i is None:
+            return 0
+        if i:
+            a[0], a[i] = a[i], a[0]
+            sign = -sign
+        (p, *tail), *rest = a
+        a = [[(x * p - f * y) // prev for x, y in zip(row, tail)] for f, *row in rest]
+        prev = p
+    return sign * a[0][0]
 
 
 def pivoted_det(rows):
@@ -69,10 +73,6 @@ def pivoted_det(rows):
         det = det * a[c][c]
     cond = float(max(pivots) / min(pivots))
     return DetResult(sign * det, cond)
-
-
-def determinant(rows, exact):
-    return bareiss_det(rows) if exact else pivoted_det(rows).value
 
 
 def solve_exact(matrix, rhs):

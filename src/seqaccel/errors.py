@@ -9,6 +9,10 @@ class WindowError(SeqAccelError):
     """An operation asked for sequence elements outside the supplied range."""
 
 
+class NonFiniteError(SeqAccelError):
+    """A sequence value is NaN or infinite."""
+
+
 class EmptyInputError(SeqAccelError):
     """A nonempty sequence was required."""
 

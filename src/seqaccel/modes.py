@@ -39,6 +39,9 @@ class Float64:
     def convert(self, x):
         return float(x)
 
+    def is_finite(self, x):
+        return math.isfinite(x)
+
     def parse(self, text):
         return float(_parse_number(text))
 
@@ -86,6 +89,10 @@ class BigFloat:
                 return mpmath.mpf(x.numerator) / x.denominator
             return mpmath.mpf(x)
 
+    def is_finite(self, x):
+        # mpmath's exponent is unbounded: mpf("1e400") is finite here
+        return mpmath.isfinite(x)
+
     def parse(self, text):
         return self.convert(_parse_number(text))
 
@@ -121,6 +128,9 @@ class Rational:
 
     def convert(self, x):
         return Fraction(x)
+
+    def is_finite(self, x):
+        return not isinstance(x, float) or math.isfinite(x)
 
     def parse(self, text):
         return _parse_number(text)

@@ -5,17 +5,23 @@ the transform values come from explicit determinant ratios, the
 molecule quantities F_k^n and G_k^n from closed formulas built on the
 Hankel-like determinants ``psi_det`` and ``phi_det``, and the bilinear
 identities are verified as residuals.  Every determinant row is a slice
-of one table of forward differences D^j S, built once per call.
+of one table of forward differences, built once per call.  In exact
+mode that table is integral: it holds D^j (scale * S), where scale is
+the least common denominator of S, so every determinant is an integer
+Bareiss elimination followed by one division by scale**r (r the number
+of difference rows), one normalised Fraction per determinant.
 ``verify_routes`` checks the lattice against both routes; agreement is
 an end-to-end correctness check of all three.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
-from .determinants import determinant, solve_exact
+from .determinants import bareiss_det, pivoted_det, solve_exact
 from .errors import SeqAccelError, SingularError, SpecError, WindowError
 from .lbq import lbq_transform
 from .modes import RATIONAL
@@ -23,38 +29,56 @@ from .sequences import Sequence
 from .tables import BREAKDOWN_ENTRY, TransformEntry, TransformTable
 
 
+class _Differences(NamedTuple):
+    rows: list  # rows[j] = D^j (scale * S)
+    scale: object  # least common denominator of S in exact mode, None in float modes
+
+
 def _difference_table(seq, order):
-    """[D^0 S, D^1 S, ..., D^order S] as plain lists, stopping at the last nonempty one."""
-    table = [list(seq.values)]
-    for _ in range(min(order, len(seq) - 1)):
-        prev = table[-1]
-        table.append([b - a for a, b in zip(prev, prev[1:])])
-    return table
+    """D^0, D^1, ..., D^order of S, stopping at the last nonempty one.
+
+    In exact mode S is first scaled to integers, so every row is a list
+    of ints; in float modes the rows are D^j S and the scale is None.
+    """
+    values, scale = list(seq.values), None
+    if seq.mode.is_exact:
+        scale = math.lcm(*(v.denominator for v in values))
+        values = [v.numerator * (scale // v.denominator) for v in values]
+    rows = [values]
+    for _ in range(min(order, len(values) - 1)):
+        prev = rows[-1]
+        rows.append([b - a for a, b in zip(prev, prev[1:])])
+    return _Differences(rows, scale)
 
 
-def _hankel_det(seq, table, k, n, shift=0, head=None):
+def _hankel_det(seq, diffs, k, n, shift=0, head=None):
     """k x k determinant over the columns n..n+k-1 of D^shift S.
 
-    The rows are ``head(label)`` if a head is given, then D^shift S,
-    D^(shift+2) S, ... read from the difference ``table``, since
-    D^(2i) (D^shift S) = D^(2i+shift) S.  Conventions: k = -1 gives 0,
-    k = 0 gives 1.
+    The rows are the ``head`` row if one is given (``"labels"``: the
+    labels n..n+k-1, or ``"ones"``), then D^shift S, D^(shift+2) S, ...
+    read from ``diffs``, since D^(2i) (D^shift S) = D^(2i+shift) S.  In
+    exact mode the head row is ints too, and the integer determinant is
+    divided by scale**r for the r scaled rows.  Conventions: k = -1
+    gives 0, k = 0 gives 1.
     """
-    one = seq.mode.convert(1)
-    if k == -1:
-        return one * 0
-    if k == 0:
-        return one
-    if k < -1:
-        raise ValueError("order must be >= -1")
-    rows = [] if head is None else [[head(n + j) for j in range(k)]]
+    if k <= 0:
+        if k < -1:
+            raise WindowError(f"determinant order {k} is below -1")
+        return seq.mode.convert(k + 1)
+    rows = []
+    if head is not None:
+        row = range(n, n + k) if head == "labels" else [1] * k
+        rows.append([seq.mode.convert(x) for x in row] if diffs.scale is None else list(row))
     lo = n - seq.start_label
-    for order in range(shift, shift + 2 * (k - len(rows)), 2):
-        if lo < 0 or order >= len(table) or lo + k > len(table[order]):
+    scaled = k - len(rows)  # the difference rows, each scaled by diffs.scale
+    for order in range(shift, shift + 2 * scaled, 2):
+        if lo < 0 or order >= len(diffs.rows) or lo + k > len(diffs.rows[order]):
             raise WindowError(f"labels {n}..{n + k - 1} of the order-{order} "
                               f"differences lie outside the sequence")
-        rows.append(table[order][lo:lo + k])
-    return determinant(rows, seq.mode.is_exact)
+        rows.append(diffs.rows[order][lo:lo + k])
+    if diffs.scale is None:
+        return pivoted_det(rows).value
+    return Fraction(bareiss_det(rows), diffs.scale ** scaled)
 
 
 def psi_det(v, k, n):
@@ -67,14 +91,13 @@ def psi_det(v, k, n):
 
 def phi_det(v, k, n):
     """Like psi_det but the first row holds the column labels n..n+k-1."""
-    return _hankel_det(v, _difference_table(v, 2 * k - 4), k, n, head=v.mode.convert)
+    return _hankel_det(v, _difference_table(v, 2 * k - 4), k, n, head="labels")
 
 
-def _t_denominator(seq, table, k, n):
+def _t_denominator(seq, diffs, k, n):
     if k < 0:
         raise WindowError("transform order k must be nonnegative")
-    one = seq.mode.convert(1)
-    return _hankel_det(seq, table, k + 1, n, 2, lambda _: one)
+    return _hankel_det(seq, diffs, k + 1, n, 2, "ones")
 
 
 def t_denominator(seq, k, n):
@@ -82,11 +105,11 @@ def t_denominator(seq, k, n):
     return _t_denominator(seq, _difference_table(seq, 2 * k), k, n)
 
 
-def _t_value(seq, table, k, n):
-    den = _t_denominator(seq, table, k, n)
+def _t_value(seq, diffs, k, n):
+    den = _t_denominator(seq, diffs, k, n)
     if den == 0:
         raise SingularError(f"zero denominator determinant at (k={k}, n={n})")
-    return _hankel_det(seq, table, k + 1, n) / den
+    return _hankel_det(seq, diffs, k + 1, n) / den
 
 
 def t_determinant(seq, k, n):
@@ -126,33 +149,33 @@ class MoleculeSolution:
         return g / f
 
 
-def _molecule_cell(seq, table, level, n):
+def _molecule_cell(seq, diffs, level, n):
     """(F, G) at one lattice level via the six closed formulas."""
 
     def det(shift, k, head=None):
         # a Psi or Phi of D^shift S needs D^shift S to exist, even when
         # Phi_1 reads only its label row
-        if k > 0 and shift >= len(table):
+        if k > 0 and shift >= len(diffs.rows):
             raise WindowError(f"difference order {shift} exceeds available length {len(seq)}")
-        return _hankel_det(seq, table, k, n, shift, head)
+        return _hankel_det(seq, diffs, k, n, shift, head)
 
     k, r = divmod(level, 3)
     if r == 0:
         return det(3, k - 1), det(0, k)
     if r == 1:
         return det(1, k), -det(4, k - 1)
-    return det(2, k), det(1, k + 1, seq.mode.convert)
+    return det(2, k), det(1, k + 1, "labels")
 
 
 def molecule_solution(seq, max_level):
     """Populate F and G for levels 0..max_level wherever the window fits."""
     mol = MoleculeSolution()
     with seq.mode.context():
-        table = _difference_table(seq, len(seq) - 1)
+        diffs = _difference_table(seq, len(seq) - 1)
         for level in range(0, max_level + 1):
             for n in seq.labels():
                 try:
-                    f, g = _molecule_cell(seq, table, level, n)
+                    f, g = _molecule_cell(seq, diffs, level, n)
                 except WindowError:
                     continue
                 mol.F[(level, n)] = f
@@ -213,19 +236,31 @@ _BILINEAR_FORMS = {
 
 
 def _residual(term_a, term_b, term_c):
-    vals = []
-    for pair in (term_a, term_b, term_c):
-        prod = None
-        for store, level, n in pair:
-            v = store.get((level, n))
-            if v is None:
-                return None
-            prod = v if prod is None else prod * v
-        vals.append(prod)
-    lhs = vals[0] - vals[1]
-    rhs = vals[2]
-    scale = max(abs(lhs), abs(rhs), 1)
-    return lhs - rhs, scale
+    """(a - b) - c for the products a, b, c of the three operand pairs.
+
+    Returns the residual and, when it is nonzero, its scale
+    max(|a - b|, |c|, 1); None if an operand is missing.  Exact operands
+    are multiplied as numerators and denominators and normalised once.
+    """
+    try:
+        pairs = [[store[level, n] for store, level, n in pair] for pair in (term_a, term_b, term_c)]
+    except KeyError:
+        return None
+    if isinstance(pairs[0][0], Fraction):
+        (a_num, a_den), (b_num, b_den), (c_num, c_den) = [
+            (x.numerator * y.numerator, x.denominator * y.denominator) for x, y in pairs]
+        lhs_num, lhs_den = a_num * b_den - b_num * a_den, a_den * b_den
+        r = Fraction(lhs_num * c_den - c_num * lhs_den, lhs_den * c_den)
+        if r == 0:
+            return r, None
+        lhs, rhs = Fraction(lhs_num, lhs_den), Fraction(c_num, c_den)
+    else:
+        (a1, a2), (b1, b2), (c1, c2) = pairs
+        lhs, rhs = a1 * a2 - b1 * b2, c1 * c2
+        r = lhs - rhs
+        if r == 0:
+            return r, None
+    return r, max(abs(lhs), abs(rhs), 1)
 
 
 def check_bilinear(seq, k_max):

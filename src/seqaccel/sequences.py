@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptyInputError, WindowError
+from .errors import EmptyInputError, NonFiniteError, WindowError
 from .modes import FLOAT64
 
 
@@ -13,7 +13,10 @@ class Sequence:
     """A prefix {S_n0, ..., S_{n0+N}} of a sequence, in a single scalar mode.
 
     Lookup by label is exact: asking for an element outside the stored
-    range raises :class:`WindowError` rather than extrapolating.
+    range raises :class:`WindowError` rather than extrapolating.  Every
+    value must be finite in the mode (:class:`NonFiniteError` otherwise),
+    and rational mode stores every value as a Fraction, so that its
+    arithmetic stays exact.
     """
 
     start_label: int
@@ -23,7 +26,13 @@ class Sequence:
     def __post_init__(self):
         if len(self.values) == 0:
             raise EmptyInputError("sequence must contain at least one element")
-        object.__setattr__(self, "values", tuple(self.values))
+        values = tuple(self.values)
+        for n, v in enumerate(values, self.start_label):
+            if not self.mode.is_finite(v):
+                raise NonFiniteError(f"S_{n} = {v!r} is not finite in {self.mode.name} mode")
+        if self.mode.is_exact:
+            values = tuple(map(self.mode.convert, values))
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_iterable(cls, items, start_label=0, mode=FLOAT64):

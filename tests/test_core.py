@@ -1,7 +1,9 @@
 """Scalar modes, sequences, differences, and table containers."""
 
+import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from seqaccel import (
     RATIONAL,
     BigFloat,
     EmptyInputError,
+    NonFiniteError,
     Sequence,
     Status,
     TransformEntry,
@@ -79,6 +82,28 @@ class TestSequence:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
             Sequence(0, (), RATIONAL)
+
+    @pytest.mark.parametrize("mode", [FLOAT64, BigFloat(128)], ids=lambda m: m.name)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, mode, bad):
+        with pytest.raises(NonFiniteError, match="S_4 "):
+            Sequence(2, (1.0, 2.0, bad, 3.0), mode)
+
+    def test_mpf_infinity_rejected(self):
+        with pytest.raises(NonFiniteError, match="S_0 "):
+            Sequence(0, (mpmath.inf,), BigFloat(128))
+
+    def test_large_bigfloat_is_finite(self):
+        # beyond float64's range, but finite at any mpmath precision
+        mode = BigFloat(256)
+        big = mode.parse("1e400")
+        s = Sequence(0, (big, 2 * big), mode)
+        assert s.values == (big, 2 * big)
+
+    def test_rational_stores_ints_as_fractions(self):
+        s = Sequence(0, (0, 1, 3, 10), RATIONAL)
+        assert all(type(v) is Fraction for v in s.values)
+        assert s.values == (0, 1, 3, 10)
 
 
 class TestForwardDifference:

@@ -64,6 +64,16 @@ class TestPsiPhi:
         for det, k in ((psi_det, 1), (psi_det, 2), (phi_det, 2)):
             with pytest.raises(WindowError):
                 det(w, k, 2)  # label 2 is below the start label
+        for det in (psi_det, phi_det):
+            with pytest.raises(WindowError):
+                det(w, -2, 3)  # no order below -1
+
+    def test_int_valued_rational_sequence_stays_exact(self):
+        s = Sequence(0, (0, 1, 3, 10, 4, 7, 2), RATIONAL)
+        for value, want in ((psi_det(s, 3, 0), 775), (phi_det(s, 3, 0), 1),
+                            (t_determinant(s, 1, 0), Fraction(-1, 4))):
+            assert type(value) is Fraction
+            assert value == want
 
 
 class TestTDeterminant:

@@ -4,25 +4,43 @@ import runpy
 import sys
 from pathlib import Path
 
+import pytest
+
+import seqaccel.cli
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def run_script(monkeypatch, capsys, name, *argv):
+    """Run a script as __main__; returns its exit status and captured output."""
     monkeypatch.setattr(sys, "argv", [name, *argv])
-    runpy.run_path(str(SCRIPTS / name), run_name="__main__")
-    out = capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    return exit_info.value.code, capsys.readouterr()
+
+
+def run_ok(monkeypatch, capsys, name, *argv):
+    code, out = run_script(monkeypatch, capsys, name, *argv)
+    assert code == 0
     assert out.err == ""
     return out.out
 
 
 def test_reproduce_tables_float64(monkeypatch, capsys):
-    out = run_script(monkeypatch, capsys, "reproduce_tables.py", "--mode", "float64")
+    out = run_ok(monkeypatch, capsys, "reproduce_tables.py", "--mode", "float64")
     assert out.count("(float64) ==") == 3
     assert "| 3 | 3.06147 | 3.1416810168 | 3.1415926509 |" in out
 
 
 def test_compare_algorithms(monkeypatch, capsys):
-    out = run_script(monkeypatch, capsys, "compare_algorithms.py")
+    out = run_ok(monkeypatch, capsys, "compare_algorithms.py")
     for family in ("archimedes_pi", "alt_harmonic", "zeta2"):
         assert f"== {family}: |T_k - S| vs |eps_2k - S| ==" in out
     assert out.count("| n | lbq_T0_err | eps_T0_err |") == 3
+
+
+@pytest.mark.parametrize("name", ["reproduce_tables.py", "compare_algorithms.py"])
+def test_failed_run_sets_exit_status(monkeypatch, capsys, name):
+    monkeypatch.setattr(seqaccel.cli, "main", lambda argv: 1)
+    code, _ = run_script(monkeypatch, capsys, name)
+    assert code not in (0, None)
