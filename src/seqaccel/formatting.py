@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isfinite
 
 import mpmath
 from mpmath.libmp import to_rational
@@ -27,7 +28,17 @@ def to_fraction(value):
 
 
 def format_fixed(value, digits):
-    """Decimal string with ``digits`` places, rounding half to even."""
+    """Decimal string with ``digits`` places, rounding half to even.
+
+    The exact value is rounded, never an intermediate decimal, and a
+    result that rounds to zero has no sign.  A finite float goes through
+    Python's ``'f'`` format, which rounds its exact binary value in the
+    same way; every other value (Fraction, int, mpf, and a non-finite
+    float, which raises) is rounded from its integer ratio.
+    """
+    if isinstance(value, float) and isfinite(value):
+        text = f"{value:.{digits}f}"
+        return text[1:] if text[0] == "-" and not text.strip("-0.") else text
     num, den = _integer_ratio(value)
     scale = 10**digits
     floor, rem = divmod(num * scale, den)

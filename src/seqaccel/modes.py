@@ -40,10 +40,16 @@ class Float64:
         return float(x)
 
     def is_finite(self, x):
-        return math.isfinite(x)
+        try:
+            return math.isfinite(x)
+        except OverflowError:  # an int beyond the float range
+            return False
 
     def parse(self, text):
-        return float(_parse_number(text))
+        try:
+            return float(_parse_number(text))
+        except OverflowError:
+            raise ValueError(f"{text.strip()} is beyond the float64 range") from None
 
     def context(self):
         return nullcontext()

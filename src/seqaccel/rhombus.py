@@ -23,13 +23,20 @@ from .modes import Float64
 
 def differences(col, mode, threshold):
     """Forward differences of ``col``, ``None`` where a factor breaks down."""
-    exact = mode.is_exact
     out = []
-    for a, b in zip(col, col[1:]):
-        d = None if a is None or b is None else b - a
-        if d is not None and (d == 0 or not exact and abs(d) < threshold * max(abs(a), abs(b))):
-            d = None
-        out.append(d)
+    if mode.is_exact:
+        for a, b in zip(col, col[1:]):
+            d = None if a is None or b is None else b - a
+            out.append(None if d is None or d == 0 else d)
+        return out
+    # each element is an operand of two differences: take its magnitude once
+    mags = [None if v is None else abs(v) for v in col]
+    for a, b, ma, mb in zip(col, col[1:], mags, mags[1:]):
+        if a is None or b is None:
+            out.append(None)
+            continue
+        d = b - a
+        out.append(None if d == 0 or abs(d) < threshold * (ma if ma >= mb else mb) else d)
     return out
 
 

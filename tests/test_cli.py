@@ -1,5 +1,6 @@
 """Command-line interface."""
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -15,6 +16,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def fraction_rounding(value, digits):
+    """``value`` to ``digits`` places: its exact Fraction, rounded half to even."""
+    exact = Fraction(float(value)) if isinstance(value, mpmath.mpf) else Fraction(value)
+    rounded = round(exact * 10**digits)
+    sign = "-" if rounded < 0 else ""
+    whole, frac = divmod(abs(rounded), 10**digits)
+    return f"{sign}{whole}" + (f".{frac:0{digits}d}" if digits else "")
 
 
 class TestFormatting:
@@ -43,21 +53,42 @@ class TestFormatting:
                     st.fractions(max_denominator=10**6),
                     st.floats(-1e6, 1e6).map(mpmath.mpf),
                 ),
-                st.integers(0, 12),
+                st.integers(0, 20),
             ),
             # odd / 2^(d+1) is an exact float whose d-digit rounding is a tie
-            st.tuples(st.integers(-10**6, 10**6), st.integers(0, 12)).map(
+            st.tuples(st.integers(-10**6, 10**6), st.integers(0, 20)).map(
                 lambda t: ((2 * t[0] + 1) / 2 ** (t[1] + 1), t[1])),
         ),
     )
     def test_matches_fraction_rounding(self, case):
         value, digits = case
-        exact = Fraction(float(value)) if isinstance(value, mpmath.mpf) else Fraction(value)
-        rounded = round(exact * 10**digits)  # half to even
-        sign = "-" if rounded < 0 else ""
-        whole, frac = divmod(abs(rounded), 10**digits)
-        want = f"{sign}{whole}" + (f".{frac:0{digits}d}" if digits else "")
-        assert format_fixed(value, digits) == want
+        assert format_fixed(value, digits) == fraction_rounding(value, digits)
+
+    @pytest.mark.parametrize("value, digits, want", [
+        (-0.0, 0, "0"),
+        (-0.0, 3, "0.000"),
+        (-4e-4, 3, "0.000"),  # a negative that rounds to zero has no sign
+        (-0.0005, 3, "-0.001"),  # the float is just below -0.0005
+        (-1e-300, 20, "0.00000000000000000000"),
+        (5e-324, 20, "0.00000000000000000000"),  # the smallest subnormal
+        (-2.5e-310, 0, "0"),
+        (0.125, 2, "0.12"),  # exact tie, half to even
+        (-0.375, 2, "-0.38"),
+        (1e300, 2, None),
+        (-1.7976931348623157e308, 20, None),
+        (1 / 3, 20, "0.33333333333333331483"),
+    ])
+    def test_float_edge_cases(self, value, digits, want):
+        got = format_fixed(value, digits)
+        assert got == fraction_rounding(value, digits)
+        if want is not None:
+            assert got == want
+
+    @pytest.mark.parametrize("value, error", [
+        (math.inf, OverflowError), (-math.inf, OverflowError), (math.nan, ValueError)])
+    def test_non_finite_float_raises(self, value, error):
+        with pytest.raises(error):
+            format_fixed(value, 5)
 
 
 class TestTransform:
@@ -224,3 +255,14 @@ class TestErrors:
         code, _, err = run(capsys, "transform", "--input", str(p))
         assert code == 1
         assert "bad.txt" in err
+
+    def test_float64_overflow_is_a_clean_error(self, capsys, tmp_path):
+        p = tmp_path / "big.txt"
+        p.write_text("1.0\n1e400\n")
+        code, _, err = run(capsys, "transform", "--input", str(p), "--k-max", "1")
+        assert code == 1
+        assert err.startswith("error: ") and "big.txt:2" in err
+        code, _, err = run(capsys, "compare", "--family", "alt_harmonic", "--count", "8",
+                           "--limit", "1e400")
+        assert code == 1
+        assert err.startswith("error: ") and "1e400" in err

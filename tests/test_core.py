@@ -1,6 +1,7 @@
 """Scalar modes, sequences, differences, and table containers."""
 
 import math
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import mpmath
@@ -13,15 +14,20 @@ from seqaccel import (
     RATIONAL,
     BigFloat,
     EmptyInputError,
+    GeneratorSpec,
     NonFiniteError,
     Sequence,
     Status,
     TransformEntry,
     WindowError,
+    build_lattice,
+    epsilon_transform,
     forward_difference,
+    generate,
     lbq_transform,
     mode_from_name,
 )
+from seqaccel.tables import BREAKDOWN_ENTRY
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
@@ -89,6 +95,10 @@ class TestSequence:
         with pytest.raises(NonFiniteError, match="S_4 "):
             Sequence(2, (1.0, 2.0, bad, 3.0), mode)
 
+    def test_int_beyond_float64_rejected(self):
+        with pytest.raises(NonFiniteError, match="S_0 "):
+            Sequence(0, (10**400,), FLOAT64)
+
     def test_mpf_infinity_rejected(self):
         with pytest.raises(NonFiniteError, match="S_0 "):
             Sequence(0, (mpmath.inf,), BigFloat(128))
@@ -151,6 +161,28 @@ class TestTransformTable:
         # k=2 consumes S_n..S_{n+6}: only n=0 fits a 7-element input
         assert table.get(2, 1).status is Status.UNAVAILABLE
         assert table.get(5, 0).status is Status.UNAVAILABLE
+
+    def test_entries_equal_constructed_ones(self):
+        # 1e-310 makes the engines break down on product underflow and overflow
+        seqs = [generate(GeneratorSpec("alt_harmonic", 40))[0],
+                Sequence.from_iterable([1e-310 * (1 + 0.5**n) for n in range(16)], 0, FLOAT64),
+                seq_of([Fraction(1, n) for n in range(1, 12)] + [Fraction(1)] * 3)]
+        for seq in seqs:
+            entries = [*lbq_transform(seq, 4).entries.values(),
+                       *epsilon_transform(seq, 5).entries.values()]
+            entries += [e for level in build_lattice(seq, 4).levels.values() for e in level.values()]
+            assert {e.status for e in entries} == {Status.VALID, Status.BREAKDOWN}
+            for entry in entries:
+                if entry.status is Status.BREAKDOWN:
+                    assert entry is BREAKDOWN_ENTRY
+                    continue
+                built = TransformEntry(entry.value)
+                assert entry == built and hash(entry) == hash(built)
+                assert type(entry) is TransformEntry and entry.ok
+                with pytest.raises(FrozenInstanceError):
+                    entry.value = 0
+                with pytest.raises(FrozenInstanceError):
+                    entry.status = Status.BREAKDOWN
 
     def test_entry_constructors(self):
         assert TransformEntry.valid(1).ok

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqaccel import (
@@ -23,32 +23,51 @@ from seqaccel.rhombus import rhombus
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
 
-def plain_lattice(values, start, m_max):
+def factor(a, b, threshold):
+    """b - a, or None when an operand is None or the difference is zero or
+    below ``threshold * max(|a|, |b|)``."""
+    if a is None or b is None:
+        return None
+    d = b - a
+    return None if d == 0 or abs(d) < threshold * max(abs(a), abs(b)) else d
+
+
+def cell(c, p, subtract):
+    """c -/+ 1/p, or None when an input is None, p is 0 or a float result is not finite."""
+    if c is None or p is None or p == 0:
+        return None
+    r = c - 1 / p if subtract else c + 1 / p
+    return None if isinstance(r, float) and not math.isfinite(r) else r
+
+
+def plain_lattice(values, start, m_max, scalar=Fraction, threshold=0):
     """{(m, n): U_m^n} cell by cell from the recursion; None marks BREAKDOWN."""
     end = start + len(values) - 1
     u = {}
     for n in range(start, end + 1):
-        u[1, n], u[2, n], u[3, n] = Fraction(0), Fraction(n), values[n - start]
+        u[1, n], u[2, n], u[3, n] = scalar(0), scalar(n), values[n - start]
     for m in range(4, m_max + 1):
         for n in range(start, end - m + 4):
-            c, m0, m1, t0, t1 = u[m - 3, n + 1], u[m - 2, n], u[m - 2, n + 1], u[m - 1, n], u[m - 1, n + 1]
-            if None in (c, m0, m1, t0, t1) or m0 == m1 or t0 == t1:
-                u[m, n] = None
-            else:
-                u[m, n] = c - 1 / ((t1 - t0) * (m1 - m0))
+            dt = factor(u[m - 1, n], u[m - 1, n + 1], threshold)
+            dm = factor(u[m - 2, n], u[m - 2, n + 1], threshold)
+            u[m, n] = cell(u[m - 3, n + 1], None if dt is None or dm is None else dt * dm, True)
     return u
 
 
-def plain_epsilon(values, start, j_max):
+def plain_epsilon(values, start, j_max, scalar=Fraction, threshold=0):
     """{(j, n): eps_j^(n)} cell by cell from the recursion; None marks BREAKDOWN."""
     end = start + len(values) - 1
-    e = {(-1, n): Fraction(0) for n in range(start, end + 2)}
+    e = {(-1, n): scalar(0) for n in range(start, end + 2)}
     e.update({(0, n): values[n - start] for n in range(start, end + 1)})
     for j in range(1, j_max + 1):
         for n in range(start, end - j + 1):
-            c, a, b = e[j - 2, n + 1], e[j - 1, n], e[j - 1, n + 1]
-            e[j, n] = None if None in (c, a, b) or a == b else c + 1 / (b - a)
+            e[j, n] = cell(e[j - 2, n + 1], factor(e[j - 1, n], e[j - 1, n + 1], threshold), False)
     return e
+
+
+def same(a, b):
+    """Equal type and value; floats must have equal bits (so 0.0 is not -0.0)."""
+    return type(a) is type(b) and (a.hex() == b.hex() if isinstance(a, float) else a == b)
 
 
 def assert_matches(table, cells):
@@ -59,7 +78,41 @@ def assert_matches(table, cells):
         if want is None:
             assert entry.status is Status.BREAKDOWN, key
         else:
-            assert entry.status is Status.VALID and entry.value == want, key
+            assert entry.status is Status.VALID and same(entry.value, want), key
+
+
+def assert_engines_match_plain(seq, max_order, scalar, threshold):
+    values, start = list(seq.values), seq.start_label
+    u = plain_lattice(values, start, 3 * max_order + 3, scalar, threshold)
+    assert_matches(lbq_transform(seq, max_order, threshold), {
+        (k, n): u[3 * k + 3, n]
+        for k in range(max_order + 1) for n in range(start, seq.end_label - 3 * k + 1)
+    })
+    e = plain_epsilon(values, start, 2 * max_order, scalar, threshold)
+    assert_matches(epsilon_transform(seq, max_order, threshold), {
+        (k, n): e[2 * k, n]
+        for k in range(max_order + 1) for n in range(start, seq.end_label - 2 * k + 1)
+    })
+
+
+# Small integers times a power of two, with a power-of-two threshold, put
+# many differences exactly at threshold * max(|a|, |b|), where the guard's
+# strict < keeps the factor.
+dyadic_cases = st.tuples(
+    st.lists(st.integers(-64, 64), min_size=1, max_size=14),
+    st.integers(-60, 60),
+    st.integers(0, 8),
+).map(lambda t: ([m * 2.0 ** t[1] for m in t[0]], 2.0 ** -t[2]))
+float_cases = st.tuples(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=14),
+    st.sampled_from([1e-12, 1e-3]),
+)
+# a slowly moving sequence: each step is a few threshold units of its size
+near_threshold_cases = st.tuples(
+    st.floats(0.5, 2.0),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=14),
+    st.integers(-300, 300),
+).map(lambda t: ([t[0] * (1 + i * 1e-12) * 10.0 ** t[2] for i in t[1]], 1e-12))
 
 
 class TestTableShape:
@@ -94,16 +147,26 @@ class TestTableShape:
         start=st.integers(0, 3),
     )
     def test_constant_tail_poisons_like_the_plain_recursion(self, head, tail, repeat, start):
-        values = head + [tail] * repeat
-        seq = Sequence.from_iterable(values, start, RATIONAL)
-        u = plain_lattice(values, start, 9)
-        assert_matches(lbq_transform(seq, 2), {
-            (k, n): u[3 * k + 3, n] for k in range(3) for n in range(start, seq.end_label - 3 * k + 1)
-        })
-        e = plain_epsilon(values, start, 6)
-        assert_matches(epsilon_transform(seq, 3), {
-            (k, n): e[2 * k, n] for k in range(4) for n in range(start, seq.end_label - 2 * k + 1)
-        })
+        seq = Sequence.from_iterable(head + [tail] * repeat, start, RATIONAL)
+        assert_engines_match_plain(seq, 3, Fraction, 0)
+
+
+class TestFloatGuard:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=st.one_of(dyadic_cases, float_cases, near_threshold_cases),
+        start=st.integers(-2, 3),
+        max_order=st.integers(0, 4),
+    )
+    # the first difference breaks down only against max(|a|, |b|): |b| > |a|,
+    # then |a| > |b|, then exactly at the threshold, where it stays VALID
+    @example(case=([1.0, 3.0, -4.0], 1.0), start=0, max_order=1)
+    @example(case=([3.0, 1.0, -4.0], 1.0), start=0, max_order=1)
+    @example(case=([1.0, 2.0, -4.0], 0.5), start=0, max_order=1)
+    def test_float64_matches_the_plain_recursion_bit_for_bit(self, case, start, max_order):
+        values, threshold = case
+        seq = Sequence.from_iterable(values, start, FLOAT64)
+        assert_engines_match_plain(seq, max_order, float, threshold)
 
 
 class TestFloat64Breakdown:

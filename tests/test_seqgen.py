@@ -129,6 +129,16 @@ class TestIngest:
         with pytest.raises(IngestError, match=":2"):
             ingest(p, "lines", FLOAT64)
 
+    @pytest.mark.parametrize("fmt, text, line", [
+        ("lines", "1.0\n1e400\n", ":2"),
+        ("csv", "n,S\n1,1.0\n2,-1e400\n", ":3"),
+    ], ids=["lines", "csv"])
+    def test_float64_overflow_names_line(self, tmp_path, fmt, text, line):
+        p = tmp_path / "seq.txt"
+        p.write_text(text)
+        with pytest.raises(IngestError, match=line):
+            ingest(p, fmt, FLOAT64)
+
     def test_lines_empty(self, tmp_path):
         p = tmp_path / "seq.txt"
         p.write_text("# only comments\n")
