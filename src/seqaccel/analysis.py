@@ -6,7 +6,6 @@ import enum
 from dataclasses import dataclass, field
 
 from .errors import SpecError, WindowError
-from .tables import Status
 
 
 class Classification(enum.Enum):
@@ -109,7 +108,7 @@ def error_table(table, limit):
     """Map (k, n) -> |T_k^(n) - S|, with status markers passed through."""
     out = {}
     for (k, n), entry in table.entries.items():
-        if entry.status is Status.VALID:
+        if entry.ok:
             out[(k, n)] = abs(entry.value - limit)
         else:
             out[(k, n)] = entry.status

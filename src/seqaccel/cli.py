@@ -147,11 +147,9 @@ def _column_digits(args, ncols):
 
 
 def _entry_text(entry, digits):
-    if entry.status is Status.BREAKDOWN:
-        return "BRK"
-    if entry.status is Status.UNAVAILABLE:
-        return ""
-    return format_fixed(entry.value, digits)
+    if entry.ok:
+        return format_fixed(entry.value, digits)
+    return "BRK" if entry.status is Status.BREAKDOWN else ""
 
 
 def transform_table(seq, algorithm, k_max, threshold=None):
@@ -259,10 +257,7 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except SeqAccelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (SeqAccelError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

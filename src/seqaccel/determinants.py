@@ -5,22 +5,14 @@ difference table by the common denominator D of the sequence, so every
 row it hands over is integral, and divides the result by D**r once (r
 is the number of scaled rows).  ``bareiss_det`` is fraction-free
 Bareiss elimination on those integers; each of its divisions is exact.
-Floating matrices use Gaussian elimination with partial pivoting, which
-also yields a cheap pivot-ratio condition indicator.
+Floating matrices use Gaussian elimination with partial pivoting.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import KernelDegeneracyError
-
-
-@dataclass(frozen=True)
-class DetResult:
-    value: object
-    condition: float = 1.0
 
 
 def bareiss_det(rows):
@@ -49,21 +41,19 @@ def bareiss_det(rows):
 
 
 def pivoted_det(rows):
-    """Partially pivoted elimination; returns value plus pivot-ratio condition."""
+    """Determinant by elimination with partial pivoting."""
     a = [list(r) for r in rows]
     n = len(a)
     if n == 0:
-        return DetResult(1.0)
+        return 1.0
     sign = 1
-    pivots = []
     for c in range(n):
         p = max(range(c, n), key=lambda r: abs(a[r][c]))
         if a[p][c] == 0:
-            return DetResult(0 * a[0][0], float("inf"))
+            return 0 * a[0][0]
         if p != c:
             a[c], a[p] = a[p], a[c]
             sign = -sign
-        pivots.append(abs(a[c][c]))
         for r in range(c + 1, n):
             f = a[r][c] / a[c][c]
             for j in range(c, n):
@@ -71,8 +61,7 @@ def pivoted_det(rows):
     det = a[0][0]
     for c in range(1, n):
         det = det * a[c][c]
-    cond = float(max(pivots) / min(pivots))
-    return DetResult(sign * det, cond)
+    return sign * det
 
 
 def solve_exact(matrix, rhs):

@@ -10,7 +10,7 @@ class WindowError(SeqAccelError):
 
 
 class NonFiniteError(SeqAccelError):
-    """A sequence value is NaN or infinite."""
+    """A value is NaN or infinite, or beyond the range of its scalar mode."""
 
 
 class EmptyInputError(SeqAccelError):

@@ -16,18 +16,31 @@ precision for the duration of a table computation.
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 
-from .errors import ModeUnsupportedError
+from .errors import ModeUnsupportedError, NonFiniteError
 
 
 def _parse_number(text):
     """Parse a decimal literal or a p/q fraction string to a Fraction."""
     return Fraction(text.strip())
+
+
+def value_text(x):
+    """repr(x), but an int or Fraction beyond the float range as ``~1e<exponent>``.
+
+    Python refuses str() of an int over 4,300 digits, so a message must
+    not print such a value's digits.
+    """
+    if isinstance(x, (int, Fraction)) and abs(x) > sys.float_info.max:
+        exponent = math.floor(math.log10(abs(x.numerator)) - math.log10(x.denominator))
+        return f"~{'-' if x < 0 else ''}1e{exponent}"
+    return repr(x)
 
 
 @dataclass(frozen=True)
@@ -37,7 +50,10 @@ class Float64:
     default_breakdown_threshold: float = 1e-12
 
     def convert(self, x):
-        return float(x)
+        try:
+            return float(x)
+        except OverflowError:  # an int or Fraction beyond the float range
+            raise NonFiniteError(f"{value_text(x)} is beyond the float64 range") from None
 
     def is_finite(self, x):
         try:

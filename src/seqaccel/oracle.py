@@ -26,7 +26,7 @@ from .errors import SeqAccelError, SingularError, SpecError, WindowError
 from .lbq import lbq_transform
 from .modes import RATIONAL
 from .sequences import Sequence
-from .tables import BREAKDOWN_ENTRY, TransformEntry, TransformTable
+from .tables import TransformTable
 
 
 class _Differences(NamedTuple):
@@ -77,7 +77,7 @@ def _hankel_det(seq, diffs, k, n, shift=0, head=None):
                               f"differences lie outside the sequence")
         rows.append(diffs.rows[order][lo:lo + k])
     if diffs.scale is None:
-        return pivoted_det(rows).value
+        return pivoted_det(rows)
     return Fraction(bareiss_det(rows), diffs.scale ** scaled)
 
 
@@ -118,18 +118,23 @@ def t_determinant(seq, k, n):
         return _t_value(seq, _difference_table(seq, 2 * k), k, n)
 
 
+def _t_cell(seq, diffs, k, n):
+    """_t_value, or None (BREAKDOWN) where it raises."""
+    try:
+        return _t_value(seq, diffs, k, n)
+    except SeqAccelError:
+        return None
+
+
 def oracle_transform(seq, k_max):
     """TransformTable of T_k^(n) from the determinant ratio; a failed cell is BREAKDOWN."""
-    table = TransformTable(k_max, seq.start_label, seq.end_label, window_step=3)
     with seq.mode.context():
         diffs = _difference_table(seq, 2 * k_max)
-        for k in range(k_max + 1):
-            for n in range(seq.start_label, seq.end_label - 3 * k + 1):
-                try:
-                    table.set(k, n, TransformEntry.valid(_t_value(seq, diffs, k, n)))
-                except SeqAccelError:
-                    table.set(k, n, BREAKDOWN_ENTRY)
-    return table
+        columns = {
+            k: [_t_cell(seq, diffs, k, n) for n in range(seq.start_label, seq.end_label - 3 * k + 1)]
+            for k in range(k_max + 1)
+        }
+    return TransformTable.from_columns(columns, seq.start_label, seq.end_label)
 
 
 @dataclass

@@ -12,12 +12,17 @@ small against its operands (float modes), and every cell that depends
 on a BREAKDOWN cell breaks down too.  In float64 a cell also breaks
 down when its factor product underflows to zero or its result is not
 finite; mpmath exponents are unbounded, so bigfloat needs no such check.
+
+:func:`fill` is the one driver both engines call: it runs the rule
+from a tuple of seed columns and keeps only the live columns while it
+does.
 """
 
 from __future__ import annotations
 
 from math import isfinite
 
+from .errors import WindowError
 from .modes import Float64
 
 
@@ -58,3 +63,32 @@ def rhombus(carry, factors, subtract, mode):
         r = c - 1 / p if subtract else c + 1 / p
         out.append(None if float64 and not isfinite(r) else r)
     return out
+
+
+def fill(seq, seeds, max_order, subtract, threshold, keep):
+    """{m: column m} for the columns m = 1 .. w (max_order + 1) with keep(m).
+
+    The w = len(seeds) seed columns are columns 1 .. w, and each later
+    column m is the rhombus of column m-w with the differences of
+    columns m-1, m-2, ..., m-w+1, in that order, so one unit of order
+    takes w columns.  Only the w live columns and the differences of
+    all but the oldest are held; each column is differenced once.
+    ``threshold`` None means the mode's default.
+    """
+    if max_order < 0:
+        raise WindowError("max_order must be nonnegative")
+    mode = seq.mode
+    if threshold is None:
+        threshold = mode.default_breakdown_threshold
+    width = len(seeds)
+    columns = {m: c for m, c in enumerate(seeds, 1) if keep(m)}
+    live = list(seeds)
+    with mode.context():
+        factors = [differences(c, mode, threshold) for c in reversed(seeds[1:-1])]
+        for m in range(width + 1, width * (max_order + 1) + 1):
+            factors = [differences(live[-1], mode, threshold)] + factors[:width - 2]
+            new = rhombus(live[0], factors, subtract, mode)
+            if keep(m):
+                columns[m] = new
+            live = live[1:] + [new]
+    return columns

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EmptyInputError, NonFiniteError, WindowError
-from .modes import FLOAT64
+from .modes import FLOAT64, value_text
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class Sequence:
         values = tuple(self.values)
         for n, v in enumerate(values, self.start_label):
             if not self.mode.is_finite(v):
-                raise NonFiniteError(f"S_{n} = {v!r} is not finite in {self.mode.name} mode")
+                raise NonFiniteError(f"S_{n} = {value_text(v)} is not finite in {self.mode.name} mode")
         if self.mode.is_exact:
             values = tuple(map(self.mode.convert, values))
         object.__setattr__(self, "values", values)

@@ -1,9 +1,11 @@
 """Triangular transform tables with per-entry validity status.
 
-The engines compute plain-list columns with ``None`` for a BREAKDOWN
-cell (see :mod:`seqaccel.rhombus`) and build a table once, at the end,
-with :meth:`TransformTable.from_columns`.  Every BREAKDOWN cell then
-shares the one ``BREAKDOWN_ENTRY``.
+Every table is built once, at the end, by
+:meth:`TransformTable.from_columns` from plain-list columns with
+``None`` for a BREAKDOWN cell: the lattice transform, its levels and
+the epsilon baseline from the rhombus driver (see
+:mod:`seqaccel.rhombus`), and the determinant oracle from one list per
+order.  Every BREAKDOWN cell then shares the one ``BREAKDOWN_ENTRY``.
 """
 
 from __future__ import annotations
@@ -33,21 +35,13 @@ class TransformEntry:
     def valid(cls, value):
         return cls(value, Status.VALID)
 
-    @classmethod
-    def breakdown(cls):
-        return cls(None, Status.BREAKDOWN)
-
-    @classmethod
-    def unavailable(cls):
-        return cls(None, Status.UNAVAILABLE)
-
     @property
     def ok(self):
         return self.status is _VALID
 
 
-UNAVAILABLE_ENTRY = TransformEntry.unavailable()
-BREAKDOWN_ENTRY = TransformEntry.breakdown()
+UNAVAILABLE_ENTRY = TransformEntry(None, Status.UNAVAILABLE)
+BREAKDOWN_ENTRY = TransformEntry(None, Status.BREAKDOWN)
 
 _new = object.__new__
 _set_value = TransformEntry.value.__set__
@@ -67,42 +61,28 @@ def _valid_entry(value):
     return entry
 
 
-def column_entries(column, start_label):
-    """{label: entry} of a plain-list column; ``None`` marks BREAKDOWN."""
-    return {
-        n: BREAKDOWN_ENTRY if v is None else _valid_entry(v)
-        for n, v in enumerate(column, start_label)
-    }
-
-
 @dataclass
 class TransformTable:
-    """Doubly indexed transform outputs T_k^(n), 0 <= k <= max_order.
+    """Cells keyed (k, n) over the labels start_label..end_label.
 
-    ``window_step`` is the number of extra input elements each unit of
-    order consumes (3 for the lattice transformation, 2 for the
-    epsilon algorithm).
+    k is the transform order for T_k^(n), or the level for the lattice
+    levels U_k^n of ``build_lattice``.
     """
 
-    max_order: int
     start_label: int
     end_label: int
-    window_step: int
     entries: dict = field(default_factory=dict)
 
     @classmethod
-    def from_columns(cls, columns, start_label, end_label, window_step):
+    def from_columns(cls, columns, start_label, end_label):
         """Table whose column k is the plain list ``columns[k]`` over the labels
         from ``start_label`` on; ``None`` marks BREAKDOWN."""
         entries = {
             (k, n): BREAKDOWN_ENTRY if v is None else _valid_entry(v)
-            for k, column in enumerate(columns)
+            for k, column in columns.items()
             for n, v in enumerate(column, start_label)
         }
-        return cls(len(columns) - 1, start_label, end_label, window_step, entries)
-
-    def set(self, k, n, entry):
-        self.entries[(k, n)] = entry
+        return cls(start_label, end_label, entries)
 
     def get(self, k, n):
         """Entry at (k, n); out-of-range indices yield UNAVAILABLE."""

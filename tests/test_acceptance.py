@@ -180,13 +180,12 @@ def test_criterion_8_invariance_suite():
 
         base = build_lattice(seq, 2)
         shifted = build_lattice(seq, 2, label_offset=4)
-        for m, row in base.levels.items():
-            for n, entry in row.items():
-                other = shifted.entry(m, n)
-                assert other.status == entry.status
-                if entry.ok:
-                    expected = entry.value + 4 if m % 3 == 2 else entry.value
-                    assert other.value == expected
+        for (m, n), entry in base.entries.items():
+            other = shifted.get(m, n)
+            assert other.status == entry.status
+            if entry.ok:
+                expected = entry.value + 4 if m % 3 == 2 else entry.value
+                assert other.value == expected
 
         t0 = lbq_transform(seq, 2)
         t_shift = lbq_transform(seq.map(lambda v: v + c), 2)

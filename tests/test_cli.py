@@ -266,3 +266,9 @@ class TestErrors:
                            "--limit", "1e400")
         assert code == 1
         assert err.startswith("error: ") and "1e400" in err
+
+    def test_float64_threshold_overflow_is_a_clean_error(self, capsys):
+        code, out, err = run(capsys, "transform", "--family", "alt_harmonic", "--count", "8",
+                             "--breakdown-threshold", "1e400")
+        assert code == 1 and out == ""
+        assert err == "error: ~1e400 is beyond the float64 range\n"

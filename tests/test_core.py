@@ -27,7 +27,7 @@ from seqaccel import (
     lbq_transform,
     mode_from_name,
 )
-from seqaccel.tables import BREAKDOWN_ENTRY
+from seqaccel.tables import BREAKDOWN_ENTRY, UNAVAILABLE_ENTRY
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
@@ -98,6 +98,17 @@ class TestSequence:
     def test_int_beyond_float64_rejected(self):
         with pytest.raises(NonFiniteError, match="S_0 "):
             Sequence(0, (10**400,), FLOAT64)
+
+    def test_int_beyond_float64_converts_to_a_clean_error(self):
+        with pytest.raises(NonFiniteError, match=r"~1e400 is beyond the float64 range"):
+            Sequence.from_iterable([1, 10**400], 0, FLOAT64)
+        with pytest.raises(NonFiniteError, match=r"~-1e400 is beyond the float64 range"):
+            Sequence.from_iterable([Fraction(-10**401, 7)], 0, FLOAT64)
+
+    def test_huge_int_named_by_magnitude(self):
+        # repr of an int over 4,300 digits raises ValueError in Python 3.11
+        with pytest.raises(NonFiniteError, match=r"S_3 = ~1e5000 is not finite"):
+            Sequence(3, (10**5000,), FLOAT64)
 
     def test_mpf_infinity_rejected(self):
         with pytest.raises(NonFiniteError, match="S_0 "):
@@ -170,7 +181,7 @@ class TestTransformTable:
         for seq in seqs:
             entries = [*lbq_transform(seq, 4).entries.values(),
                        *epsilon_transform(seq, 5).entries.values()]
-            entries += [e for level in build_lattice(seq, 4).levels.values() for e in level.values()]
+            entries += build_lattice(seq, 4).entries.values()
             assert {e.status for e in entries} == {Status.VALID, Status.BREAKDOWN}
             for entry in entries:
                 if entry.status is Status.BREAKDOWN:
@@ -186,5 +197,5 @@ class TestTransformTable:
 
     def test_entry_constructors(self):
         assert TransformEntry.valid(1).ok
-        assert not TransformEntry.breakdown().ok
-        assert TransformEntry.unavailable().status is Status.UNAVAILABLE
+        assert BREAKDOWN_ENTRY.status is Status.BREAKDOWN and not BREAKDOWN_ENTRY.ok
+        assert UNAVAILABLE_ENTRY.status is Status.UNAVAILABLE and not UNAVAILABLE_ENTRY.ok

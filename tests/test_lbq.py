@@ -35,19 +35,19 @@ def seq_of(values, start=0, mode=RATIONAL):
 class TestInit:
     def test_single_element(self):
         lat = build_lattice(seq_of([5]), 0)
-        assert lat.entry(3, 0).value == 5
-        assert lat.entry(2, 0).value == 0
-        assert lat.entry(1, 0).value == 0
+        assert lat.get(3, 0).value == 5
+        assert lat.get(2, 0).value == 0
+        assert lat.get(1, 0).value == 0
 
     def test_second_level_carries_labels(self):
         seq, _ = generate(GeneratorSpec("archimedes_pi", 6, 1))
         lat = build_lattice(seq, 0)
-        assert [lat.entry(2, n).value for n in seq.labels()] == [1, 2, 3, 4, 5, 6]
+        assert [lat.get(2, n).value for n in seq.labels()] == [1, 2, 3, 4, 5, 6]
 
     def test_mode_propagates(self):
         lat = build_lattice(seq_of([Fraction(1, 2), Fraction(1, 3)]), 0)
         for k in (1, 2, 3):
-            assert isinstance(lat.entry(k, 0).value, Fraction)
+            assert isinstance(lat.get(k, 0).value, Fraction)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
@@ -61,26 +61,26 @@ class TestRecursion:
         lat = build_lattice(s, 1)
         d = forward_difference(s)
         for n in range(3):
-            assert lat.entry(4, n).value == -1 / d.at(n)
+            assert lat.get(4, n).value == -1 / d.at(n)
 
     def test_constant_sequence_breaks_down(self):
         lat = build_lattice(seq_of([3] * 5), 1)
-        assert all(e.status is Status.BREAKDOWN for e in lat.levels[4].values())
+        assert all(e.status is Status.BREAKDOWN for (m, _), e in lat.entries.items() if m == 4)
 
     def test_breakdown_poisons_dependents(self):
         # constant tail forces a zero difference at level 4; everything
         # above that cell must be BREAKDOWN, not a number
         s = seq_of([1, 2, 2, 5, 7, 11, 13])
         lat = build_lattice(s, 1)
-        assert lat.entry(4, 1).status is Status.BREAKDOWN
-        assert lat.entry(5, 0).status is Status.BREAKDOWN
-        assert lat.entry(5, 1).status is Status.BREAKDOWN
-        assert lat.entry(6, 0).status is Status.BREAKDOWN
+        assert lat.get(4, 1).status is Status.BREAKDOWN
+        assert lat.get(5, 0).status is Status.BREAKDOWN
+        assert lat.get(5, 1).status is Status.BREAKDOWN
+        assert lat.get(6, 0).status is Status.BREAKDOWN
 
     def test_pi_example_first_column(self):
         seq, _ = generate(GeneratorSpec("archimedes_pi", 13, 1))
         lat = build_lattice(seq, 1)
-        assert lat.entry(6, 1).value == pytest.approx(
+        assert lat.get(6, 1).value == pytest.approx(
             float(TABLE_PI[(1, 1)]), abs=1e-10
         )
 
@@ -124,15 +124,14 @@ class TestInvariances:
             seq = random_rational_sequence(rng, length=10)
             base = build_lattice(seq, 2)
             shifted = build_lattice(seq, 2, label_offset=7)
-            for m, row in base.levels.items():
-                for n, entry in row.items():
-                    other = shifted.entry(m, n)
-                    assert other.status == entry.status
-                    if entry.status is Status.VALID:
-                        if m % 3 == 2:
-                            assert other.value == entry.value + 7
-                        else:
-                            assert other.value == entry.value
+            for (m, n), entry in base.entries.items():
+                other = shifted.get(m, n)
+                assert other.status == entry.status
+                if entry.status is Status.VALID:
+                    if m % 3 == 2:
+                        assert other.value == entry.value + 7
+                    else:
+                        assert other.value == entry.value
 
     @settings(max_examples=25, deadline=None)
     @given(

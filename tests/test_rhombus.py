@@ -14,6 +14,7 @@ from seqaccel import (
     BigFloat,
     Sequence,
     Status,
+    WindowError,
     build_lattice,
     epsilon_transform,
     lbq_transform,
@@ -134,9 +135,8 @@ class TestTableShape:
             }
         table = lbq_transform(seq, max_order)
         assert_matches(table, {
-            (k, n): entry.value if entry.ok else None
-            for k in range(max_order + 1)
-            for n, entry in lattice.levels[3 * k + 3].items()
+            (m // 3 - 1, n): entry.value if entry.ok else None
+            for (m, n), entry in lattice.entries.items() if m % 3 == 0
         })
 
     @settings(max_examples=30, deadline=None)
@@ -167,6 +167,12 @@ class TestFloatGuard:
         values, threshold = case
         seq = Sequence.from_iterable(values, start, FLOAT64)
         assert_engines_match_plain(seq, max_order, float, threshold)
+
+
+@pytest.mark.parametrize("build", [lbq_transform, epsilon_transform, build_lattice])
+def test_negative_max_order_rejected(build):
+    with pytest.raises(WindowError, match="max_order"):
+        build(Sequence.from_iterable([1, 2, 4], 0, RATIONAL), -1)
 
 
 class TestFloat64Breakdown:
