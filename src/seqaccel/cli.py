@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import analysis, oracle, seqgen
 from .epsilon import epsilon_transform
-from .errors import SeqAccelError
+from .errors import SeqAccelError, SpecError
 from .formatting import format_exact, format_fixed
 from .lbq import lbq_transform
 from .modes import mode_from_name
@@ -157,6 +157,9 @@ def transform_table(seq, algorithm, k_max, threshold=None):
         return lbq_transform(seq, k_max, threshold)
     if algorithm == "epsilon":
         return epsilon_transform(seq, k_max, threshold)
+    if threshold is not None:
+        raise SpecError("--breakdown-threshold does not apply to --algorithm oracle, "
+                        "which is exact and breaks down only on a zero denominator")
     return oracle.oracle_transform(seq, k_max)
 
 

@@ -1,18 +1,26 @@
-"""Determinant evaluation and exact linear solves.
+"""Exact determinants on integer matrices.
 
-Exact determinants are taken on integer matrices: the oracle scales its
-difference table by the common denominator D of the sequence, so every
-row it hands over is integral, and divides the result by D**r once (r
-is the number of scaled rows).  ``bareiss_det`` is fraction-free
-Bareiss elimination on those integers; each of its divisions is exact.
-Floating matrices use Gaussian elimination with partial pivoting.
+Every determinant in the package is taken on integers: a caller scales
+its rationals by their least common denominator D (``integers_over``)
+and divides the result by the right power of D once.  The oracle does
+this for its difference table in every mode, since a float or mpf is a
+rational too, and ``kernel_coefficients`` for each row of its linear
+system.  ``bareiss_det`` is fraction-free Bareiss elimination on those
+integers; each of its divisions is exact.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
-from .errors import KernelDegeneracyError
+
+def integers_over(ratios):
+    """(ints, D) for the (numerator, denominator) pairs ``ratios``: ints[i] / D is ratios[i].
+
+    D is the least common denominator.
+    """
+    scale = math.lcm(*(q for _, q in ratios))
+    return [p * (scale // q) for p, q in ratios], scale
 
 
 def bareiss_det(rows):
@@ -38,44 +46,3 @@ def bareiss_det(rows):
         a = [[(x * p - f * y) // prev for x, y in zip(row, tail)] for f, *row in rest]
         prev = p
     return sign * a[0][0]
-
-
-def pivoted_det(rows):
-    """Determinant by elimination with partial pivoting."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    if n == 0:
-        return 1.0
-    sign = 1
-    for c in range(n):
-        p = max(range(c, n), key=lambda r: abs(a[r][c]))
-        if a[p][c] == 0:
-            return 0 * a[0][0]
-        if p != c:
-            a[c], a[p] = a[p], a[c]
-            sign = -sign
-        for r in range(c + 1, n):
-            f = a[r][c] / a[c][c]
-            for j in range(c, n):
-                a[r][j] = a[r][j] - f * a[c][j]
-    det = a[0][0]
-    for c in range(1, n):
-        det = det * a[c][c]
-    return sign * det
-
-
-def solve_exact(matrix, rhs):
-    """Solve a square exact linear system; raises on singularity."""
-    n = len(matrix)
-    a = [list(map(Fraction, row)) + [Fraction(v)] for row, v in zip(matrix, rhs)]
-    for c in range(n):
-        p = next((r for r in range(c, n) if a[r][c] != 0), None)
-        if p is None:
-            raise KernelDegeneracyError("coefficient system is singular")
-        a[c], a[p] = a[p], a[c]
-        for r in range(n):
-            if r != c and a[r][c] != 0:
-                f = a[r][c] / a[c][c]
-                for j in range(c, n + 1):
-                    a[r][j] -= f * a[c][j]
-    return [a[r][n] / a[r][r] for r in range(n)]

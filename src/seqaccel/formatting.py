@@ -1,4 +1,4 @@
-"""Exact fixed-point rendering of scalars in any mode."""
+"""Exact reading and fixed-point rendering of scalars in any mode."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import mpmath
 from mpmath.libmp import to_rational
 
 
-def _integer_ratio(value):
+def integer_ratio(value):
     """(numerator, denominator) of a scalar, with a positive denominator."""
     if isinstance(value, (Fraction, int)):
         return value.numerator, value.denominator
@@ -24,7 +24,7 @@ def _integer_ratio(value):
 def to_fraction(value):
     if isinstance(value, Fraction):
         return value
-    return Fraction(*_integer_ratio(value))
+    return Fraction(*integer_ratio(value))
 
 
 def format_fixed(value, digits):
@@ -39,7 +39,7 @@ def format_fixed(value, digits):
     if isinstance(value, float) and isfinite(value):
         text = f"{value:.{digits}f}"
         return text[1:] if text[0] == "-" and not text.strip("-0.") else text
-    num, den = _integer_ratio(value)
+    num, den = integer_ratio(value)
     scale = 10**digits
     floor, rem = divmod(num * scale, den)
     double = 2 * rem

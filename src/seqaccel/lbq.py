@@ -21,27 +21,23 @@ from .rhombus import fill
 from .tables import TransformTable
 
 
-def _levels(seq, max_order, threshold, label_offset, keep):
-    """{m: U_m as a plain list} for the levels m = 1 .. 3 max_order + 3 with keep(m).
-
-    ``label_offset`` shifts the second level only; the transform outputs
-    are invariant under it.
-    """
+def _levels(seq, max_order, threshold, keep):
+    """{m: U_m as a plain list} for the levels m = 1 .. 3 max_order + 3 with keep(m)."""
     mode = seq.mode
     seeds = ([mode.convert(0)] * len(seq),
-             [mode.convert(n + label_offset) for n in seq.labels()],
+             [mode.convert(n) for n in seq.labels()],
              list(seq.values))
     return fill(seq, seeds, max_order, True, threshold, keep)
 
 
-def build_lattice(seq, max_order, breakdown_threshold=None, label_offset=0):
+def build_lattice(seq, max_order, breakdown_threshold=None):
     """TransformTable of every level U_m^n, m = 1 .. 3 max_order + 3, keyed (m, n)."""
-    levels = _levels(seq, max_order, breakdown_threshold, label_offset, lambda m: True)
+    levels = _levels(seq, max_order, breakdown_threshold, lambda m: True)
     return TransformTable.from_columns(levels, seq.start_label, seq.end_label)
 
 
 def lbq_transform(seq, max_order, breakdown_threshold=None):
     """TransformTable of T_k^(n) = U_{3k+3}^n for k = 0..max_order."""
-    levels = _levels(seq, max_order, breakdown_threshold, 0, lambda m: m % 3 == 0)
+    levels = _levels(seq, max_order, breakdown_threshold, lambda m: m % 3 == 0)
     return TransformTable.from_columns(
         {m // 3 - 1: u for m, u in levels.items()}, seq.start_label, seq.end_label)

@@ -32,22 +32,24 @@ def _parse_number(text):
 
 
 def value_text(x):
-    """repr(x), but an int or Fraction beyond the float range as ``~1e<exponent>``.
+    """repr(x), but an int or Fraction as ``p/q``, or as ``~1e<exponent>`` beyond the float range.
 
     Python refuses str() of an int over 4,300 digits, so a message must
     not print such a value's digits.
     """
-    if isinstance(x, (int, Fraction)) and abs(x) > sys.float_info.max:
-        exponent = math.floor(math.log10(abs(x.numerator)) - math.log10(x.denominator))
-        return f"~{'-' if x < 0 else ''}1e{exponent}"
+    if isinstance(x, (int, Fraction)):
+        if abs(x) > sys.float_info.max:
+            exponent = math.floor(math.log10(abs(x.numerator)) - math.log10(x.denominator))
+            return f"~{'-' if x < 0 else ''}1e{exponent}"
+        return str(x)
     return repr(x)
 
 
 @dataclass(frozen=True)
 class Float64:
-    name: str = "float64"
-    is_exact: bool = False
-    default_breakdown_threshold: float = 1e-12
+    name = "float64"
+    is_exact = False
+    default_breakdown_threshold = 1e-12
 
     def convert(self, x):
         try:
@@ -144,9 +146,9 @@ class BigFloat:
 
 @dataclass(frozen=True)
 class Rational:
-    name: str = "rational"
-    is_exact: bool = True
-    default_breakdown_threshold: int = 0
+    name = "rational"
+    is_exact = True
+    default_breakdown_threshold = 0
 
     def convert(self, x):
         return Fraction(x)

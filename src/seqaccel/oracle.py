@@ -4,25 +4,39 @@ The routes here are deliberately independent of the lattice recursion:
 the transform values come from explicit determinant ratios, the
 molecule quantities F_k^n and G_k^n from closed formulas built on the
 Hankel-like determinants ``psi_det`` and ``phi_det``, and the bilinear
-identities are verified as residuals.  Every determinant row is a slice
-of one table of forward differences, built once per call.  In exact
-mode that table is integral: it holds D^j (scale * S), where scale is
-the least common denominator of S, so every determinant is an integer
-Bareiss elimination followed by one division by scale**r (r the number
-of difference rows), one normalised Fraction per determinant.
+identities are verified as residuals.
+
+The oracle is exact in every mode.  Each value of S is read exactly (a
+float or mpf is a dyadic rational) and S is scaled by the least common
+denominator of its values, so the one table of forward differences that
+a call builds holds integers.  Every determinant row is a slice of that
+table, and every determinant is one integer Bareiss elimination divided
+by scale**r (r the number of difference rows): one Fraction per
+determinant.  Each public result is rounded to the sequence's mode
+once, at the end, and the T ratio is formed before it is rounded, so a
+float64 T_k^(n) is the correctly rounded transform of its inputs.
+Exact mode returns the Fractions themselves.
 ``verify_routes`` checks the lattice against both routes; agreement is
 an end-to-end correctness check of all three.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .determinants import bareiss_det, pivoted_det, solve_exact
-from .errors import SeqAccelError, SingularError, SpecError, WindowError
+from .determinants import bareiss_det, integers_over
+from .errors import (
+    KernelDegeneracyError,
+    ModeUnsupportedError,
+    NonFiniteError,
+    SeqAccelError,
+    SingularError,
+    SpecError,
+    WindowError,
+)
+from .formatting import integer_ratio
 from .lbq import lbq_transform
 from .modes import RATIONAL
 from .sequences import Sequence
@@ -30,20 +44,17 @@ from .tables import TransformTable
 
 
 class _Differences(NamedTuple):
-    rows: list  # rows[j] = D^j (scale * S)
-    scale: object  # least common denominator of S in exact mode, None in float modes
+    rows: list  # rows[j] = D^j (scale * S), lists of ints
+    scale: int  # least common denominator of S
 
 
 def _difference_table(seq, order):
-    """D^0, D^1, ..., D^order of S, stopping at the last nonempty one.
+    """D^0, D^1, ..., D^order of scale * S, stopping at the last nonempty one.
 
-    In exact mode S is first scaled to integers, so every row is a list
-    of ints; in float modes the rows are D^j S and the scale is None.
+    Every value is read exactly and scaled to an integer, so every row
+    is a list of ints.
     """
-    values, scale = list(seq.values), None
-    if seq.mode.is_exact:
-        scale = math.lcm(*(v.denominator for v in values))
-        values = [v.numerator * (scale // v.denominator) for v in values]
+    values, scale = integers_over(list(map(integer_ratio, seq.values)))
     rows = [values]
     for _ in range(min(order, len(values) - 1)):
         prev = rows[-1]
@@ -51,24 +62,31 @@ def _difference_table(seq, order):
     return _Differences(rows, scale)
 
 
+def _rounded(mode, x):
+    """The exact value x rounded once to ``mode``; exact mode keeps it as it is.
+
+    A float64 value beyond the float range raises NonFiniteError.
+    """
+    return x if mode.is_exact else mode.convert(x)
+
+
 def _hankel_det(seq, diffs, k, n, shift=0, head=None):
     """k x k determinant over the columns n..n+k-1 of D^shift S.
 
     The rows are the ``head`` row if one is given (``"labels"``: the
     labels n..n+k-1, or ``"ones"``), then D^shift S, D^(shift+2) S, ...
-    read from ``diffs``, since D^(2i) (D^shift S) = D^(2i+shift) S.  In
-    exact mode the head row is ints too, and the integer determinant is
-    divided by scale**r for the r scaled rows.  Conventions: k = -1
-    gives 0, k = 0 gives 1.
+    read from ``diffs``, since D^(2i) (D^shift S) = D^(2i+shift) S.  The
+    rows are ints, and the integer determinant is divided by scale**r
+    for the r scaled rows, giving an exact Fraction.  Conventions:
+    k = -1 gives 0, k = 0 gives 1.
     """
     if k <= 0:
         if k < -1:
             raise WindowError(f"determinant order {k} is below -1")
-        return seq.mode.convert(k + 1)
+        return Fraction(k + 1)
     rows = []
     if head is not None:
-        row = range(n, n + k) if head == "labels" else [1] * k
-        rows.append([seq.mode.convert(x) for x in row] if diffs.scale is None else list(row))
+        rows.append(list(range(n, n + k)) if head == "labels" else [1] * k)
     lo = n - seq.start_label
     scaled = k - len(rows)  # the difference rows, each scaled by diffs.scale
     for order in range(shift, shift + 2 * scaled, 2):
@@ -76,8 +94,6 @@ def _hankel_det(seq, diffs, k, n, shift=0, head=None):
             raise WindowError(f"labels {n}..{n + k - 1} of the order-{order} "
                               f"differences lie outside the sequence")
         rows.append(diffs.rows[order][lo:lo + k])
-    if diffs.scale is None:
-        return pivoted_det(rows)
     return Fraction(bareiss_det(rows), diffs.scale ** scaled)
 
 
@@ -86,12 +102,12 @@ def psi_det(v, k, n):
 
     Conventions: k = -1 gives 0, k = 0 gives 1.
     """
-    return _hankel_det(v, _difference_table(v, 2 * k - 2), k, n)
+    return _rounded(v.mode, _hankel_det(v, _difference_table(v, 2 * k - 2), k, n))
 
 
 def phi_det(v, k, n):
     """Like psi_det but the first row holds the column labels n..n+k-1."""
-    return _hankel_det(v, _difference_table(v, 2 * k - 4), k, n, head="labels")
+    return _rounded(v.mode, _hankel_det(v, _difference_table(v, 2 * k - 4), k, n, head="labels"))
 
 
 def _t_denominator(seq, diffs, k, n):
@@ -102,7 +118,7 @@ def _t_denominator(seq, diffs, k, n):
 
 def t_denominator(seq, k, n):
     """(k+1) x (k+1) determinant with a row of ones over D^2 S, ..., D^(2k) S."""
-    return _t_denominator(seq, _difference_table(seq, 2 * k), k, n)
+    return _rounded(seq.mode, _t_denominator(seq, _difference_table(seq, 2 * k), k, n))
 
 
 def _t_value(seq, diffs, k, n):
@@ -114,26 +130,27 @@ def _t_value(seq, diffs, k, n):
 
 def t_determinant(seq, k, n):
     """Transform value T_k^(n) as the ratio of the two (k+1)x(k+1) determinants."""
-    with seq.mode.context():
-        return _t_value(seq, _difference_table(seq, 2 * k), k, n)
+    return _rounded(seq.mode, _t_value(seq, _difference_table(seq, 2 * k), k, n))
 
 
 def _t_cell(seq, diffs, k, n):
-    """_t_value, or None (BREAKDOWN) where it raises."""
+    """_t_value rounded to the mode, or None (BREAKDOWN) where either raises."""
     try:
-        return _t_value(seq, diffs, k, n)
+        return _rounded(seq.mode, _t_value(seq, diffs, k, n))
     except SeqAccelError:
         return None
 
 
 def oracle_transform(seq, k_max):
-    """TransformTable of T_k^(n) from the determinant ratio; a failed cell is BREAKDOWN."""
-    with seq.mode.context():
-        diffs = _difference_table(seq, 2 * k_max)
-        columns = {
-            k: [_t_cell(seq, diffs, k, n) for n in range(seq.start_label, seq.end_label - 3 * k + 1)]
-            for k in range(k_max + 1)
-        }
+    """TransformTable of T_k^(n) from the determinant ratio; a failed cell is BREAKDOWN.
+
+    A float64 value beyond the float range is a failed cell too.
+    """
+    diffs = _difference_table(seq, 2 * k_max)
+    columns = {
+        k: [_t_cell(seq, diffs, k, n) for n in range(seq.start_label, seq.end_label - 3 * k + 1)]
+        for k in range(k_max + 1)
+    }
     return TransformTable.from_columns(columns, seq.start_label, seq.end_label)
 
 
@@ -173,31 +190,37 @@ def _molecule_cell(seq, diffs, level, n):
 
 
 def molecule_solution(seq, max_level):
-    """Populate F and G for levels 0..max_level wherever the window fits."""
+    """Populate F and G for levels 0..max_level wherever the window fits.
+
+    Each value is rounded once to the mode; a float64 cell whose F or G
+    lies beyond the float range is left out, like one whose window does
+    not fit.
+    """
     mol = MoleculeSolution()
-    with seq.mode.context():
-        diffs = _difference_table(seq, len(seq) - 1)
-        for level in range(0, max_level + 1):
-            for n in seq.labels():
-                try:
-                    f, g = _molecule_cell(seq, diffs, level, n)
-                except WindowError:
-                    continue
-                mol.F[(level, n)] = f
-                mol.G[(level, n)] = g
+    diffs = _difference_table(seq, len(seq) - 1)
+    for level in range(0, max_level + 1):
+        for n in seq.labels():
+            try:
+                f, g = _molecule_cell(seq, diffs, level, n)
+                f, g = _rounded(seq.mode, f), _rounded(seq.mode, g)
+            except (WindowError, NonFiniteError):
+                continue
+            mol.F[(level, n)] = f
+            mol.G[(level, n)] = g
     return mol
 
 
 def verify_routes(seq, k_max):
     """Check T_k^(n), 1 <= k <= k_max, on every VALID lattice cell.
 
-    The lattice value must equal the determinant ratio and the molecule
-    ratio G/F at level 3k+3.  A route that raises or has no value counts
-    as a mismatch.  Returns the number of cells compared and the (k, n)
-    of each mismatch.
+    The lattice value must equal the exact determinant ratio and the
+    exact molecule ratio G/F at level 3k+3, both read from one
+    difference table.  A route that raises, or has F = 0, counts as a
+    mismatch.  Returns the number of cells compared and the (k, n) of
+    each mismatch.
     """
     lattice = lbq_transform(seq, k_max)
-    mol = molecule_solution(seq, 3 * k_max + 3)
+    diffs = _difference_table(seq, len(seq) - 1)
     cells, mismatches = 0, []
     for k in range(1, k_max + 1):
         for n in seq.labels():
@@ -206,7 +229,8 @@ def verify_routes(seq, k_max):
                 continue
             cells += 1
             try:
-                agree = entry.value == t_determinant(seq, k, n) == mol.ratio(3 * k + 3, n)
+                f, g = _molecule_cell(seq, diffs, 3 * k + 3, n)
+                agree = f != 0 and entry.value == _t_value(seq, diffs, k, n) == g / f
             except SeqAccelError:
                 agree = False
             if not agree:
@@ -218,7 +242,6 @@ def verify_routes(seq, k_max):
 class BilinearReport:
     residuals: dict
     checked: int
-    max_scaled_residual: float
     zero_f_cells: list
 
     @property
@@ -243,67 +266,62 @@ _BILINEAR_FORMS = {
 def _residual(term_a, term_b, term_c):
     """(a - b) - c for the products a, b, c of the three operand pairs.
 
-    Returns the residual and, when it is nonzero, its scale
-    max(|a - b|, |c|, 1); None if an operand is missing.  Exact operands
-    are multiplied as numerators and denominators and normalised once.
+    None if an operand is missing.  The operands are multiplied as
+    numerators and denominators and the result is normalised once.
     """
     try:
         pairs = [[store[level, n] for store, level, n in pair] for pair in (term_a, term_b, term_c)]
     except KeyError:
         return None
-    if isinstance(pairs[0][0], Fraction):
-        (a_num, a_den), (b_num, b_den), (c_num, c_den) = [
-            (x.numerator * y.numerator, x.denominator * y.denominator) for x, y in pairs]
-        lhs_num, lhs_den = a_num * b_den - b_num * a_den, a_den * b_den
-        r = Fraction(lhs_num * c_den - c_num * lhs_den, lhs_den * c_den)
-        if r == 0:
-            return r, None
-        lhs, rhs = Fraction(lhs_num, lhs_den), Fraction(c_num, c_den)
-    else:
-        (a1, a2), (b1, b2), (c1, c2) = pairs
-        lhs, rhs = a1 * a2 - b1 * b2, c1 * c2
-        r = lhs - rhs
-        if r == 0:
-            return r, None
-    return r, max(abs(lhs), abs(rhs), 1)
+    (a_num, a_den), (b_num, b_den), (c_num, c_den) = [
+        (x.numerator * y.numerator, x.denominator * y.denominator) for x, y in pairs]
+    lhs_num, lhs_den = a_num * b_den - b_num * a_den, a_den * b_den
+    return Fraction(lhs_num * c_den - c_num * lhs_den, lhs_den * c_den)
 
 
 def check_bilinear(seq, k_max):
-    """Residuals of the three bilinear identities over all computable cells."""
+    """Residuals of the three bilinear identities over all computable cells.
+
+    Exact mode only: the identities hold exactly, and a residual of
+    rounded F and G would measure the rounding.
+    """
+    if not seq.mode.is_exact:
+        raise ModeUnsupportedError(f"check_bilinear needs exact arithmetic, not {seq.mode.name}")
     mol = molecule_solution(seq, k_max + 3)
     residuals = {name: {} for name in _BILINEAR_FORMS}
-    max_scaled = 0.0
-    checked = 0
-    with seq.mode.context():
-        for name, form in _BILINEAR_FORMS.items():
-            for k in range(1, k_max + 1):
-                for n in seq.labels():
-                    out = form(mol.F, mol.G, k, n)
-                    if out is None:
-                        continue
-                    r, scale = out
+    for name, form in _BILINEAR_FORMS.items():
+        for k in range(1, k_max + 1):
+            for n in seq.labels():
+                r = form(mol.F, mol.G, k, n)
+                if r is not None:
                     residuals[name][(k, n)] = r
-                    checked += 1
-                    if r != 0:
-                        max_scaled = max(max_scaled, float(abs(r) / scale))
+    checked = sum(map(len, residuals.values()))
     # F_0 = 0 is structural; only positive levels signal degeneracy
     zero_f = [key for key, v in mol.F.items() if v == 0 and key[0] > 0]
-    return BilinearReport(residuals, checked, max_scaled, zero_f)
+    return BilinearReport(residuals, checked, zero_f)
 
 
 def kernel_coefficients(ratios):
     """Solve for the a_i certifying S_n = S + sum_i a_i D^{2i} S_n.
 
     The remainder sum_j c_j r_j^n lies in the order-k kernel iff
-    p(r_j) = 1 for all j, where p(x) = sum_i a_i (x - 1)^{2i}.
+    p(r_j) = 1 for all j, where p(x) = sum_i a_i (x - 1)^{2i}.  Each
+    row of that system is scaled to integers, and the a_i are Cramer
+    ratios of Bareiss determinants.
     """
+    # row j is [(r_j - 1)^0, (r_j - 1)^2, ..., (r_j - 1)^{2k}] times its
+    # common denominator; column 0, the power 0, is the right-hand side 1
     k = len(ratios)
-    ratios = [Fraction(r) for r in ratios]
-    matrix = [[(r - 1) ** (2 * (i + 1)) for i in range(k)] for r in ratios]
-    return solve_exact(matrix, [Fraction(1)] * k)
+    rows = [integers_over([((Fraction(r) - 1) ** (2 * i)).as_integer_ratio() for i in range(k + 1)])[0]
+            for r in ratios]
+    det = bareiss_det([row[1:] for row in rows])
+    if det == 0:
+        raise KernelDegeneracyError("coefficient system is singular")
+    return [Fraction(bareiss_det([row[1:i] + row[:1] + row[i + 1:] for row in rows]), det)
+            for i in range(1, k + 1)]
 
 
-def kernel_construct(limit, ratios, weights, start_label, count, mode=RATIONAL):
+def kernel_construct(limit, ratios, weights, start_label, count):
     """Sequence S_n = S + sum_j c_j r_j^n, certified to lie in the order-k kernel."""
     if len(ratios) != len(weights) or len(ratios) == 0:
         raise SpecError("ratios and weights must have equal positive length")
@@ -318,4 +336,4 @@ def kernel_construct(limit, ratios, weights, start_label, count, mode=RATIONAL):
         for r, c in zip(ratios, weights):
             s += Fraction(c) * Fraction(r) ** n
         values.append(s)
-    return Sequence.from_iterable(values, start_label, mode)
+    return Sequence.from_iterable(values, start_label, RATIONAL)

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from math import isfinite
 
-from .errors import WindowError
-from .modes import Float64
+from .errors import SpecError, WindowError
+from .modes import Float64, value_text
 
 
 def differences(col, mode, threshold):
@@ -73,13 +73,20 @@ def fill(seq, seeds, max_order, subtract, threshold, keep):
     columns m-1, m-2, ..., m-w+1, in that order, so one unit of order
     takes w columns.  Only the w live columns and the differences of
     all but the oldest are held; each column is differenced once.
-    ``threshold`` None means the mode's default.
+    ``threshold`` None means the mode's default; a negative one, or a
+    nonzero one in exact mode (where only a zero factor breaks down), is
+    a SpecError.
     """
     if max_order < 0:
         raise WindowError("max_order must be nonnegative")
     mode = seq.mode
     if threshold is None:
         threshold = mode.default_breakdown_threshold
+    elif threshold < 0:
+        raise SpecError(f"breakdown threshold {value_text(threshold)} is negative")
+    elif mode.is_exact and threshold != 0:
+        raise SpecError(f"breakdown threshold {value_text(threshold)} has no effect in "
+                        f"{mode.name} mode, where only a zero difference breaks down")
     width = len(seeds)
     columns = {m: c for m, c in enumerate(seeds, 1) if keep(m)}
     live = list(seeds)

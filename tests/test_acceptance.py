@@ -179,9 +179,9 @@ def test_criterion_8_invariance_suite():
         seq = random_rational_sequence(rng, length=10)
 
         base = build_lattice(seq, 2)
-        shifted = build_lattice(seq, 2, label_offset=4)
+        shifted = build_lattice(Sequence(seq.start_label + 4, seq.values, RATIONAL), 2)
         for (m, n), entry in base.entries.items():
-            other = shifted.get(m, n)
+            other = shifted.get(m, n + 4)
             assert other.status == entry.status
             if entry.ok:
                 expected = entry.value + 4 if m % 3 == 2 else entry.value

@@ -223,9 +223,9 @@ class TestVerify:
     def test_verify_fails_on_route_mismatch(self, capsys, monkeypatch):
         from seqaccel import oracle
 
-        t_determinant = oracle.t_determinant
-        monkeypatch.setattr(oracle, "t_determinant",
-                            lambda seq, k, n: t_determinant(seq, k, n) + 1)
+        t_value = oracle._t_value
+        monkeypatch.setattr(oracle, "_t_value",
+                            lambda seq, diffs, k, n: t_value(seq, diffs, k, n) + 1)
         code, out, _ = run(capsys, "verify", "--trials", "1", "--k-max", "3", "--seed", "7")
         assert code == 1
         assert "route equivalence" in out and "FAIL" in out
@@ -266,6 +266,19 @@ class TestErrors:
                            "--limit", "1e400")
         assert code == 1
         assert err.startswith("error: ") and "1e400" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--breakdown-threshold", "-1"), "breakdown threshold -1.0 is negative"),
+        (("--mode", "rational", "--breakdown-threshold", "1000"),
+         "breakdown threshold 1000 has no effect in rational mode"),
+        (("--algorithm", "oracle", "--breakdown-threshold", "1e-9"),
+         "--breakdown-threshold does not apply to --algorithm oracle"),
+    ], ids=["negative", "exact_mode", "oracle"])
+    def test_threshold_the_run_cannot_honour_is_rejected(self, capsys, argv, message):
+        code, out, err = run(capsys, "transform", "--family", "alt_harmonic", "--count", "8",
+                             "--k-max", "1", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {message}")
 
     def test_float64_threshold_overflow_is_a_clean_error(self, capsys):
         code, out, err = run(capsys, "transform", "--family", "alt_harmonic", "--count", "8",

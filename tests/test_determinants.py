@@ -1,4 +1,4 @@
-"""The integer Bareiss kernel and the exact oracle built on it."""
+"""The integer Bareiss kernel and the exact oracle built on it, in every mode."""
 
 import random
 from fractions import Fraction
@@ -8,8 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqaccel import (
+    FLOAT64,
     RATIONAL,
+    BigFloat,
+    NonFiniteError,
+    SeqAccelError,
     Sequence,
+    Status,
     WindowError,
     forward_difference,
     molecule_solution,
@@ -18,7 +23,8 @@ from seqaccel import (
     t_determinant,
 )
 from seqaccel.determinants import bareiss_det
-from seqaccel.oracle import t_denominator
+from seqaccel.formatting import to_fraction
+from seqaccel.oracle import oracle_transform, t_denominator
 
 
 def leibniz_det(m):
@@ -162,3 +168,43 @@ def test_exact_oracle_matches_fraction_reference(items, start):
     for (level, n), f in mol.F.items():
         assert (f, mol.G[level, n]) == reference_molecule(seq, level, n)
         assert type(f) is Fraction and type(mol.G[level, n]) is Fraction
+
+
+def bits(x):
+    """The exact bit pattern of a float or mpf, -0.0 apart from 0.0."""
+    return x.hex() if isinstance(x, float) else x._mpf_
+
+
+def outcome(fn, *args):
+    """bits of fn(*args), or the type of the package error it raises."""
+    try:
+        return bits(fn(*args))
+    except SeqAccelError as exc:
+        return type(exc)
+
+
+inputs = st.lists(
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6),
+    min_size=1, max_size=8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(items=inputs, start=st.integers(-2, 3))
+def test_float_oracle_is_the_rounded_exact_oracle(items, start):
+    # a float or mpf input is a rational, so the exact oracle of the same
+    # values, rounded once, is the right answer bit for bit
+    for mode in (FLOAT64, BigFloat(128)):
+        seq = Sequence.from_iterable(items, start, mode)
+        exact = Sequence(start, tuple(map(to_fraction, seq.values)), RATIONAL)
+        for k in range(0, 3):
+            for n in seq.labels():
+                want = outcome(lambda: mode.convert(t_determinant(exact, k, n)))
+                assert outcome(t_determinant, seq, k, n) == want
+        table = oracle_transform(seq, 2)
+        for key, entry in oracle_transform(exact, 2).entries.items():
+            want = outcome(mode.convert, entry.value) if entry.ok else entry.status
+            if want is NonFiniteError:  # beyond the mode's range
+                want = Status.BREAKDOWN
+            got = table.entries[key]
+            assert (bits(got.value) if got.ok else got.status) == want

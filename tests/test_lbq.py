@@ -123,9 +123,9 @@ class TestInvariances:
         for _ in range(5):
             seq = random_rational_sequence(rng, length=10)
             base = build_lattice(seq, 2)
-            shifted = build_lattice(seq, 2, label_offset=7)
+            shifted = build_lattice(Sequence(seq.start_label + 7, seq.values, RATIONAL), 2)
             for (m, n), entry in base.entries.items():
-                other = shifted.get(m, n)
+                other = shifted.get(m, n + 7)
                 assert other.status == entry.status
                 if entry.status is Status.VALID:
                     if m % 3 == 2:

@@ -10,6 +10,8 @@ from seqaccel import (
     RATIONAL,
     GeneratorSpec,
     KernelDegeneracyError,
+    ModeUnsupportedError,
+    NonFiniteError,
     Sequence,
     SingularError,
     SpecError,
@@ -27,7 +29,7 @@ from seqaccel import (
     t_determinant,
 )
 from seqaccel.seqgen import random_rational_sequence
-from seqaccel.oracle import t_denominator
+from seqaccel.oracle import oracle_transform, t_denominator
 
 
 def seq_of(values, start=0, mode=RATIONAL):
@@ -198,8 +200,24 @@ class TestKernelConstruct:
             kernel_construct(0, [Fraction(1, 2)], [0], 0, 5)
 
 
-class TestFloatCondition:
-    def test_pivoted_condition_indicator(self):
-        from seqaccel.determinants import pivoted_det
+class TestFloatModes:
+    def test_float64_cell_is_the_rounded_exact_transform(self):
+        # elimination in floats gave 0.6931471113585406 here; the lattice
+        # gives 0.6931471805813529
+        seq, _ = generate(GeneratorSpec("alt_harmonic", 30, 1))
+        assert t_determinant(seq, 8, 1) == 0.6931471805813528
+        assert oracle_transform(seq, 8).get(8, 1).value == 0.6931471805813528
 
-        assert pivoted_det([[1.0, 0.0], [0.0, 1e-8]]) == pytest.approx(1e-8)
+    def test_float64_result_beyond_the_range_is_an_error(self):
+        values = [1e300, 0.0, 0.0, 1e300]  # Psi_2 = 1e300 * 1e300
+        with pytest.raises(NonFiniteError):
+            psi_det(seq_of(values, mode=FLOAT64), 2, 0)
+        assert psi_det(seq_of(values), 2, 0) == Fraction(1e300) ** 2
+        # G_6^0 is that Psi_2, so the float64 molecule leaves the cell out
+        assert (6, 0) not in molecule_solution(seq_of(values, mode=FLOAT64), 6).G
+        assert molecule_solution(seq_of(values), 6).G[6, 0] == Fraction(1e300) ** 2
+
+    def test_check_bilinear_is_exact_only(self):
+        seq = seq_of([1.0, 0.5, 0.75, 0.625, 0.6875, 0.65625, 0.671875], mode=FLOAT64)
+        with pytest.raises(ModeUnsupportedError, match="float64"):
+            check_bilinear(seq, 2)

@@ -13,6 +13,7 @@ from seqaccel import (
     RATIONAL,
     BigFloat,
     Sequence,
+    SpecError,
     Status,
     WindowError,
     build_lattice,
@@ -173,6 +174,22 @@ class TestFloatGuard:
 def test_negative_max_order_rejected(build):
     with pytest.raises(WindowError, match="max_order"):
         build(Sequence.from_iterable([1, 2, 4], 0, RATIONAL), -1)
+
+
+@pytest.mark.parametrize("build", [lbq_transform, epsilon_transform, build_lattice])
+def test_negative_threshold_rejected(build):
+    # a negative threshold would switch the relative guard off
+    with pytest.raises(SpecError, match="threshold -1e-12 is negative"):
+        build(Sequence.from_iterable([1, 2, 4, 7], 0, FLOAT64), 1, -1e-12)
+
+
+@pytest.mark.parametrize("build", [lbq_transform, epsilon_transform, build_lattice])
+def test_nonzero_threshold_rejected_in_exact_mode(build):
+    # exact mode breaks down only on a zero factor, so a threshold would be ignored
+    seq = Sequence.from_iterable([1, 2, 4, 7], 0, RATIONAL)
+    with pytest.raises(SpecError, match="threshold 1000 has no effect in rational"):
+        build(seq, 1, Fraction(1000))
+    assert build(seq, 1, 0).entries == build(seq, 1).entries
 
 
 class TestFloat64Breakdown:
