@@ -6,6 +6,7 @@ import enum
 from dataclasses import dataclass, field
 
 from .errors import SpecError, WindowError
+from .tables import Status
 
 
 class Classification(enum.Enum):
@@ -18,6 +19,9 @@ class Classification(enum.Enum):
 
 # sentinel for acceleration-ratio entries whose original error is exactly zero
 EXACT = object()
+
+# read per cell by error_table: a module constant is cheaper than Status.VALID or entry.ok
+_VALID = Status.VALID
 
 
 @dataclass
@@ -106,10 +110,5 @@ def acceleration_ratio(transformed, original, limit):
 
 def error_table(table, limit):
     """Map (k, n) -> |T_k^(n) - S|, with status markers passed through."""
-    out = {}
-    for (k, n), entry in table.entries.items():
-        if entry.ok:
-            out[(k, n)] = abs(entry.value - limit)
-        else:
-            out[(k, n)] = entry.status
-    return out
+    return {key: abs(e.value - limit) if e.status is _VALID else e.status
+            for key, e in table.entries.items()}

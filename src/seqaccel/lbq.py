@@ -9,8 +9,9 @@ The engine fills a two-index field U_k^n level by level from
 and reads off the transform column k as level 3k+3, so that
 T_0^(n) = S_n.  The three seed levels go to the rhombus driver it
 shares with the epsilon engine (:func:`seqaccel.rhombus.fill`), which
-returns each level as a plain list over the labels, with ``None`` for a
-BREAKDOWN cell.  A zero (exact mode) or negligibly small (float modes)
+returns each level as its nominal length and a plain-list live prefix,
+with ``None`` for a BREAKDOWN cell; the cells past the prefix are
+BREAKDOWN.  A zero (exact mode) or negligibly small (float modes)
 difference factor, or a float64 result that is not finite, marks the
 cell BREAKDOWN, and the mark poisons every cell that depends on it.
 """
@@ -22,7 +23,7 @@ from .tables import TransformTable
 
 
 def _levels(seq, max_order, threshold, keep):
-    """{m: U_m as a plain list} for the levels m = 1 .. 3 max_order + 3 with keep(m)."""
+    """{m: (live prefix, length) of U_m} for the levels m = 1 .. 3 max_order + 3 with keep(m)."""
     mode = seq.mode
     seeds = ([mode.convert(0)] * len(seq),
              [mode.convert(n) for n in seq.labels()],

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import from_rational, round_nearest
 
 from .errors import ModeUnsupportedError, NonFiniteError
 
@@ -108,9 +109,11 @@ class BigFloat:
         return 2.0 ** (24 - self.precision_bits)
 
     def convert(self, x):
+        if isinstance(x, Fraction):
+            # rounded once: mpf(p) / q would round p and then the quotient
+            return mpmath.mp.make_mpf(
+                from_rational(x.numerator, x.denominator, self.precision_bits, round_nearest))
         with self.context():
-            if isinstance(x, Fraction):
-                return mpmath.mpf(x.numerator) / x.denominator
             return mpmath.mpf(x)
 
     def is_finite(self, x):

@@ -147,10 +147,11 @@ def oracle_transform(seq, k_max):
     A float64 value beyond the float range is a failed cell too.
     """
     diffs = _difference_table(seq, 2 * k_max)
-    columns = {
-        k: [_t_cell(seq, diffs, k, n) for n in range(seq.start_label, seq.end_label - 3 * k + 1)]
-        for k in range(k_max + 1)
-    }
+    columns = {}
+    for k in range(k_max + 1):
+        column = [_t_cell(seq, diffs, k, n)
+                  for n in range(seq.start_label, seq.end_label - 3 * k + 1)]
+        columns[k] = (column, len(column))
     return TransformTable.from_columns(columns, seq.start_label, seq.end_label)
 
 

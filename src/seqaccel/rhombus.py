@@ -15,7 +15,9 @@ finite; mpmath exponents are unbounded, so bigfloat needs no such check.
 
 :func:`fill` is the one driver both engines call: it runs the rule
 from a tuple of seed columns and keeps only the live columns while it
-does.
+does.  It drops each new column's trailing BREAKDOWN cells, so the
+kernel walks only the live prefix: on a sequence the lattice does not
+accelerate, that is a small part of the table.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ def differences(col, mode, threshold):
     if mode.is_exact:
         for a, b in zip(col, col[1:]):
             d = None if a is None or b is None else b - a
-            out.append(None if d is None or d == 0 else d)
+            out.append(d or None)
         return out
     # each element is an operand of two differences: take its magnitude once
     mags = [None if v is None else abs(v) for v in col]
@@ -41,7 +43,7 @@ def differences(col, mode, threshold):
             out.append(None)
             continue
         d = b - a
-        out.append(None if d == 0 or abs(d) < threshold * (ma if ma >= mb else mb) else d)
+        out.append(None if not d or abs(d) < threshold * (ma if ma >= mb else mb) else d)
     return out
 
 
@@ -66,13 +68,16 @@ def rhombus(carry, factors, subtract, mode):
 
 
 def fill(seq, seeds, max_order, subtract, threshold, keep):
-    """{m: column m} for the columns m = 1 .. w (max_order + 1) with keep(m).
+    """{m: (live prefix, nominal length)} for the columns m = 1 .. w (max_order + 1) with keep(m).
 
     The w = len(seeds) seed columns are columns 1 .. w, and each later
     column m is the rhombus of column m-w with the differences of
     columns m-1, m-2, ..., m-w+1, in that order, so one unit of order
     takes w columns.  Only the w live columns and the differences of
     all but the oldest are held; each column is differenced once.
+    A seed column's nominal length is len(seq), column m's (m > w) is
+    len(seq) - (m - w) (0 when that is negative), and the cells past its
+    live prefix, which ends in a VALID cell or is empty, are BREAKDOWN.
     ``threshold`` None means the mode's default; a negative one, or a
     nonzero one in exact mode (where only a zero factor breaks down), is
     a SpecError.
@@ -87,15 +92,19 @@ def fill(seq, seeds, max_order, subtract, threshold, keep):
     elif mode.is_exact and threshold != 0:
         raise SpecError(f"breakdown threshold {value_text(threshold)} has no effect in "
                         f"{mode.name} mode, where only a zero difference breaks down")
-    width = len(seeds)
-    columns = {m: c for m, c in enumerate(seeds, 1) if keep(m)}
+    # once, not at every guard product: mpmath converts a float operand each time
+    threshold = mode.convert(threshold)
+    width, size = len(seeds), len(seq)
+    columns = {m: (c, size) for m, c in enumerate(seeds, 1) if keep(m)}
     live = list(seeds)
     with mode.context():
         factors = [differences(c, mode, threshold) for c in reversed(seeds[1:-1])]
         for m in range(width + 1, width * (max_order + 1) + 1):
             factors = [differences(live[-1], mode, threshold)] + factors[:width - 2]
             new = rhombus(live[0], factors, subtract, mode)
+            while new and new[-1] is None:
+                new.pop()
             if keep(m):
-                columns[m] = new
+                columns[m] = (new, max(size - m + width, 0))
             live = live[1:] + [new]
     return columns

@@ -1,17 +1,20 @@
 """Triangular transform tables with per-entry validity status.
 
 Every table is built once, at the end, by
-:meth:`TransformTable.from_columns` from plain-list columns with
-``None`` for a BREAKDOWN cell: the lattice transform, its levels and
-the epsilon baseline from the rhombus driver (see
-:mod:`seqaccel.rhombus`), and the determinant oracle from one list per
-order.  Every BREAKDOWN cell then shares the one ``BREAKDOWN_ENTRY``.
+:meth:`TransformTable.from_columns` from columns given as a plain-list
+live prefix, with ``None`` for a BREAKDOWN cell, and the column's
+nominal length: the lattice transform, its levels and the epsilon
+baseline from the rhombus driver (see :mod:`seqaccel.rhombus`), whose
+prefixes stop at the last VALID cell, and the determinant oracle from
+one full list per order.  Every BREAKDOWN cell then shares the one
+``BREAKDOWN_ENTRY``, and the cells past a prefix are filled in bulk.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import repeat
 
 
 class Status(enum.Enum):
@@ -75,13 +78,16 @@ class TransformTable:
 
     @classmethod
     def from_columns(cls, columns, start_label, end_label):
-        """Table whose column k is the plain list ``columns[k]`` over the labels
-        from ``start_label`` on; ``None`` marks BREAKDOWN."""
-        entries = {
-            (k, n): BREAKDOWN_ENTRY if v is None else _valid_entry(v)
-            for k, column in columns.items()
-            for n, v in enumerate(column, start_label)
-        }
+        """Table from ``columns[k] = (prefix, length)``: column k covers the
+        ``length`` labels from ``start_label`` on, its cells are the plain
+        list ``prefix`` with ``None`` for BREAKDOWN, and the cells past the
+        prefix are BREAKDOWN."""
+        entries = {}
+        for k, (prefix, length) in columns.items():
+            entries.update({(k, n): BREAKDOWN_ENTRY if v is None else _valid_entry(v)
+                            for n, v in enumerate(prefix, start_label)})
+            tail = range(start_label + len(prefix), start_label + length)
+            entries.update(zip(zip(repeat(k), tail), repeat(BREAKDOWN_ENTRY)))
         return cls(start_label, end_label, entries)
 
     def get(self, k, n):

@@ -15,6 +15,7 @@ from seqaccel import (
     Status,
     WindowError,
     acceleration_ratio,
+    epsilon_transform,
     error_table,
     estimate_rho,
     generate,
@@ -113,6 +114,26 @@ class TestErrorTable:
         assert all(
             isinstance(v, Status) or v >= 0 for v in errs.values()
         )
+
+    @pytest.mark.parametrize("mode", [FLOAT64, BigFloat(128), RATIONAL])
+    def test_equals_its_per_cell_definition(self, mode):
+        # alt_harmonic partial sums with a constant tail, which breaks down in every mode
+        values = [Fraction(0)]
+        for j in range(1, 60):
+            values.append(values[-1] + Fraction((-1) ** (j - 1), j))
+        seq = Sequence.from_iterable(values[1:] + values[-1:] * 8, 7, mode)
+        limit = mode.convert(Fraction(7, 10))
+        for table in (lbq_transform(seq, 12), epsilon_transform(seq, 12)):
+            errs = error_table(table, limit)
+            assert list(errs) == list(table.entries)
+            assert any(v is Status.BREAKDOWN for v in errs.values())
+            for key, entry in table.entries.items():
+                got = errs[key]
+                if entry.status is Status.VALID:
+                    want = abs(entry.value - limit)
+                    assert type(got) is type(want) and got == want, key
+                else:
+                    assert got is entry.status, key
 
     def test_reference_cell(self):
         seq, limit = generate(GeneratorSpec("archimedes_pi", 13, 1, BigFloat(128)))

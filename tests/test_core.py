@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from mpmath.libmp import from_rational, round_nearest
 
 from seqaccel import (
     FLOAT64,
@@ -70,6 +71,32 @@ class TestModes:
         mode = BigFloat(128)
         x = mode.convert(Fraction(1, 3))
         assert abs(x * 3 - 1) < 1e-35
+
+    @given(p=st.integers(-2**300, 2**300), q=st.integers(1, 2**100),
+           bits=st.sampled_from([64, 128, 256]))
+    # rounding the numerator first gets these wrong in the last bit
+    @example(p=316567598363139886143703424307, q=623700425302028405, bits=64)
+    @example(p=319811513492108910478582328675833427582851952992, q=1013202180855784015, bits=128)
+    @example(
+        p=145990771338879515839081269169663877214252344419352383735847166722491327987732718,
+        q=1111524412694376307, bits=256)
+    def test_bigfloat_converts_a_fraction_with_one_rounding(self, p, q, bits):
+        x = Fraction(p, q)
+        want = from_rational(x.numerator, x.denominator, bits, round_nearest)
+        assert BigFloat(bits).convert(x)._mpf_ == want
+
+    @given(digits=st.integers(10**59, 10**60 - 1), point=st.integers(0, 60),
+           bits=st.sampled_from([64, 128, 256]))
+    # rounding the numerator first gets these wrong in the last bit
+    @example(digits=159045847445290784547485545652755828235741629986498403297923,
+             point=48, bits=64)
+    @example(digits=207320215273806756919335056461850894148859452669857229697329,
+             point=5, bits=128)
+    def test_bigfloat_parses_a_long_decimal_with_one_rounding(self, digits, point, bits):
+        text = f"{str(digits)[:point]}.{str(digits)[point:]}"
+        x = Fraction(text)
+        want = from_rational(x.numerator, x.denominator, bits, round_nearest)
+        assert BigFloat(bits).parse(text)._mpf_ == want
 
 
 class TestSequence:

@@ -12,15 +12,18 @@ from seqaccel import (
     FLOAT64,
     RATIONAL,
     BigFloat,
+    GeneratorSpec,
     Sequence,
     SpecError,
     Status,
     WindowError,
     build_lattice,
     epsilon_transform,
+    generate,
     lbq_transform,
 )
-from seqaccel.rhombus import rhombus
+from seqaccel.rhombus import fill, rhombus
+from seqaccel.tables import BREAKDOWN_ENTRY
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
@@ -217,3 +220,88 @@ class TestFloat64Breakdown:
             tiny = mpmath.mpf("1e-200")
             (cell,) = rhombus([mpmath.mpf(0), mpmath.mpf(1)], ([tiny], [tiny]), True, mode)
         assert mpmath.isfinite(cell) and cell < -mpmath.mpf(10) ** 399
+
+
+def assert_live_prefix_tables(seq, max_order, scalar, threshold=None):
+    """lbq_transform, epsilon_transform and build_lattice each hold exactly
+    their triangle's keys (so Σ(N - w k) cells), store every cell past a
+    column's last VALID cell as the shared BREAKDOWN_ENTRY, and equal the
+    plain recursions cell for cell.  Returns the number of such tail cells."""
+    values, start, end = list(seq.values), seq.start_label, seq.end_label
+    plain_threshold = seq.mode.default_breakdown_threshold if threshold is None else threshold
+    u = plain_lattice(values, start, 3 * max_order + 3, scalar, plain_threshold)
+    e = plain_epsilon(values, start, 2 * max_order, scalar, plain_threshold)
+    cases = (
+        (lbq_transform(seq, max_order, threshold),
+         {(k, n): u[3 * k + 3, n] for k in range(max_order + 1)
+          for n in range(start, end - 3 * k + 1)}),
+        (epsilon_transform(seq, max_order, threshold),
+         {(k, n): e[2 * k, n] for k in range(max_order + 1)
+          for n in range(start, end - 2 * k + 1)}),
+        (build_lattice(seq, max_order, threshold),
+         {(m, n): u[m, n] for m in range(1, 3 * max_order + 4)
+          for n in range(start, end - max(m - 3, 0) + 1)}),
+    )
+    tails = 0
+    for table, cells in cases:
+        assert_matches(table, cells)
+        last = {}
+        for (k, n), entry in table.entries.items():
+            if entry.ok:
+                last[k] = max(n, last.get(k, n))
+        for (k, n), entry in table.entries.items():
+            if n > last.get(k, start - 1):
+                assert entry is BREAKDOWN_ENTRY, (k, n)
+                tails += 1
+    return tails
+
+
+class TestLivePrefix:
+    """The driver stores each column's live prefix; the table fills in the tail."""
+
+    @pytest.mark.parametrize("start", [1, 7, 16])
+    def test_float64_breakdown_tails(self, start):
+        seq, _ = generate(GeneratorSpec("alt_harmonic", 1000, start))
+        assert assert_live_prefix_tables(seq, 50, float) > 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        head=st.lists(rationals, min_size=1, max_size=6),
+        tail=rationals,
+        repeat=st.integers(2, 8),
+        start=st.integers(-2, 3),
+        max_order=st.integers(0, 5),
+    )
+    def test_rational_constant_tails(self, head, tail, repeat, start, max_order):
+        seq = Sequence.from_iterable(head + [tail] * repeat, start, RATIONAL)
+        assert_live_prefix_tables(seq, max_order, Fraction)
+
+    @pytest.mark.parametrize("bits", [64, 256])
+    @pytest.mark.parametrize("threshold", [None, 1e-30, 2.0**-40, "mpf"])
+    @pytest.mark.parametrize("scale", [1, "1e-400"])
+    def test_bigfloat_thresholds(self, bits, threshold, scale):
+        # the driver converts the threshold to the mode once; the plain
+        # recursion multiplies with the threshold as given
+        mode = BigFloat(bits)
+        if threshold == "mpf":
+            threshold = mode.convert(Fraction(1, 10**20))
+        with mode.context():
+            s = mpmath.mpf(scale)
+            values = [s * (1 + mpmath.mpf(0.5) ** n + mpmath.mpf(-0.3) ** n) for n in range(24)]
+            seq = Sequence(1, tuple(values), mode)
+            assert_live_prefix_tables(seq, 7, mpmath.mpf, threshold)
+
+    @pytest.mark.parametrize("subtract", [True, False])
+    def test_fill_returns_live_prefixes_and_nominal_lengths(self, subtract):
+        seq, _ = generate(GeneratorSpec("alt_harmonic", 300, 1))
+        zeros, values = [0.0] * len(seq), list(seq.values)
+        # the lattice's and the epsilon engine's seed columns
+        seeds = (zeros, [float(n) for n in seq.labels()], values) if subtract else (zeros, values)
+        width = len(seeds)
+        columns = fill(seq, seeds, 40, subtract, None, lambda m: True)
+        assert sorted(columns) == list(range(1, width * 41 + 1))
+        for m, (prefix, length) in columns.items():
+            assert length == len(seq) - max(m - width, 0)
+            assert len(prefix) <= length
+            assert not prefix or prefix[-1] is not None
+        assert any(len(prefix) < length for prefix, length in columns.values())
