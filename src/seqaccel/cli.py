@@ -22,7 +22,6 @@ from .tables import Status
 def _add_mode_args(p):
     p.add_argument("--mode", default="float64", choices=["float64", "bigfloat", "rational"])
     p.add_argument("--precision-bits", type=int, default=128)
-    p.add_argument("--breakdown-threshold", type=str, default=None)
 
 
 def _add_input_args(p):
@@ -45,6 +44,14 @@ def _add_output_args(p):
     p.add_argument("--out", type=str, default=None)
 
 
+def _add_table_args(p):
+    """Arguments of the commands that print a table: transform and compare."""
+    _add_mode_args(p)
+    p.add_argument("--breakdown-threshold", type=str, default=None)
+    _add_input_args(p)
+    _add_output_args(p)
+
+
 def build_parser():
     ap = argparse.ArgumentParser(prog="seqaccel",
                                  description="Sequence transformation toolkit")
@@ -59,15 +66,11 @@ def build_parser():
     t = sub.add_parser("transform", help="accelerate a sequence")
     t.add_argument("--algorithm", default="lbq", choices=["lbq", "epsilon", "oracle"])
     t.add_argument("--k-max", type=int, default=4)
-    _add_mode_args(t)
-    _add_input_args(t)
-    _add_output_args(t)
+    _add_table_args(t)
 
     c = sub.add_parser("compare", help="side-by-side lbq/epsilon error columns")
     c.add_argument("--k-max", type=int, default=3)
-    _add_mode_args(c)
-    _add_input_args(c)
-    _add_output_args(c)
+    _add_table_args(c)
 
     cl = sub.add_parser("classify", help="convergence-rate report")
     _add_mode_args(cl)
@@ -83,14 +86,13 @@ def build_parser():
 
 
 def _get_mode(args):
-    return mode_from_name(args.mode, getattr(args, "precision_bits", 128))
+    return mode_from_name(args.mode, args.precision_bits)
 
 
 def _get_threshold(args, mode):
-    raw = getattr(args, "breakdown_threshold", None)
-    if raw is None:
+    if args.breakdown_threshold is None:
         return None
-    return mode.convert(Fraction(raw))
+    return mode.convert(Fraction(args.breakdown_threshold))
 
 
 def _load_sequence(args, mode):
@@ -103,9 +105,7 @@ def _load_sequence(args, mode):
                             column=column, start_label=args.start)
         limit = None
     elif args.family is not None:
-        start = args.start
-        if start is None:
-            start = 0 if args.family in ("geometric", "exp_series") else 1
+        start = seqgen.first_label(args.family) if args.start is None else args.start
         z = Fraction(args.z) if args.z is not None else None
         spec = seqgen.GeneratorSpec(args.family, args.count, start, mode, z=z, s=args.s)
         seq, limit = seqgen.generate(spec)
@@ -137,19 +137,30 @@ def _render_table(header, rows, fmt):
 
 
 def _column_digits(args, ncols):
-    if args.col_digits:
-        parts = [int(p) for p in args.col_digits.split(",")]
-        if len(parts) != ncols:
-            raise SeqAccelError(
-                f"--col-digits needs {ncols} entries, got {len(parts)}")
-        return parts
-    return [args.digits] * ncols
+    """Decimal places of each of the ``ncols`` value columns: ``--col-digits``
+    if given, else ``--digits`` for every column; none may be negative."""
+    digits = ([int(p) for p in args.col_digits.split(",")] if args.col_digits
+              else [args.digits] * ncols)
+    if len(digits) != ncols:
+        raise SeqAccelError(f"--col-digits needs {ncols} entries, got {len(digits)}")
+    if min(digits, default=0) < 0:
+        raise SpecError(f"--digits and --col-digits must be >= 0, got {min(digits)}")
+    return digits
 
 
-def _entry_text(entry, digits):
-    if entry.ok:
-        return format_fixed(entry.value, digits)
-    return "BRK" if entry.status is Status.BREAKDOWN else ""
+def _emit_grid(args, header, labels, cells):
+    """Print one row per label n: n, then ``cells[(j, n)]`` for each value
+    column j of ``header[1:]``.  A cell is a value, printed by ``format_fixed``
+    to its column's places, ``Status.BREAKDOWN``, printed ``BRK``, or
+    missing, printed blank."""
+    def text(cell, places):
+        return ("" if cell is None else "BRK" if cell is Status.BREAKDOWN
+                else format_fixed(cell, places))
+
+    digits = _column_digits(args, len(header) - 1)
+    rows = [[str(n)] + [text(cells.get((j, n)), places) for j, places in enumerate(digits)]
+            for n in labels]
+    _emit(_render_table(header, rows, args.output_format), args.out)
 
 
 def transform_table(seq, algorithm, k_max, threshold=None):
@@ -178,15 +189,9 @@ def cmd_transform(args):
     mode = _get_mode(args)
     seq, _ = _load_sequence(args, mode)
     table = transform_table(seq, args.algorithm, args.k_max, _get_threshold(args, mode))
-    digits = _column_digits(args, args.k_max + 1)
+    cells = {key: e.value if e.ok else e.status for key, e in table.entries.items()}
     header = ["n"] + [f"T{k}" for k in range(args.k_max + 1)]
-    rows = []
-    for n in table.rows():
-        row = [str(n)]
-        for k in range(args.k_max + 1):
-            row.append(_entry_text(table.get(k, n), digits[k]))
-        rows.append(row)
-    _emit(_render_table(header, rows, args.output_format), args.out)
+    _emit_grid(args, header, table.rows(), cells)
     return 0
 
 
@@ -196,24 +201,15 @@ def cmd_compare(args):
     if limit is None:
         raise SeqAccelError("compare needs a known or overridden limit")
     threshold = _get_threshold(args, mode)
-    lbq_tab = lbq_transform(seq, args.k_max, threshold)
-    eps_tab = epsilon_transform(seq, args.k_max, threshold)
-    digits = _column_digits(args, 2 * args.k_max + 2)
-    header = ["n"]
-    for k in range(args.k_max + 1):
-        header += [f"lbq_T{k}_err", f"eps_T{k}_err"]
-    rows = []
-    for n in lbq_tab.rows():
-        row = [str(n)]
-        for k in range(args.k_max + 1):
-            for i, tab in enumerate((lbq_tab, eps_tab)):
-                e = tab.get(k, n)
-                if e.ok:
-                    row.append(format_fixed(abs(e.value - limit), digits[2 * k + i]))
-                else:
-                    row.append(_entry_text(e, 0))
-        rows.append(row)
-    _emit(_render_table(header, rows, args.output_format), args.out)
+    tables = (lbq_transform(seq, args.k_max, threshold),
+              epsilon_transform(seq, args.k_max, threshold))
+    with mode.context():  # the errors are rounded at the mode's precision
+        errors = [analysis.error_table(table, limit) for table in tables]
+    # column 2k is the lattice's |T_k - S|, column 2k + 1 epsilon's
+    cells = {(2 * k + i, n): e for i, errs in enumerate(errors) for (k, n), e in errs.items()}
+    header = ["n"] + [f"{name}_T{k}_err" for k in range(args.k_max + 1)
+                      for name in ("lbq", "eps")]
+    _emit_grid(args, header, tables[0].rows(), cells)
     return 0
 
 

@@ -105,8 +105,8 @@ class BigFloat:
 
     @property
     def default_breakdown_threshold(self):
-        # leave ~24 bits of headroom above the unit roundoff
-        return 2.0 ** (24 - self.precision_bits)
+        # ~24 bits of headroom above the unit roundoff; a float would be 0.0 from 1,099 bits
+        return mpmath.ldexp(1, 24 - self.precision_bits)
 
     def convert(self, x):
         if isinstance(x, Fraction):

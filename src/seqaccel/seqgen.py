@@ -14,6 +14,11 @@ from .sequences import Sequence
 FAMILIES = ("archimedes_pi", "alt_harmonic", "zeta2", "geometric", "exp_series", "zeta")
 
 
+def first_label(family):
+    """Label of the family's first term: 0 for the power series, else 1."""
+    return 0 if family in ("geometric", "exp_series") else 1
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     family: str
@@ -36,10 +41,8 @@ class GeneratorSpec:
         if self.family == "zeta":
             if self.s is None or self.s <= 1:
                 raise SpecError("zeta requires s > 1")
-        if self.family in ("alt_harmonic", "zeta2", "zeta") and self.start_label < 1:
-            raise SpecError(f"{self.family} starts at label >= 1")
-        if self.family in ("geometric", "exp_series") and self.start_label < 0:
-            raise SpecError(f"{self.family} starts at label >= 0")
+        if self.family != "archimedes_pi" and self.start_label < first_label(self.family):
+            raise SpecError(f"{self.family} starts at label >= {first_label(self.family)}")
 
 
 def _term(spec, n, mode):
@@ -82,8 +85,7 @@ def generate(spec):
     with mode.context():
         # prime the running sum with the terms below start_label
         total = mode.convert(0)
-        first_term = 0 if spec.family in ("geometric", "exp_series") else 1
-        for j in range(first_term, spec.start_label):
+        for j in range(first_label(spec.family), spec.start_label):
             total = total + _term(spec, j, mode)
         values = []
         for n in range(spec.start_label, spec.start_label + spec.count):

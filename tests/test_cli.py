@@ -8,8 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqaccel import (
+    RATIONAL,
+    BigFloat,
+    GeneratorSpec,
+    Status,
+    epsilon_transform,
+    error_table,
+    generate,
+    lbq_transform,
+    seqgen,
+)
 from seqaccel.cli import main
 from seqaccel.formatting import format_exact, format_fixed
+
+# generator arguments each family needs besides --family and --count
+FAMILY_ARGS = {"archimedes_pi": (), "alt_harmonic": (), "zeta2": (), "zeta": ("--s", "3"),
+               "geometric": ("--z", "1/2"), "exp_series": ("--z", "7/5")}
 
 
 def run(capsys, *argv):
@@ -167,6 +182,13 @@ class TestGenerateAndRoundTrip:
         assert code == 0
         assert direct == ingested
 
+    @pytest.mark.parametrize("family", seqgen.FAMILIES)
+    def test_default_start_is_the_first_label(self, capsys, family):
+        code, out, _ = run(capsys, "generate", "--family", family, "--count", "3",
+                           "--output-format", "csv", *FAMILY_ARGS[family])
+        assert code == 0
+        assert out.splitlines()[1].split(",")[0] == str(seqgen.first_label(family))
+
     def test_csv_output(self, capsys):
         code, out, _ = run(
             capsys, "generate", "--family", "alt_harmonic", "--count", "3",
@@ -202,6 +224,47 @@ class TestCompare:
         assert code == 0
         header = out.splitlines()[0].split(",")
         assert header == ["n", "lbq_T0_err", "eps_T0_err", "lbq_T1_err", "eps_T1_err"]
+
+    @pytest.mark.parametrize("argv, spec", [
+        (("--family", "alt_harmonic", "--count", "18"), GeneratorSpec("alt_harmonic", 18)),
+        (("--family", "zeta2", "--count", "20", "--mode", "bigfloat"),
+         GeneratorSpec("zeta2", 20, mode=BigFloat(128))),
+        (("--family", "geometric", "--z=-2/3", "--count", "12", "--mode", "rational"),
+         GeneratorSpec("geometric", 12, 0, RATIONAL, z=Fraction(-2, 3))),
+    ], ids=["float64", "bigfloat128", "rational"])
+    def test_cells_are_the_error_table(self, capsys, argv, spec):
+        """Column 2k + i is error_table of the lattice (i = 0) or epsilon (i = 1)
+        table at order k, computed at the mode's precision: BRK for a
+        BREAKDOWN cell, blank outside the table."""
+        code, out, _ = run(capsys, "compare", *argv, "--k-max", "3",
+                           "--output-format", "csv", "--digits", "20")
+        assert code == 0
+        seq, limit = generate(spec)
+        with spec.mode.context():
+            errors = [error_table(transform(seq, 3), limit)
+                      for transform in (lbq_transform, epsilon_transform)]
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [int(row[0]) for row in rows] == list(seq.labels())
+        shown = set()
+        for row in rows:
+            for j, text in enumerate(row[1:]):
+                k, i = divmod(j, 2)
+                err = errors[i].get((k, int(row[0])))
+                want = ("" if err is None else "BRK" if err is Status.BREAKDOWN
+                        else format_fixed(err, 20))
+                assert text == want
+                shown.add(text if text in ("", "BRK") else "value")
+        assert shown >= {"", "value"}
+
+    def test_errors_are_computed_at_the_mode_precision(self, capsys):
+        code, out, _ = run(
+            capsys, "compare", "--family", "archimedes_pi", "--count", "13", "--k-max", "1",
+            "--mode", "bigfloat", "--precision-bits", "256", "--digits", "30",
+            "--output-format", "csv",
+        )
+        assert code == 0
+        # |2 - pi| at n = 1; a 53-bit subtraction gives ...793338042568393575
+        assert out.splitlines()[1].split(",")[1] == "1.141592653589793238462643383280"
 
     def test_compare_without_limit_fails(self, capsys, tmp_path):
         p = tmp_path / "seq.txt"
@@ -248,6 +311,24 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["transform", "--no-such-flag"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["generate", "classify"])
+    def test_breakdown_threshold_only_where_it_is_read(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--family", "zeta2", "--count", "8", "--breakdown-threshold", "-5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --breakdown-threshold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, value", [
+        (("transform", "--digits", "-1"), -1),
+        (("transform", "--mode", "rational", "--digits", "-1"), -1),
+        (("compare", "--mode", "bigfloat", "--digits", "-2"), -2),
+        (("transform", "--k-max", "1", "--col-digits", "3,-4"), -4),
+    ], ids=["float64", "rational", "bigfloat", "col_digits"])
+    def test_negative_digits_rejected(self, capsys, argv, value):
+        code, out, err = run(capsys, *argv, "--family", "alt_harmonic", "--count", "8")
+        assert code == 1 and out == ""
+        assert err == f"error: --digits and --col-digits must be >= 0, got {value}\n"
 
     def test_unparseable_file_exits_1(self, capsys, tmp_path):
         p = tmp_path / "bad.txt"

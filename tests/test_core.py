@@ -99,6 +99,16 @@ class TestModes:
         assert BigFloat(bits).parse(text)._mpf_ == want
 
 
+    @pytest.mark.parametrize("bits", [1099, 1200])
+    def test_bigfloat_default_threshold_does_not_underflow(self, bits):
+        # the float 2.0 ** (24 - bits) is 0.0 from 1,099 bits on
+        mode = BigFloat(bits)
+        threshold = mode.default_breakdown_threshold
+        assert threshold > 0 and threshold == mpmath.mpf(2) ** (24 - bits)
+        seq, _ = generate(GeneratorSpec("geometric", 20, 0, mode, z=Fraction(-1, 3)))
+        assert lbq_transform(seq, 5).get(2, 3).status is Status.BREAKDOWN
+
+
 class TestSequence:
     def test_label_lookup(self):
         s = seq_of([1, 2, 3], start=5)

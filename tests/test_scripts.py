@@ -32,6 +32,14 @@ def test_reproduce_tables_float64(monkeypatch, capsys):
     assert "| 3 | 3.06147 | 3.1416810168 | 3.1415926509 |" in out
 
 
+@pytest.mark.parametrize("mode", ["bigfloat", "rational"])
+def test_reproduce_tables_other_modes(monkeypatch, capsys, mode):
+    out = run_ok(monkeypatch, capsys, "reproduce_tables.py", "--mode", mode)
+    skipped = "== pi from doubling sines: skipped (irrational values) ==" in out
+    assert skipped == (mode == "rational")
+    assert out.count(f"({mode}) ==") == (2 if skipped else 3)
+
+
 def test_compare_algorithms(monkeypatch, capsys):
     out = run_ok(monkeypatch, capsys, "compare_algorithms.py")
     for family in ("archimedes_pi", "alt_harmonic", "zeta2"):

@@ -16,8 +16,10 @@ from seqaccel import (
     Sequence,
     generate,
     ingest,
+    SpecError,
     partial_sums,
 )
+from seqaccel.seqgen import first_label
 
 
 class TestGenerate:
@@ -87,6 +89,18 @@ class TestGenerate:
             GeneratorSpec("geometric", 5, z=1)
         with pytest.raises(SpecError):
             GeneratorSpec("zeta", 5, s=1)
+
+
+    @pytest.mark.parametrize("family, extra", [
+        ("alt_harmonic", {}), ("zeta2", {}), ("zeta", {"s": 3}),
+        ("geometric", {"z": Fraction(1, 2)}), ("exp_series", {"z": Fraction(7, 5)}),
+    ])
+    def test_start_label_floor_is_the_first_label(self, family, extra):
+        first = first_label(family)
+        assert first == (0 if family in ("geometric", "exp_series") else 1)
+        GeneratorSpec(family, 3, first, **extra)
+        with pytest.raises(SpecError, match=f"^{family} starts at label >= {first}$"):
+            GeneratorSpec(family, 3, first - 1, **extra)
 
 
 class TestPartialSums:
