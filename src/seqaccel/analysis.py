@@ -109,6 +109,8 @@ def acceleration_ratio(transformed, original, limit):
 
 
 def error_table(table, limit):
-    """Map (k, n) -> |T_k^(n) - S|, with status markers passed through."""
-    return {key: abs(e.value - limit) if e.status is _VALID else e.status
-            for key, e in table.entries.items()}
+    """Map (k, n) -> |T_k^(n) - S|, rounded at the table's mode precision,
+    with status markers passed through."""
+    with table.mode.context():
+        return {key: abs(e.value - limit) if e.status is _VALID else e.status
+                for key, e in table.entries.items()}

@@ -203,8 +203,7 @@ def cmd_compare(args):
     threshold = _get_threshold(args, mode)
     tables = (lbq_transform(seq, args.k_max, threshold),
               epsilon_transform(seq, args.k_max, threshold))
-    with mode.context():  # the errors are rounded at the mode's precision
-        errors = [analysis.error_table(table, limit) for table in tables]
+    errors = [analysis.error_table(table, limit) for table in tables]
     # column 2k is the lattice's |T_k - S|, column 2k + 1 epsilon's
     cells = {(2 * k + i, n): e for i, errs in enumerate(errors) for (k, n), e in errs.items()}
     header = ["n"] + [f"{name}_T{k}_err" for k in range(args.k_max + 1)
@@ -216,9 +215,10 @@ def cmd_compare(args):
 def cmd_classify(args):
     mode = _get_mode(args)
     seq, limit = _load_sequence(args, mode)
-    report = analysis.estimate_rho(seq, limit, args.delta)
-    print(f"classification: {report.describe()}")
-    print(f"limit used: {'(proxy: last element)' if report.limit_used is None else report.limit_used}")
+    with mode.context():  # a bigfloat limit is estimated and printed at the mode's precision
+        report = analysis.estimate_rho(seq, limit, args.delta)
+        print(f"classification: {report.describe()}")
+        print(f"limit used: {'(proxy: last element)' if report.limit_used is None else report.limit_used}")
     shown = [r for r in report.rho_estimates if r is not None][-8:]
     print("trailing rho estimates: " + ", ".join(f"{float(r):+.6f}" for r in shown))
     return 0

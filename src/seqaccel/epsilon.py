@@ -22,5 +22,4 @@ def epsilon_transform(seq, max_order, breakdown_threshold=None):
     # driver column m is eps_{m-2}
     seeds = ([seq.mode.convert(0)] * len(seq), list(seq.values))
     columns = fill(seq, seeds, max_order, False, breakdown_threshold, lambda m: m % 2 == 0)
-    return TransformTable.from_columns(
-        {m // 2 - 1: c for m, c in columns.items()}, seq.start_label, seq.end_label)
+    return TransformTable.from_columns({m // 2 - 1: c for m, c in columns.items()}, seq)

@@ -34,11 +34,10 @@ def _levels(seq, max_order, threshold, keep):
 def build_lattice(seq, max_order, breakdown_threshold=None):
     """TransformTable of every level U_m^n, m = 1 .. 3 max_order + 3, keyed (m, n)."""
     levels = _levels(seq, max_order, breakdown_threshold, lambda m: True)
-    return TransformTable.from_columns(levels, seq.start_label, seq.end_label)
+    return TransformTable.from_columns(levels, seq)
 
 
 def lbq_transform(seq, max_order, breakdown_threshold=None):
     """TransformTable of T_k^(n) = U_{3k+3}^n for k = 0..max_order."""
     levels = _levels(seq, max_order, breakdown_threshold, lambda m: m % 3 == 0)
-    return TransformTable.from_columns(
-        {m // 3 - 1: u for m, u in levels.items()}, seq.start_label, seq.end_label)
+    return TransformTable.from_columns({m // 3 - 1: u for m, u in levels.items()}, seq)

@@ -152,7 +152,7 @@ def oracle_transform(seq, k_max):
         column = [_t_cell(seq, diffs, k, n)
                   for n in range(seq.start_label, seq.end_label - 3 * k + 1)]
         columns[k] = (column, len(column))
-    return TransformTable.from_columns(columns, seq.start_label, seq.end_label)
+    return TransformTable.from_columns(columns, seq)
 
 
 @dataclass

@@ -66,7 +66,7 @@ def _valid_entry(value):
 
 @dataclass
 class TransformTable:
-    """Cells keyed (k, n) over the labels start_label..end_label.
+    """Cells keyed (k, n) over the labels start_label..end_label, in ``mode``.
 
     k is the transform order for T_k^(n), or the level for the lattice
     levels U_k^n of ``build_lattice``.
@@ -74,21 +74,23 @@ class TransformTable:
 
     start_label: int
     end_label: int
+    mode: object
     entries: dict = field(default_factory=dict)
 
     @classmethod
-    def from_columns(cls, columns, start_label, end_label):
-        """Table from ``columns[k] = (prefix, length)``: column k covers the
-        ``length`` labels from ``start_label`` on, its cells are the plain
-        list ``prefix`` with ``None`` for BREAKDOWN, and the cells past the
-        prefix are BREAKDOWN."""
+    def from_columns(cls, columns, seq):
+        """Table of ``seq``'s labels and mode from ``columns[k] = (prefix, length)``:
+        column k covers the ``length`` labels from ``seq.start_label`` on, its
+        cells are the plain list ``prefix`` with ``None`` for BREAKDOWN, and
+        the cells past the prefix are BREAKDOWN."""
+        start_label = seq.start_label
         entries = {}
         for k, (prefix, length) in columns.items():
             entries.update({(k, n): BREAKDOWN_ENTRY if v is None else _valid_entry(v)
                             for n, v in enumerate(prefix, start_label)})
             tail = range(start_label + len(prefix), start_label + length)
             entries.update(zip(zip(repeat(k), tail), repeat(BREAKDOWN_ENTRY)))
-        return cls(start_label, end_label, entries)
+        return cls(start_label, seq.end_label, seq.mode, entries)
 
     def get(self, k, n):
         """Entry at (k, n); out-of-range indices yield UNAVAILABLE."""

@@ -130,10 +130,30 @@ class TestErrorTable:
             for key, entry in table.entries.items():
                 got = errs[key]
                 if entry.status is Status.VALID:
-                    want = abs(entry.value - limit)
+                    with mode.context():  # the table's errors are rounded at its precision
+                        want = abs(entry.value - limit)
                     assert type(got) is type(want) and got == want, key
                 else:
                     assert got is entry.status, key
+
+    def test_rounded_at_the_table_precision_outside_any_context(self):
+        # at mpmath's ambient 53 bits these errors would keep 53 of 256 bits
+        mode = BigFloat(256)
+        seq, limit = generate(GeneratorSpec("archimedes_pi", 13, 1, mode))
+        table = lbq_transform(seq, 4)
+        assert table.mode == mode
+        errs = error_table(table, limit)
+        with mode.context():
+            want = error_table(table, limit)
+            assert want == {key: abs(e.value - limit) if e.ok else e.status
+                            for key, e in table.entries.items()}
+        assert errs.keys() == want.keys()
+        for key, got in errs.items():
+            if isinstance(got, Status):
+                assert got is want[key], key
+            else:
+                assert got._mpf_ == want[key]._mpf_, key
+        assert max(v._mpf_[3] for v in errs.values() if not isinstance(v, Status)) > 200
 
     def test_reference_cell(self):
         seq, limit = generate(GeneratorSpec("archimedes_pi", 13, 1, BigFloat(128)))

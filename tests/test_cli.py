@@ -207,6 +207,19 @@ class TestClassify:
         assert code == 0
         assert "logarithmic" in out
 
+    def test_limit_is_printed_at_the_mode_precision(self, capsys):
+        argv = ("classify", "--family", "zeta2", "--count", "26")
+        code, out, _ = run(capsys, *argv, "--mode", "bigfloat", "--precision-bits", "256")
+        assert code == 0
+        (line,) = [line for line in out.splitlines() if line.startswith("limit used: ")]
+        digits = line.removeprefix("limit used: ").replace(".", "")
+        assert digits.isdigit() and len(digits) >= 70
+        with mpmath.workprec(256):
+            assert abs(mpmath.mpf(line.removeprefix("limit used: ")) - mpmath.zeta(2)) < mpmath.mpf(10)**-70
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "limit used: 1.6449340668482264\n" in out
+
     def test_classify_alternating(self, capsys):
         code, out, _ = run(
             capsys, "classify", "--family", "alt_harmonic", "--count", "40",

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import from_man_exp
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,7 @@ from seqaccel import (
     generate,
     lbq_transform,
 )
-from seqaccel.rhombus import fill, rhombus
+from seqaccel.rhombus import differences, fill, rhombus
 from seqaccel.tables import BREAKDOWN_ENTRY
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
@@ -220,6 +221,82 @@ class TestFloat64Breakdown:
             tiny = mpmath.mpf("1e-200")
             (cell,) = rhombus([mpmath.mpf(0), mpmath.mpf(1)], ([tiny], [tiny]), True, mode)
         assert mpmath.isfinite(cell) and cell < -mpmath.mpf(10) ** 399
+
+
+def mpf_of(sign, man, exp):
+    """The exact mpf (-1)**sign * man * 2**exp, not rounded to any precision."""
+    return mpmath.mp.make_mpf(from_man_exp(-man if sign else man, exp))
+
+
+def magnitude(v):
+    """mag(v): 2**(mag(v)-1) <= |v| < 2**mag(v) for a nonzero mpf."""
+    _, _, exp, bc = v._mpf_
+    return exp + bc
+
+
+@st.composite
+def guard_columns(draw):
+    """(precision, threshold, column): a column whose differences lie at
+    gap = mag(d) - mag(t) - mag(max(|a|, |b|)) of -3 .. 2 from the
+    threshold t, where the exponents may not settle the guard, with
+    zero operands and BREAKDOWN (None) elements mixed in."""
+    bits = draw(st.sampled_from([53, 64, 256, 1200]))
+
+    def number(mag, extra=0, sign=None):
+        """A random mpf of magnitude ``mag`` with bits + extra mantissa bits."""
+        width = bits + extra
+        man = draw(st.integers(2 ** (width - 1), 2**width - 1))
+        return mpf_of(draw(st.booleans()) if sign is None else sign, man, mag - width)
+
+    kind = draw(st.sampled_from(["default", "1e-30", "0", "extra bits", "inf"]))
+    threshold = {
+        "default": mpmath.ldexp(1, 24 - bits),
+        "1e-30": mpmath.mpf(1e-30),  # a float: exact at every precision drawn
+        "0": mpmath.mpf(0),
+        # more mantissa bits than the working precision keeps
+        "extra bits": number(draw(st.integers(-60, -10)), extra=40, sign=0),
+        # fill accepts it: every factor with a nonzero operand breaks down
+        "inf": mpmath.inf,
+    }[kind]
+    tmag = magnitude(threshold) if threshold and threshold != mpmath.inf else -40
+    col = [mpmath.mpf(0) if draw(st.booleans()) else number(draw(st.integers(-60, 60)))]
+    with mpmath.workprec(bits):
+        for _ in range(draw(st.integers(1, 5))):
+            step = draw(st.sampled_from(["gap", "gap", "gap", "zero", "none"]))
+            a = col[-1] if col[-1] is not None else number(draw(st.integers(-60, 60)))
+            if step == "zero":
+                col.append(mpmath.mpf(0))
+            elif step == "none":
+                col.append(None)
+            else:
+                mag = magnitude(a) if a else draw(st.integers(-60, 60))
+                col.append(a + number(mag + tmag + draw(st.integers(-3, 2))))
+    return bits, threshold, col
+
+
+class TestBigfloatGuard:
+    """The exponent rule of bigfloat ``differences`` against the plain guard."""
+
+    # the band edges: gap 0 with |d| < t·M breaks down, gap -1 with |d| >= t·M
+    # is kept, and |d| = t·M exactly is kept (the guard's < is strict)
+    @example(case=(64, mpf_of(0, 29, -15), [mpf_of(0, 29, -5), mpf_of(0, 29, -5) + mpf_of(0, 1, -11)]))
+    @example(case=(64, mpf_of(0, 1, -11), [mpf_of(0, 1, -1), mpf_of(0, 1, -1) + mpf_of(0, 3, -13)]))
+    @example(case=(64, mpf_of(0, 1, -10), [mpmath.mpf(1), 1 - mpf_of(0, 1, -10)]))
+    @settings(max_examples=400, deadline=None)
+    @given(case=guard_columns())
+    def test_exponent_rule_equals_the_plain_guard(self, case):
+        bits, threshold, col = case
+        # differences reads the precision from the context its caller sets
+        # (fill sets the mode's); the mode argument only selects the bigfloat rule
+        with mpmath.workprec(bits):
+            got = differences(col, BigFloat(), threshold)
+            want = []
+            for a, b in zip(col, col[1:]):
+                d = None if a is None or b is None else b - a
+                want.append(None if d is None or not d
+                            or abs(d) < threshold * max(abs(a), abs(b)) else d)
+        assert [None if v is None else v._mpf_ for v in got] == \
+            [None if v is None else v._mpf_ for v in want]
 
 
 def assert_live_prefix_tables(seq, max_order, scalar, threshold=None):

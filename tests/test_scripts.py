@@ -1,4 +1,4 @@
-"""Smoke tests: the experiment scripts run in-process and print their tables."""
+"""Smoke tests: the scripts run in-process and print their tables and digests."""
 
 import runpy
 import sys
@@ -45,6 +45,14 @@ def test_compare_algorithms(monkeypatch, capsys):
     for family in ("archimedes_pi", "alt_harmonic", "zeta2"):
         assert f"== {family}: |T_k - S| vs |eps_2k - S| ==" in out
     assert out.count("| n | lbq_T0_err | eps_T0_err |") == 3
+
+
+def test_cell_digests_are_pinned(monkeypatch, capsys):
+    # the digests of a tree whose cells are known good: any change to a cell's
+    # key order, status, type or value in the corpus changes its case's line
+    out = run_ok(monkeypatch, capsys, "cell_digest.py")
+    pinned = (Path(__file__).resolve().parent / "cell_digests.txt").read_text()
+    assert out.splitlines() == pinned.splitlines()
 
 
 @pytest.mark.parametrize("name", ["reproduce_tables.py", "compare_algorithms.py"])
