@@ -17,6 +17,9 @@ The corpus:
     and rational mode (pi has no rational mode);
   * a geometric-plus-correction sequence at 64, 128 and 256 bits, for
     every breakdown threshold and scale below, from 1e-400 to 1e300;
+  * at 1200 bits, where the default threshold is far below any float:
+    the paper's ln 2 table, and the geometric sequence at scales 1e-400
+    and 1 for every breakdown threshold;
   * the float64 ``alt_harmonic`` N=1000, K=50 tables of the benchmark
     from the start labels 1, 7 and 16;
   * rational sequences that end in a constant tail.
@@ -67,23 +70,34 @@ def digest(seq, max_order, threshold=None):
     return h.hexdigest()
 
 
+def paper_case(family, count, k, mode):
+    """The case of one of the paper's tables in ``mode``."""
+    seq, _ = generate(GeneratorSpec(family, count, 1, mode))
+    return f"paper {family} {mode.name}", seq, k, None
+
+
+def grid_cases(mode, scales):
+    """The geometric-plus-correction cases of ``mode`` at each scale and threshold."""
+    for scale in scales:
+        with mode.context():
+            s = mpmath.mpf(scale)
+            values = [s * (1 + mpmath.mpf(0.5) ** n + mpmath.mpf(-0.3) ** n) for n in range(24)]
+        seq = Sequence(1, tuple(values), mode)
+        for name, threshold in THRESHOLDS:
+            yield f"grid {mode.name} scale {scale} threshold {name}", seq, 7, threshold
+
+
 def cases():
     """(name, sequence, max_order, threshold) for each case of the corpus."""
     for mode in (FLOAT64, BigFloat(256), RATIONAL):
         for family, count, k in PAPER:
             if mode is RATIONAL and family == "archimedes_pi":
                 continue
-            seq, _ = generate(GeneratorSpec(family, count, 1, mode))
-            yield f"paper {family} {mode.name}", seq, k, None
+            yield paper_case(family, count, k, mode)
     for bits in (64, 128, 256):
-        mode = BigFloat(bits)
-        for scale in SCALES:
-            with mode.context():
-                s = mpmath.mpf(scale)
-                values = [s * (1 + mpmath.mpf(0.5) ** n + mpmath.mpf(-0.3) ** n) for n in range(24)]
-            seq = Sequence(1, tuple(values), mode)
-            for name, threshold in THRESHOLDS:
-                yield f"grid {mode.name} scale {scale} threshold {name}", seq, 7, threshold
+        yield from grid_cases(BigFloat(bits), SCALES)
+    yield paper_case(*PAPER[1], BigFloat(1200))
+    yield from grid_cases(BigFloat(1200), ("1e-400", "1"))
     for start in (1, 7, 16):
         seq, _ = generate(GeneratorSpec("alt_harmonic", 1000, start))
         yield f"f64_linear start {start}", seq, 50, None
