@@ -5,7 +5,7 @@ three-level lattice recursion, its determinant-ratio definition as an
 independent oracle, and Wynn's epsilon algorithm as a baseline.
 """
 
-from .analysis import Classification, ConvergenceReport, acceleration_ratio, error_table, estimate_rho
+from .analysis import Classification, ConvergenceReport, error_table, estimate_rho
 from .epsilon import epsilon_transform
 from .errors import (
     EmptyInputError,
@@ -53,7 +53,6 @@ __all__ = [
     "TransformEntry",
     "TransformTable",
     "WindowError",
-    "acceleration_ratio",
     "build_lattice",
     "check_bilinear",
     "epsilon_transform",

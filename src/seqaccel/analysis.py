@@ -1,11 +1,11 @@
-"""Convergence-rate estimation, acceleration ratios, error tables."""
+"""Convergence-rate estimation and error tables."""
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
 
-from .errors import SpecError, WindowError
+from .errors import WindowError
 from .tables import Status
 
 
@@ -16,9 +16,6 @@ class Classification(enum.Enum):
     DIVERGENT = "divergent"
     INDETERMINATE = "indeterminate"
 
-
-# sentinel for acceleration-ratio entries whose original error is exactly zero
-EXACT = object()
 
 # read per cell by error_table: a module constant is cheaper than Status.VALID or entry.ok
 _VALID = Status.VALID
@@ -86,26 +83,6 @@ def estimate_rho(seq, limit=None, delta=0.05):
     else:
         cls = Classification.LINEAR
     return ConvergenceReport(ratios, rep, cls, rep < 0, limit_used, delta)
-
-
-def acceleration_ratio(transformed, original, limit):
-    """Elementwise (S'_n - S)/(S_n - S) over the overlapping label range.
-
-    Entries where the original error is exactly zero are the EXACT
-    sentinel (the transform hit the limit with nothing left to gain).
-    """
-    lo = max(transformed.start_label, original.start_label)
-    hi = min(transformed.end_label, original.end_label)
-    if lo > hi:
-        raise SpecError("label ranges do not overlap")
-    out = []
-    for n in range(lo, hi + 1):
-        denom = original.at(n) - limit
-        if denom == 0:
-            out.append(EXACT)
-        else:
-            out.append((transformed.at(n) - limit) / denom)
-    return out
 
 
 def error_table(table, limit):

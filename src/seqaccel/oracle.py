@@ -146,6 +146,8 @@ def oracle_transform(seq, k_max):
 
     A float64 value beyond the float range is a failed cell too.
     """
+    if k_max < 0:
+        raise WindowError("max_order must be nonnegative")
     diffs = _difference_table(seq, 2 * k_max)
     columns = {}
     for k in range(k_max + 1):

@@ -14,6 +14,14 @@ cell breaks down too.  In float64 a cell also breaks down when its
 factor product underflows to zero or its result is not finite; mpmath
 exponents are unbounded, so bigfloat needs no such check.
 
+Bigfloat columns run as raw ``_mpf_`` tuples through ``mpmath.libmp``
+(:func:`mpf_differences`, :func:`mpf_rhombus`), each operation rounded
+to nearest at the mode's precision, which is what the mpf operators do
+under ``mode.context()``, without building an mpf object per operation.
+:func:`fill` converts at its edges: it unwraps the seed columns and the
+threshold once and wraps only the columns it keeps back into mpf, so no
+caller sees a tuple and the ambient mpmath precision plays no part.
+
 In bigfloat the guard's outcome is mostly read from the exponents the
 values already carry.  With mag(v) = exp + bc for a nonzero mpf, so that
 2**(mag(v)-1) <= |v| < 2**mag(v), and gap = mag(d) - mag(t) - mag(M) for
@@ -33,50 +41,76 @@ from __future__ import annotations
 
 from math import isfinite
 
+import mpmath
+from mpmath.libmp import (
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_gt,
+    mpf_lt,
+    mpf_mul,
+    mpf_rdiv_int,
+    mpf_sub,
+    round_nearest,
+)
+
 from .errors import SpecError, WindowError
-from .modes import Float64, value_text
+from .modes import BigFloat, Float64, value_text
 
 
 def differences(col, mode, threshold):
     """Forward differences of ``col``, ``None`` where a factor breaks down.
 
+    ``col`` holds floats (float64) or Fractions (exact mode), and
     ``threshold`` is in the mode, as :func:`fill` converts it.  A factor
-    d = b - a breaks down when it is zero or, in the float modes, when
-    |d| < t·max(|a|, |b|) for t = ``threshold``.  In bigfloat the outcome
-    is read from exponents wherever they settle it.  A nonzero mpf v has
-    the magnitude mag(v) = exp + bc, so 2**(mag(v)-1) <= |v| < 2**mag(v),
-    and with mag(M) = max(mag(a), mag(b)) the rounded product t·M lies in
+    d = b - a breaks down when it is zero or, in float64, when
+    |d| < t·max(|a|, |b|) for t = ``threshold``.  Exact mode's threshold
+    is always zero, which leaves only the zero test.
+    """
+    if mode.is_exact or not threshold:
+        return [None if a is None or b is None else (b - a) or None
+                for a, b in zip(col, col[1:])]
+    # each element is an operand of two differences: take its magnitude once
+    mags = [None if v is None else abs(v) for v in col]
+    return [None if a is None or b is None or not (d := b - a)
+            or abs(d) < threshold * (ma if ma >= mb else mb) else d
+            for a, b, ma, mb in zip(col, col[1:], mags, mags[1:])]
+
+
+def mpf_differences(col, prec, threshold):
+    """:func:`differences` of a bigfloat column of ``_mpf_`` tuples.
+
+    ``threshold`` is an ``_mpf_`` tuple too, and every operation rounds
+    to nearest at ``prec`` bits.  A factor d = b - a breaks down when it
+    is zero or when |d| < t·max(|a|, |b|), and the outcome is read from
+    exponents wherever they settle it.  A nonzero mpf v has the magnitude
+    mag(v) = exp + bc, so 2**(mag(v)-1) <= |v| < 2**mag(v), and with
+    mag(M) = max(mag(a), mag(b)) the rounded product t·M lies in
     [2**(mag(t)+mag(M)-2), 2**(mag(t)+mag(M))] in any rounding mode.  So
     for gap = mag(d) - mag(t) - mag(M):
 
     * gap >= 1 proves |d| >= t·M: the factor is kept;
     * gap <= -2 proves |d| < t·M: the factor breaks down.
 
-    Only gap -1 or 0, or a zero a or b, takes the full mpf comparison,
-    under the ambient precision; a zero threshold leaves only the zero test.
+    Only gap -1 or 0, or a zero a or b, takes the full comparison; a zero
+    threshold leaves only the zero test.
     """
-    if mode.is_exact or not threshold:
-        return [None if a is None or b is None else (b - a) or None
-                for a, b in zip(col, col[1:])]
-    if isinstance(mode, Float64):
-        # each element is an operand of two differences: take its magnitude once
-        mags = [None if v is None else abs(v) for v in col]
-        return [None if a is None or b is None or not (d := b - a)
-                or abs(d) < threshold * (ma if ma >= mb else mb) else d
-                for a, b, ma, mb in zip(col, col[1:], mags, mags[1:])]
-    # bigfloat: mag(v) of each element once, None for a zero or BREAKDOWN element;
-    # an infinite or NaN threshold (mantissa 0) has no magnitude, so every cell is compared
-    _, tman, texp, tbc = threshold._mpf_
+    if threshold == fzero:
+        return [None if a is None or b is None or not (d := mpf_sub(b, a, prec, round_nearest))[1]
+                else d for a, b in zip(col, col[1:])]
+    # mag(v) of each element once, None for a zero or BREAKDOWN element; an
+    # infinite or NaN threshold (mantissa 0) has no magnitude, so every cell is compared
+    _, tman, texp, tbc = threshold
     tmag = texp + tbc
-    mags = ([None if v is None or not (x := v._mpf_)[1] else x[2] + x[3] for v in col]
+    mags = ([None if v is None or not v[1] else v[2] + v[3] for v in col]
             if tman else [None] * len(col))
     out = []
     for a, b, ma, mb in zip(col, col[1:], mags, mags[1:]):
         if a is None or b is None:
             out.append(None)
             continue
-        d = b - a
-        _, man, exp, bc = d._mpf_
+        d = mpf_sub(b, a, prec, round_nearest)
+        _, man, exp, bc = d
         if not man:
             out.append(None)
             continue
@@ -88,7 +122,9 @@ def differences(col, mode, threshold):
             if gap <= -2:
                 out.append(None)
                 continue
-        out.append(None if abs(d) < threshold * max(abs(a), abs(b)) else d)
+        abs_a, abs_b = mpf_abs(a, prec, round_nearest), mpf_abs(b, prec, round_nearest)
+        bound = mpf_mul(threshold, abs_b if mpf_gt(abs_b, abs_a) else abs_a, prec, round_nearest)
+        out.append(None if mpf_lt(mpf_abs(d, prec, round_nearest), bound) else d)
     return out
 
 
@@ -105,9 +141,39 @@ def rhombus(carry, factors, subtract, mode):
         return [None if c is None or p is None or not p
                 or not isfinite(r := c - 1 / p if subtract else c + 1 / p) else r
                 for c, p in zip(carry[1:], prod)]
-    # a product of nonzero factors is nonzero, and mpmath exponents are unbounded
+    # exact mode: a product of nonzero factors is nonzero
     return [None if c is None or p is None else c - 1 / p if subtract else c + 1 / p
             for c, p in zip(carry[1:], prod)]
+
+
+def mpf_rhombus(carry, factors, subtract, prec):
+    """:func:`rhombus` of bigfloat ``_mpf_`` tuple columns, rounded to nearest at ``prec`` bits.
+
+    ``factors`` are columns from :func:`mpf_differences`.  The last
+    factor is multiplied in the same pass as the reciprocal and the sum.
+    A product of nonzero factors is nonzero and mpmath exponents are
+    unbounded, so no cell needs a further check.
+    """
+    # c - 1/p is c + (-1)/p: rounding to nearest is symmetric in the sign
+    one = -1 if subtract else 1
+    prod = factors[0]
+    for f in factors[1:-1]:
+        prod = [None if p is None or d is None else mpf_mul(p, d, prec, round_nearest)
+                for p, d in zip(prod, f)]
+    if len(factors) == 1:
+        return [None if c is None or p is None
+                else mpf_add(c, mpf_rdiv_int(one, p, prec, round_nearest), prec, round_nearest)
+                for c, p in zip(carry[1:], prod)]
+    return [None if c is None or p is None or d is None
+            else mpf_add(c, mpf_rdiv_int(one, mpf_mul(p, d, prec, round_nearest),
+                                         prec, round_nearest), prec, round_nearest)
+            for c, p, d in zip(carry[1:], prod, factors[-1])]
+
+
+def _mpf_column(col):
+    """A column of ``_mpf_`` tuples as mpf values, ``None`` kept."""
+    make_mpf = mpmath.mp.make_mpf
+    return [None if v is None else make_mpf(v) for v in col]
 
 
 def fill(seq, seeds, max_order, subtract, threshold, keep):
@@ -135,19 +201,26 @@ def fill(seq, seeds, max_order, subtract, threshold, keep):
     elif mode.is_exact and threshold != 0:
         raise SpecError(f"breakdown threshold {value_text(threshold)} has no effect in "
                         f"{mode.name} mode, where only a zero difference breaks down")
-    # once, not at every guard product: mpmath converts a float operand each time
     threshold = mode.convert(threshold)
     width, size = len(seeds), len(seq)
     columns = {m: (c, size) for m, c in enumerate(seeds, 1) if keep(m)}
-    live = list(seeds)
-    with mode.context():
-        factors = [differences(c, mode, threshold) for c in reversed(seeds[1:-1])]
-        for m in range(width + 1, width * (max_order + 1) + 1):
-            factors = [differences(live[-1], mode, threshold)] + factors[:width - 2]
-            new = rhombus(live[0], factors, subtract, mode)
-            while new and new[-1] is None:
-                new.pop()
-            if keep(m):
-                columns[m] = (new, max(size - m + width, 0))
-            live = live[1:] + [new]
+    bigfloat = isinstance(mode, BigFloat)
+    if bigfloat:
+        # the kernel runs on _mpf_ tuples: the seeds and the threshold are
+        # unwrapped here once, and only the kept columns are wrapped again
+        diff, step, arith = mpf_differences, mpf_rhombus, mode.precision_bits
+        threshold = threshold._mpf_
+        live = [[None if v is None else v._mpf_ for v in c] for c in seeds]
+    else:
+        diff, step, arith = differences, rhombus, mode
+        live = list(seeds)
+    factors = [diff(c, arith, threshold) for c in reversed(live[1:-1])]
+    for m in range(width + 1, width * (max_order + 1) + 1):
+        factors = [diff(live[-1], arith, threshold)] + factors[:width - 2]
+        new = step(live[0], factors, subtract, arith)
+        while new and new[-1] is None:
+            new.pop()
+        if keep(m):
+            columns[m] = (_mpf_column(new) if bigfloat else new, max(size - m + width, 0))
+        live = live[1:] + [new]
     return columns

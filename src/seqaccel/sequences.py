@@ -59,9 +59,6 @@ class Sequence:
             )
         return self.values[n - self.start_label]
 
-    def has(self, n):
-        return self.start_label <= n <= self.end_label
-
     def map(self, fn):
         return Sequence(self.start_label, tuple(fn(v) for v in self.values), self.mode)
 

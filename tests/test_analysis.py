@@ -1,6 +1,5 @@
-"""Convergence classification, acceleration ratios, error tables."""
+"""Convergence classification and error tables."""
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -14,14 +13,12 @@ from seqaccel import (
     Sequence,
     Status,
     WindowError,
-    acceleration_ratio,
     epsilon_transform,
     error_table,
     estimate_rho,
     generate,
     lbq_transform,
 )
-from seqaccel.analysis import EXACT
 
 
 def seq_of(values, start=0, mode=FLOAT64):
@@ -71,35 +68,6 @@ class TestEstimateRho:
     def test_too_short(self):
         with pytest.raises(WindowError):
             estimate_rho(seq_of([1.0, 2.0]), 0.0)
-
-
-class TestAccelerationRatio:
-    def test_identity_transform_gives_ones(self):
-        s = seq_of([1.0, 2.0, 3.0])
-        assert acceleration_ratio(s, s, 10.0) == [1.0, 1.0, 1.0]
-
-    def test_exact_transform_gives_zeros(self):
-        s = seq_of([1.0, 2.0, 3.0])
-        hit = seq_of([5.0, 5.0, 5.0])
-        assert acceleration_ratio(hit, s, 5.0) == [0.0, 0.0, 0.0]
-
-    def test_exact_original_flagged(self):
-        s = seq_of([5.0, 6.0])
-        t = seq_of([5.5, 5.5])
-        out = acceleration_ratio(t, s, 5.0)
-        assert out[0] is EXACT
-        assert out[1] == pytest.approx(0.5)
-
-    def test_pi_example_first_column_accelerates(self):
-        seq, limit = generate(GeneratorSpec("archimedes_pi", 13, 1))
-        table = lbq_transform(seq, 1)
-        col1 = seq_of([v for _, v in table.column(1)], start=1)
-        ratios = acceleration_ratio(col1, seq, limit)
-        assert ratios[0] == pytest.approx(
-            (3.1679051916 - math.pi) / (2.0 - math.pi), abs=1e-6
-        )
-        assert abs(ratios[0]) < 0.05
-        assert all(abs(r) < 0.1 for r in ratios)
 
 
 class TestErrorTable:

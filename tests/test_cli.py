@@ -343,6 +343,13 @@ class TestErrors:
         assert code == 1 and out == ""
         assert err == f"error: --digits and --col-digits must be >= 0, got {value}\n"
 
+    @pytest.mark.parametrize("algorithm", ["lbq", "epsilon", "oracle"])
+    def test_negative_k_max_exits_1(self, capsys, algorithm):
+        code, out, err = run(capsys, "transform", "--family", "alt_harmonic", "--count", "8",
+                             "--algorithm", algorithm, "--k-max", "-1")
+        assert code == 1 and out == ""
+        assert err == "error: max_order must be nonnegative\n"
+
     def test_unparseable_file_exits_1(self, capsys, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("hello\n")

@@ -1,5 +1,6 @@
 """The lattice acceleration engine."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -91,6 +92,17 @@ class TestTransform:
         table = lbq_transform(seq, 2)
         assert table.get(1, 1).value == pytest.approx(3.1679051916, abs=1e-10)
         assert table.get(2, 3).value == pytest.approx(3.1415926509, abs=1e-10)
+
+    def test_pi_example_first_column_accelerates(self):
+        # (T_1^(n) - pi) / (S_n - pi), the acceleration ratio of the first column
+        seq, limit = generate(GeneratorSpec("archimedes_pi", 13, 1))
+        table = lbq_transform(seq, 1)
+        ratios = [(v - limit) / (seq.at(n) - limit) for n, v in table.column(1)]
+        assert ratios[0] == pytest.approx(
+            (3.1679051916 - math.pi) / (2.0 - math.pi), abs=1e-6
+        )
+        assert abs(ratios[0]) < 0.05
+        assert all(abs(r) < 0.1 for r in ratios)
 
     def test_geometric_remainder_is_order_one_kernel(self):
         # S_n = 1 + (1/2)^n is annihilated exactly at order 1

@@ -98,6 +98,11 @@ class TestTDeterminant:
             with pytest.raises(WindowError):
                 t_determinant(s, k, n)
 
+    def test_negative_k_max_rejected_like_the_engines(self):
+        seq = seq_of([1, 2, 4, 7])
+        with pytest.raises(WindowError, match="max_order must be nonnegative"):
+            oracle_transform(seq, -1)
+
     def test_singular_denominator(self):
         s = seq_of([1, 2, 3, 4, 5, 6])  # second differences vanish
         with pytest.raises(SingularError):
@@ -128,7 +133,7 @@ class TestMoleculeSolution:
             assert mol.G[(1, n)] == 0
             assert mol.G[(2, n)] == n
             assert mol.G[(3, n)] == seq.at(n)
-            if (4, n) in mol.F and d1.has(n):
+            if (4, n) in mol.F and d1.start_label <= n <= d1.end_label:
                 assert mol.F[(4, n)] == d1.at(n)
 
     def test_ratio_matches_determinant_route(self, rng):

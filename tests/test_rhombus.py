@@ -1,10 +1,11 @@
 """The rhombus kernel shared by the lattice and epsilon engines."""
 
 import math
+from contextlib import nullcontext
 from fractions import Fraction
 
 import mpmath
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_int, from_man_exp, fzero
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,7 @@ from seqaccel import (
     generate,
     lbq_transform,
 )
-from seqaccel.rhombus import differences, fill, rhombus
+from seqaccel.rhombus import fill, mpf_differences, mpf_rhombus, rhombus
 from seqaccel.tables import BREAKDOWN_ENTRY
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
@@ -218,8 +219,9 @@ class TestFloat64Breakdown:
     def test_bigfloat_has_no_exponent_bound(self):
         mode = BigFloat(128)
         with mode.context():
-            tiny = mpmath.mpf("1e-200")
-            (cell,) = rhombus([mpmath.mpf(0), mpmath.mpf(1)], ([tiny], [tiny]), True, mode)
+            tiny = mpmath.mpf("1e-200")._mpf_
+        (cell,) = mpf_rhombus([fzero, from_int(1)], ([tiny], [tiny]), True, mode.precision_bits)
+        cell = mpmath.mp.make_mpf(cell)
         assert mpmath.isfinite(cell) and cell < -mpmath.mpf(10) ** 399
 
 
@@ -275,7 +277,7 @@ def guard_columns(draw):
 
 
 class TestBigfloatGuard:
-    """The exponent rule of bigfloat ``differences`` against the plain guard."""
+    """The exponent rule of ``mpf_differences`` against the plain guard."""
 
     # the band edges: gap 0 with |d| < t·M breaks down, gap -1 with |d| >= t·M
     # is kept, and |d| = t·M exactly is kept (the guard's < is strict)
@@ -286,39 +288,42 @@ class TestBigfloatGuard:
     @given(case=guard_columns())
     def test_exponent_rule_equals_the_plain_guard(self, case):
         bits, threshold, col = case
-        # differences reads the precision from the context its caller sets
-        # (fill sets the mode's); the mode argument only selects the bigfloat rule
+        # the kernel takes its precision as an argument, whatever the ambient one
+        got = mpf_differences([None if v is None else v._mpf_ for v in col], bits,
+                              threshold._mpf_)
         with mpmath.workprec(bits):
-            got = differences(col, BigFloat(), threshold)
             want = []
             for a, b in zip(col, col[1:]):
                 d = None if a is None or b is None else b - a
                 want.append(None if d is None or not d
                             or abs(d) < threshold * max(abs(a), abs(b)) else d)
-        assert [None if v is None else v._mpf_ for v in got] == \
-            [None if v is None else v._mpf_ for v in want]
+        assert got == [None if v is None else v._mpf_ for v in want]
 
 
-def assert_live_prefix_tables(seq, max_order, scalar, threshold=None):
+def assert_live_prefix_tables(seq, max_order, scalar, threshold=None, engines_in=None):
     """lbq_transform, epsilon_transform and build_lattice each hold exactly
     their triangle's keys (so Σ(N - w k) cells), store every cell past a
     column's last VALID cell as the shared BREAKDOWN_ENTRY, and equal the
-    plain recursions cell for cell.  Returns the number of such tail cells."""
+    plain recursions cell for cell.  The plain recursions run in the
+    caller's context and the engines in ``engines_in`` (a context manager),
+    which they leave as they found it.  Returns the number of such tail cells."""
     values, start, end = list(seq.values), seq.start_label, seq.end_label
     plain_threshold = seq.mode.default_breakdown_threshold if threshold is None else threshold
     u = plain_lattice(values, start, 3 * max_order + 3, scalar, plain_threshold)
     e = plain_epsilon(values, start, 2 * max_order, scalar, plain_threshold)
-    cases = (
-        (lbq_transform(seq, max_order, threshold),
-         {(k, n): u[3 * k + 3, n] for k in range(max_order + 1)
-          for n in range(start, end - 3 * k + 1)}),
-        (epsilon_transform(seq, max_order, threshold),
-         {(k, n): e[2 * k, n] for k in range(max_order + 1)
-          for n in range(start, end - 2 * k + 1)}),
-        (build_lattice(seq, max_order, threshold),
-         {(m, n): u[m, n] for m in range(1, 3 * max_order + 4)
-          for n in range(start, end - max(m - 3, 0) + 1)}),
-    )
+    with engines_in or nullcontext():
+        prec = mpmath.mp.prec
+        tables = [build(seq, max_order, threshold)
+                  for build in (lbq_transform, epsilon_transform, build_lattice)]
+        assert mpmath.mp.prec == prec
+    cases = zip(tables, (
+        {(k, n): u[3 * k + 3, n] for k in range(max_order + 1)
+         for n in range(start, end - 3 * k + 1)},
+        {(k, n): e[2 * k, n] for k in range(max_order + 1)
+         for n in range(start, end - 2 * k + 1)},
+        {(m, n): u[m, n] for m in range(1, 3 * max_order + 4)
+         for n in range(start, end - max(m - 3, 0) + 1)},
+    ))
     tails = 0
     for table, cells in cases:
         assert_matches(table, cells)
@@ -353,12 +358,14 @@ class TestLivePrefix:
         seq = Sequence.from_iterable(head + [tail] * repeat, start, RATIONAL)
         assert_live_prefix_tables(seq, max_order, Fraction)
 
-    @pytest.mark.parametrize("bits", [64, 256])
+    @pytest.mark.parametrize("bits", [64, 256, 1200])
     @pytest.mark.parametrize("threshold", [None, 1e-30, 2.0**-40, "mpf"])
     @pytest.mark.parametrize("scale", [1, "1e-400"])
     def test_bigfloat_thresholds(self, bits, threshold, scale):
         # the driver converts the threshold to the mode once; the plain
-        # recursion multiplies with the threshold as given
+        # recursion multiplies with the threshold as given.  The engines run
+        # at the mode's precision whatever the ambient mpmath precision is:
+        # the mode's own, 53 bits (mpmath's default) or 2000 bits.
         mode = BigFloat(bits)
         if threshold == "mpf":
             threshold = mode.convert(Fraction(1, 10**20))
@@ -366,7 +373,8 @@ class TestLivePrefix:
             s = mpmath.mpf(scale)
             values = [s * (1 + mpmath.mpf(0.5) ** n + mpmath.mpf(-0.3) ** n) for n in range(24)]
             seq = Sequence(1, tuple(values), mode)
-            assert_live_prefix_tables(seq, 7, mpmath.mpf, threshold)
+            for ambient in (bits, 53, 2000):
+                assert_live_prefix_tables(seq, 7, mpmath.mpf, threshold, mpmath.workprec(ambient))
 
     @pytest.mark.parametrize("subtract", [True, False])
     def test_fill_returns_live_prefixes_and_nominal_lengths(self, subtract):
