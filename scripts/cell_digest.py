@@ -5,7 +5,8 @@ Usage: python scripts/cell_digest.py
 
 A case is a sequence, a mode, a maximum order and a breakdown threshold.
 Its digest covers the ``lbq_transform``, ``epsilon_transform`` and
-``build_lattice`` tables of that case: every cell's key in table order,
+``build_lattice`` tables of that case, or for an oracle case the
+``oracle_transform`` table: every cell's key in table order,
 its status, the type of its value and the exact value, written as
 ``float.hex``, the mpf's ``(sign, mantissa, exponent, bitcount)`` or the
 Fraction's ``p/q``.  Two trees that print the same lines compute
@@ -14,7 +15,8 @@ expected lines.
 
 The corpus:
   * the paper's three tables (pi, ln 2, zeta(2)) in float64, bigfloat256
-    and rational mode (pi has no rational mode);
+    and rational mode (pi has no rational mode), from the engines and
+    from the determinant oracle;
   * a geometric-plus-correction sequence at 64, 128 and 256 bits, for
     every breakdown threshold and scale below, from 1e-400 to 1e300;
   * at 1200 bits, where the default threshold is far below any float:
@@ -42,10 +44,12 @@ from seqaccel import (
     generate,
     lbq_transform,
 )
+from seqaccel.oracle import oracle_transform
 
 PAPER = (("archimedes_pi", 13, 4), ("alt_harmonic", 18, 5), ("zeta2", 26, 7))
 THRESHOLDS = (("default", None), ("1e-30", 1e-30), ("0", 0), ("2^-40", 2.0**-40), ("1e-3", 1e-3))
 SCALES = ("1e-400", "1e-100", "1", "1e100", "1e300")
+ENGINES = (lbq_transform, epsilon_transform, build_lattice)
 
 
 def value_text(value):
@@ -58,11 +62,11 @@ def value_text(value):
     return f"mpf {sign},{int(man)},{exp},{bc}"
 
 
-def digest(seq, max_order, threshold=None):
-    """SHA-256 of the three tables of ``seq`` up to ``max_order``, in hex."""
+def digest(seq, max_order, threshold=None, builds=ENGINES):
+    """SHA-256 of the ``builds`` tables of ``seq`` up to ``max_order``, in hex."""
     h = hashlib.sha256()
-    for build in (lbq_transform, epsilon_transform, build_lattice):
-        table = build(seq, max_order, threshold)
+    for build in builds:
+        table = build(seq, max_order) if threshold is None else build(seq, max_order, threshold)
         cells = [e.status.value if e.value is None else value_text(e.value)
                  for e in table.entries.values()]
         h.update(f"{build.__name__} {table.start_label} {table.end_label}\n"
@@ -70,10 +74,13 @@ def digest(seq, max_order, threshold=None):
     return h.hexdigest()
 
 
-def paper_case(family, count, k, mode):
-    """The case of one of the paper's tables in ``mode``."""
+def paper_case(family, count, k, mode, oracle=False):
+    """The case of one of the paper's tables in ``mode``, from the engines or the oracle."""
     seq, _ = generate(GeneratorSpec(family, count, 1, mode))
-    return f"paper {family} {mode.name}", seq, k, None
+    name = f"paper {family} {mode.name}"
+    if oracle:
+        return f"oracle {name}", seq, k, None, (oracle_transform,)
+    return name, seq, k, None, ENGINES
 
 
 def grid_cases(mode, scales):
@@ -84,33 +91,35 @@ def grid_cases(mode, scales):
             values = [s * (1 + mpmath.mpf(0.5) ** n + mpmath.mpf(-0.3) ** n) for n in range(24)]
         seq = Sequence(1, tuple(values), mode)
         for name, threshold in THRESHOLDS:
-            yield f"grid {mode.name} scale {scale} threshold {name}", seq, 7, threshold
+            yield f"grid {mode.name} scale {scale} threshold {name}", seq, 7, threshold, ENGINES
 
 
 def cases():
-    """(name, sequence, max_order, threshold) for each case of the corpus."""
-    for mode in (FLOAT64, BigFloat(256), RATIONAL):
-        for family, count, k in PAPER:
-            if mode is RATIONAL and family == "archimedes_pi":
-                continue
-            yield paper_case(family, count, k, mode)
+    """(name, sequence, max_order, threshold, builds) for each case of the corpus."""
+    paper = [(case, mode) for mode in (FLOAT64, BigFloat(256), RATIONAL) for case in PAPER
+             if not (mode is RATIONAL and case[0] == "archimedes_pi")]
+    for case, mode in paper:
+        yield paper_case(*case, mode)
     for bits in (64, 128, 256):
         yield from grid_cases(BigFloat(bits), SCALES)
     yield paper_case(*PAPER[1], BigFloat(1200))
     yield from grid_cases(BigFloat(1200), ("1e-400", "1"))
     for start in (1, 7, 16):
         seq, _ = generate(GeneratorSpec("alt_harmonic", 1000, start))
-        yield f"f64_linear start {start}", seq, 50, None
+        yield f"f64_linear start {start}", seq, 50, None, ENGINES
     rng = random.Random(20110711)
     for i in range(8):
         head = [Fraction(rng.randint(-50, 50), rng.randint(1, 20)) for _ in range(rng.randint(1, 6))]
         tail = [Fraction(rng.randint(-50, 50), rng.randint(1, 20))] * rng.randint(2, 8)
-        yield f"rational constant tail {i}", Sequence.from_iterable(head + tail, i % 4, RATIONAL), 5, None
+        yield (f"rational constant tail {i}", Sequence.from_iterable(head + tail, i % 4, RATIONAL),
+               5, None, ENGINES)
+    for case, mode in paper:
+        yield paper_case(*case, mode, oracle=True)
 
 
 def digests():
     """{case name: digest} over the corpus, in corpus order."""
-    return {name: digest(seq, k, threshold) for name, seq, k, threshold in cases()}
+    return {name: digest(seq, k, threshold, builds) for name, seq, k, threshold, builds in cases()}
 
 
 def main():
