@@ -6,7 +6,6 @@ import enum
 from dataclasses import dataclass, field
 
 from .errors import WindowError
-from .tables import Status
 
 
 class Classification(enum.Enum):
@@ -15,10 +14,6 @@ class Classification(enum.Enum):
     HYPERLINEAR = "hyperlinear"
     DIVERGENT = "divergent"
     INDETERMINATE = "indeterminate"
-
-
-# read per cell by error_table: a module constant is cheaper than Status.VALID or entry.ok
-_VALID = Status.VALID
 
 
 @dataclass
@@ -89,5 +84,4 @@ def error_table(table, limit):
     """Map (k, n) -> |T_k^(n) - S|, rounded at the table's mode precision,
     with status markers passed through."""
     with table.mode.context():
-        return {key: abs(e.value - limit) if e.status is _VALID else e.status
-                for key, e in table.entries.items()}
+        return table.cells(lambda value: abs(value - limit))

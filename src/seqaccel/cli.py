@@ -189,7 +189,7 @@ def cmd_transform(args):
     mode = _get_mode(args)
     seq, _ = _load_sequence(args, mode)
     table = transform_table(seq, args.algorithm, args.k_max, _get_threshold(args, mode))
-    cells = {key: e.value if e.ok else e.status for key, e in table.entries.items()}
+    cells = table.cells(lambda value: value)
     header = ["n"] + [f"T{k}" for k in range(args.k_max + 1)]
     _emit_grid(args, header, table.rows(), cells)
     return 0

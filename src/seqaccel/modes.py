@@ -50,6 +50,7 @@ def value_text(x):
 class Float64:
     name = "float64"
     is_exact = False
+    value_type = float
     default_breakdown_threshold = 1e-12
 
     def convert(self, x):
@@ -102,6 +103,7 @@ class BigFloat:
         return f"bigfloat{self.precision_bits}"
 
     is_exact = False
+    value_type = mpmath.mpf
 
     @property
     def default_breakdown_threshold(self):
@@ -151,6 +153,7 @@ class BigFloat:
 class Rational:
     name = "rational"
     is_exact = True
+    value_type = Fraction
     default_breakdown_threshold = 0
 
     def convert(self, x):

@@ -15,8 +15,9 @@ class Sequence:
     Lookup by label is exact: asking for an element outside the stored
     range raises :class:`WindowError` rather than extrapolating.  Every
     value must be finite in the mode (:class:`NonFiniteError` otherwise),
-    and rational mode stores every value as a Fraction, so that its
-    arithmetic stays exact.
+    and a value that is not of the mode's ``value_type`` (float, mpf or
+    Fraction) is stored converted by the mode, so that every engine sees
+    the mode's own numbers and exact mode's arithmetic stays exact.
     """
 
     start_label: int
@@ -30,8 +31,8 @@ class Sequence:
         for n, v in enumerate(values, self.start_label):
             if not self.mode.is_finite(v):
                 raise NonFiniteError(f"S_{n} = {value_text(v)} is not finite in {self.mode.name} mode")
-        if self.mode.is_exact:
-            values = tuple(map(self.mode.convert, values))
+        kind, convert = self.mode.value_type, self.mode.convert
+        values = tuple(v if type(v) is kind else convert(v) for v in values)
         object.__setattr__(self, "values", values)
 
     @classmethod

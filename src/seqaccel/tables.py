@@ -1,20 +1,31 @@
-"""Triangular transform tables with per-entry validity status.
+"""Triangular transform tables, stored as the columns that compute them.
 
-Every table is built once, at the end, by
-:meth:`TransformTable.from_columns` from columns given as a plain-list
-live prefix, with ``None`` for a BREAKDOWN cell, and the column's
-nominal length: the lattice transform, its levels and the epsilon
-baseline from the rhombus driver (see :mod:`seqaccel.rhombus`), whose
-prefixes stop at the last VALID cell, and the determinant oracle from
-one full list per order.  Every BREAKDOWN cell then shares the one
-``BREAKDOWN_ENTRY``, and the cells past a prefix are filled in bulk.
+A table holds ``columns = {k: (prefix, length)}``: column k covers the
+``length`` labels from ``start_label`` on, ``prefix`` is the plain list
+of its first cells with ``None`` for a BREAKDOWN cell, and the cells
+past the prefix are BREAKDOWN.  These are the columns the rhombus driver
+returns for the lattice, its levels and the epsilon baseline (see
+:mod:`seqaccel.rhombus`), whose prefixes stop at the last VALID cell,
+and the ones the determinant oracle builds, one full list per order.
+:meth:`TransformTable.from_columns` stores them as they are, so building
+a table makes no object per cell.
+
+``TransformTable.entries`` is a read-through mapping view
+{(k, n): TransformEntry} over the columns, in column order and label
+order within a column.  A ``TransformEntry`` is made only when a VALID
+cell is read; every BREAKDOWN cell reads as the one shared
+``BREAKDOWN_ENTRY``.  Readers of every cell's value, such as the error
+table and the CLI, take :meth:`TransformTable.cells`, which reads the
+columns without an entry per cell.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from itertools import repeat
+from collections.abc import ItemsView, MutableMapping, ValuesView
+from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import index
 
 
 class Status(enum.Enum):
@@ -24,11 +35,10 @@ class Status(enum.Enum):
 
 
 # Reading a member off an Enum class (Status.VALID) is a slow attribute
-# lookup; the per-cell paths below read this module constant instead.
+# lookup; ``ok``, which readers call per cell, reads this module constant.
 _VALID = Status.VALID
 
 
-# slotted: a table holds one entry per VALID cell, so the entry size sets its memory
 @dataclass(frozen=True, slots=True)
 class TransformEntry:
     value: object = None
@@ -46,27 +56,89 @@ class TransformEntry:
 UNAVAILABLE_ENTRY = TransformEntry(None, Status.UNAVAILABLE)
 BREAKDOWN_ENTRY = TransformEntry(None, Status.BREAKDOWN)
 
-_new = object.__new__
-_set_value = TransformEntry.value.__set__
-_set_status = TransformEntry.status.__set__
+
+def _entry(value):
+    """The entry of a prefix cell holding ``value``."""
+    return BREAKDOWN_ENTRY if value is None else TransformEntry(value)
 
 
-def _valid_entry(value):
-    """``TransformEntry(value)``, filled through the slot descriptors.
+class TableEntries(MutableMapping):
+    """{(k, n): TransformEntry} of every cell of ``table``, read through to its columns.
 
-    This skips the frozen dataclass's generated ``__init__``, which sets
-    each field through ``object.__setattr__``: a table holds one entry
-    per VALID cell, and this way costs about two thirds as much.
+    Setting an entry writes its value, or ``None`` for BREAKDOWN, into
+    the column's prefix.  A cell cannot be deleted: the table's shape is
+    fixed by its columns.
     """
-    entry = _new(TransformEntry)
-    _set_value(entry, value)
-    _set_status(entry, _VALID)
-    return entry
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table):
+        self._table = table
+
+    def _locate(self, key):
+        """(prefix, index) of the cell at ``key``; KeyError where the table has no such cell."""
+        table = self._table
+        try:
+            k, n = key
+            prefix, length = table.columns[k]
+            i = index(n) - table.start_label
+        except (TypeError, ValueError, KeyError):
+            raise KeyError(key) from None
+        if not 0 <= i < length:
+            raise KeyError(key)
+        return prefix, i
+
+    def __getitem__(self, key):
+        prefix, i = self._locate(key)
+        return _entry(prefix[i]) if i < len(prefix) else BREAKDOWN_ENTRY
+
+    def __setitem__(self, key, entry):
+        prefix, i = self._locate(key)
+        if entry.status is Status.UNAVAILABLE:
+            raise ValueError(f"cell {key} is in the table and cannot be UNAVAILABLE")
+        prefix.extend(repeat(None, i + 1 - len(prefix)))
+        prefix[i] = entry.value if entry.ok else None
+
+    def __delitem__(self, key):
+        self._locate(key)
+        raise TypeError(f"cell {key} cannot be deleted from a table")
+
+    def __iter__(self):
+        start = self._table.start_label
+        return chain.from_iterable(zip(repeat(k), range(start, start + length))
+                                   for k, (_, length) in self._table.columns.items())
+
+    def __len__(self):
+        return sum(length for _, length in self._table.columns.values())
+
+    def values(self):
+        return _Values(self)
+
+    def items(self):
+        return _Items(self)
+
+
+class _Values(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        # an entry per prefix cell read, and the shared BREAKDOWN_ENTRY past the prefix
+        return chain.from_iterable(
+            chain(map(_entry, prefix), repeat(BREAKDOWN_ENTRY, length - len(prefix)))
+            for prefix, length in self._mapping._table.columns.values())
+
+
+class _Items(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return zip(self._mapping, _Values(self._mapping))
 
 
 @dataclass
 class TransformTable:
-    """Cells keyed (k, n) over the labels start_label..end_label, in ``mode``.
+    """Cells (k, n) over the labels start_label..end_label, in ``mode``, as
+    ``columns[k] = (prefix, length)`` (see the module docstring).
 
     k is the transform order for T_k^(n), or the level for the lattice
     levels U_k^n of ``build_lattice``.
@@ -75,22 +147,17 @@ class TransformTable:
     start_label: int
     end_label: int
     mode: object
-    entries: dict = field(default_factory=dict)
+    columns: dict
 
     @classmethod
     def from_columns(cls, columns, seq):
-        """Table of ``seq``'s labels and mode from ``columns[k] = (prefix, length)``:
-        column k covers the ``length`` labels from ``seq.start_label`` on, its
-        cells are the plain list ``prefix`` with ``None`` for BREAKDOWN, and
-        the cells past the prefix are BREAKDOWN."""
-        start_label = seq.start_label
-        entries = {}
-        for k, (prefix, length) in columns.items():
-            entries.update({(k, n): BREAKDOWN_ENTRY if v is None else _valid_entry(v)
-                            for n, v in enumerate(prefix, start_label)})
-            tail = range(start_label + len(prefix), start_label + length)
-            entries.update(zip(zip(repeat(k), tail), repeat(BREAKDOWN_ENTRY)))
-        return cls(start_label, seq.end_label, seq.mode, entries)
+        """Table of ``seq``'s labels and mode over ``columns[k] = (prefix, length)``,
+        stored as it is."""
+        return cls(seq.start_label, seq.end_label, seq.mode, columns)
+
+    @property
+    def entries(self):
+        return TableEntries(self)
 
     def get(self, k, n):
         """Entry at (k, n); out-of-range indices yield UNAVAILABLE."""
@@ -101,9 +168,16 @@ class TransformTable:
 
     def column(self, k):
         """Valid (n, value) pairs of column k, in label order."""
-        out = []
-        for n in self.rows():
-            e = self.get(k, n)
-            if e.ok:
-                out.append((n, e.value))
+        prefix, _ = self.columns.get(k, ((), 0))
+        return [(n, v) for n, v in enumerate(prefix, self.start_label) if v is not None]
+
+    def cells(self, read):
+        """{(k, n): read(value)} for each VALID cell and ``Status.BREAKDOWN`` for
+        each BREAKDOWN cell, in ``entries`` order."""
+        start, breakdown, out = self.start_label, Status.BREAKDOWN, {}
+        for k, (prefix, length) in self.columns.items():
+            out.update({(k, n): breakdown if v is None else read(v)
+                        for n, v in enumerate(prefix, start)})
+            tail = range(start + len(prefix), start + length)
+            out.update(zip(zip(repeat(k), tail), repeat(breakdown)))
         return out

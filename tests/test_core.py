@@ -1,5 +1,6 @@
 """Scalar modes, sequences, differences, and table containers."""
 
+import gc
 import math
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
@@ -163,6 +164,17 @@ class TestSequence:
         assert all(type(v) is Fraction for v in s.values)
         assert s.values == (0, 1, 3, 10)
 
+    @pytest.mark.parametrize("mode", [FLOAT64, BigFloat(64)], ids=lambda m: m.name)
+    def test_direct_build_equals_from_iterable(self, mode):
+        # ints and Fractions in a float mode are stored as the mode's own numbers
+        values = (Fraction(1, 3), 1, 2.5, 4, 7.25, 9, Fraction(31, 3))
+        direct, built = Sequence(1, values, mode), Sequence.from_iterable(values, 1, mode)
+        assert [(type(v), v) for v in direct.values] == [(type(v), v) for v in built.values]
+        for build in (lbq_transform, epsilon_transform, build_lattice):
+            cells = [[(key, e.status, type(e.value), e.value) for key, e in build(s, 2).entries.items()]
+                     for s in (direct, built)]
+            assert cells[0] == cells[1]
+
 
 class TestForwardDifference:
     def test_order_zero_is_identity(self):
@@ -231,6 +243,70 @@ class TestTransformTable:
                     entry.value = 0
                 with pytest.raises(FrozenInstanceError):
                     entry.status = Status.BREAKDOWN
+
+    @staticmethod
+    def breakdown_table():
+        # a constant stretch gives epsilon interior BREAKDOWN cells, prefixes
+        # shorter than their columns and empty ones
+        values = [Fraction(1, n) for n in range(1, 9)] + [Fraction(1, 8)] * 4 + [Fraction(1, 9)]
+        return epsilon_transform(seq_of(values + [Fraction(1, 10)], start=3), 5)
+
+    def test_entries_view_order_and_length(self):
+        table = self.breakdown_table()
+        lengths = {k: length for k, (_, length) in table.columns.items()}
+        assert lengths == {k: 14 - 2 * k for k in range(6)}
+        order = [(k, n) for k in range(6) for n in range(3, 3 + lengths[k])]
+        entries = table.entries
+        assert list(entries) == list(entries.keys()) == order
+        assert len(entries) == sum(lengths.values())
+        assert list(entries.items()) == [(key, entries[key]) for key in order]
+        assert list(entries.values()) == [table.get(*key) for key in order]
+        assert {e.status for e in entries.values()} == {Status.VALID, Status.BREAKDOWN}
+        assert entries == dict(entries.items()) and entries == self.breakdown_table().entries
+
+    @pytest.mark.parametrize("key", [(6, 3), (-1, 3), (0, 2), (0, 17), (5, 7),
+                                     5, "ab", (0,), (0, 3, 0), ([0], 3)])
+    def test_entries_view_key_error_outside_the_table(self, key):
+        entries = self.breakdown_table().entries
+        with pytest.raises(KeyError):
+            entries[key]
+        with pytest.raises(KeyError):
+            entries[key] = TransformEntry.valid(1)
+        assert key not in entries
+
+    def test_set_entry_reads_back_everywhere(self):
+        table = self.breakdown_table()
+        prefix, length = table.columns[2]
+        assert 0 < len(prefix) < length - 2
+        inside, past = (2, 3), (2, 3 + length - 2)
+        before = len(table.entries)
+        for (k, n), x in ((inside, Fraction(7, 2)), (past, Fraction(-5))):
+            table.entries[k, n] = TransformEntry.valid(x)
+            assert table.get(k, n) == table.entries[k, n] == TransformEntry(x)
+            assert (n, x) in table.column(k)
+            assert dict(table.entries.items())[k, n] == TransformEntry(x)
+        # the cells between the old prefix and the written one still read BREAKDOWN
+        assert table.get(2, 3 + length - 3) is BREAKDOWN_ENTRY
+        assert table.get(2, 3 + length - 1) is BREAKDOWN_ENTRY
+        table.entries[inside] = BREAKDOWN_ENTRY
+        assert table.get(*inside) is BREAKDOWN_ENTRY and (3, Fraction(7, 2)) not in table.column(2)
+        assert len(table.entries) == before
+        with pytest.raises(ValueError):
+            table.entries[inside] = UNAVAILABLE_ENTRY
+        with pytest.raises(TypeError):
+            del table.entries[inside]
+
+    def test_a_table_holds_no_entry_per_cell(self):
+        seq, _ = generate(GeneratorSpec("zeta2", 300))
+
+        def live_entries():
+            return sum(type(o) is TransformEntry for o in gc.get_objects())
+
+        gc.collect()
+        before = live_entries()
+        table = lbq_transform(seq, 30)
+        assert sum(e.ok for e in table.entries.values()) > 1000
+        assert live_entries() - before <= 2
 
     def test_entry_constructors(self):
         assert TransformEntry.valid(1).ok
