@@ -62,6 +62,11 @@ def _entry(value):
     return BREAKDOWN_ENTRY if value is None else TransformEntry(value)
 
 
+def _read(prefix, i):
+    """The entry of cell ``i`` of a column whose live prefix is ``prefix``."""
+    return _entry(prefix[i]) if i < len(prefix) else BREAKDOWN_ENTRY
+
+
 class TableEntries(MutableMapping):
     """{(k, n): TransformEntry} of every cell of ``table``, read through to its columns.
 
@@ -77,20 +82,17 @@ class TableEntries(MutableMapping):
 
     def _locate(self, key):
         """(prefix, index) of the cell at ``key``; KeyError where the table has no such cell."""
-        table = self._table
         try:
             k, n = key
-            prefix, length = table.columns[k]
-            i = index(n) - table.start_label
-        except (TypeError, ValueError, KeyError):
-            raise KeyError(key) from None
-        if not 0 <= i < length:
+            cell = self._table._cell(k, n)
+        except (TypeError, ValueError):
+            cell = None
+        if cell is None:
             raise KeyError(key)
-        return prefix, i
+        return cell
 
     def __getitem__(self, key):
-        prefix, i = self._locate(key)
-        return _entry(prefix[i]) if i < len(prefix) else BREAKDOWN_ENTRY
+        return _read(*self._locate(key))
 
     def __setitem__(self, key, entry):
         prefix, i = self._locate(key)
@@ -100,8 +102,7 @@ class TableEntries(MutableMapping):
         prefix[i] = entry.value if entry.ok else None
 
     def __delitem__(self, key):
-        self._locate(key)
-        raise TypeError(f"cell {key} cannot be deleted from a table")
+        raise TypeError("a table's cells cannot be deleted")
 
     def __iter__(self):
         start = self._table.start_label
@@ -159,9 +160,16 @@ class TransformTable:
     def entries(self):
         return TableEntries(self)
 
+    def _cell(self, k, n):
+        """(prefix, index) of the cell (k, n) in its column, or None where the table has none."""
+        column = self.columns.get(k)
+        i = index(n) - self.start_label
+        return (column[0], i) if column is not None and 0 <= i < column[1] else None
+
     def get(self, k, n):
         """Entry at (k, n); out-of-range indices yield UNAVAILABLE."""
-        return self.entries.get((k, n), UNAVAILABLE_ENTRY)
+        cell = self._cell(k, n)
+        return UNAVAILABLE_ENTRY if cell is None else _read(*cell)
 
     def rows(self):
         return range(self.start_label, self.end_label + 1)

@@ -171,8 +171,8 @@ class TestSequence:
         direct, built = Sequence(1, values, mode), Sequence.from_iterable(values, 1, mode)
         assert [(type(v), v) for v in direct.values] == [(type(v), v) for v in built.values]
         for build in (lbq_transform, epsilon_transform, build_lattice):
-            cells = [[(key, e.status, type(e.value), e.value) for key, e in build(s, 2).entries.items()]
-                     for s in (direct, built)]
+            tables = [build(s, 2).entries.items() for s in (direct, built)]
+            cells = [[(key, e.status, type(e.value), e.value) for key, e in t] for t in tables]
             assert cells[0] == cells[1]
 
 
