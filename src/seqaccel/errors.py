@@ -34,4 +34,4 @@ class ModeUnsupportedError(SeqAccelError):
 
 
 class IngestError(SeqAccelError):
-    """A sequence file could not be parsed."""
+    """A sequence file could not be parsed, or a sequence value is not a number its mode can read."""

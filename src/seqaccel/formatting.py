@@ -36,8 +36,12 @@ def format_fixed(value, digits):
     same way; every other value (Fraction, int, mpf, and a non-finite
     float, which raises) is rounded from its integer ratio.
     """
+    if digits < 0:
+        raise ValueError(f"digits must be >= 0, got {digits}")
     if isinstance(value, float) and isfinite(value):
-        text = f"{value:.{digits}f}"
+        # one fixed spec: cheaper than a nested f-string spec, and a float
+        # subclass's own __format__ plays no part
+        text = "%.*f" % (digits, value)
         return text[1:] if text[0] == "-" and not text.strip("-0.") else text
     num, den = integer_ratio(value)
     scale = 10**digits

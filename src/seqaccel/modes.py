@@ -157,7 +157,12 @@ class Rational:
     default_breakdown_threshold = 0
 
     def convert(self, x):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, OverflowError):  # Fraction refuses a NaN or an infinite float
+            if not self.is_finite(x):
+                raise NonFiniteError(f"{value_text(x)} is not finite in rational mode") from None
+            raise
 
     def is_finite(self, x):
         return not isinstance(x, float) or math.isfinite(x)

@@ -132,18 +132,31 @@ def rhombus(carry, factors, subtract, mode):
     """New column ``carry[i+1] -/+ 1 / prod(f[i] for f in factors)``.
 
     ``factors`` are columns from :func:`differences`.  The new column is
-    as long as the shortest of ``carry[1:]`` and the factors.
+    as long as the shortest of ``carry[1:]`` and the factors.  The last
+    factor is multiplied in the same pass as the reciprocal and the sum,
+    as in :func:`mpf_rhombus`.
     """
     prod = factors[0]
-    for f in factors[1:]:
+    for f in factors[1:-1]:
         prod = [None if p is None or d is None else p * d for p, d in zip(prod, f)]
-    if isinstance(mode, Float64):
-        return [None if c is None or p is None or not p
-                or not isfinite(r := c - 1 / p if subtract else c + 1 / p) else r
+    float64 = isinstance(mode, Float64)
+    if len(factors) == 1:
+        # a single factor from differences is never zero
+        if float64:
+            return [None if c is None or p is None
+                    or not isfinite(r := c - 1 / p if subtract else c + 1 / p) else r
+                    for c, p in zip(carry[1:], prod)]
+        return [None if c is None or p is None else c - 1 / p if subtract else c + 1 / p
                 for c, p in zip(carry[1:], prod)]
+    if float64:
+        # a float64 product of nonzero factors can underflow to zero
+        return [None if c is None or p is None or d is None or not (q := p * d)
+                or not isfinite(r := c - 1 / q if subtract else c + 1 / q) else r
+                for c, p, d in zip(carry[1:], prod, factors[-1])]
     # exact mode: a product of nonzero factors is nonzero
-    return [None if c is None or p is None else c - 1 / p if subtract else c + 1 / p
-            for c, p in zip(carry[1:], prod)]
+    return [None if c is None or p is None or d is None
+            else c - 1 / (p * d) if subtract else c + 1 / (p * d)
+            for c, p, d in zip(carry[1:], prod, factors[-1])]
 
 
 def mpf_rhombus(carry, factors, subtract, prec):

@@ -4,8 +4,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptyInputError, NonFiniteError, WindowError
+from .errors import EmptyInputError, IngestError, NonFiniteError, WindowError
 from .modes import FLOAT64, value_text
+
+
+def _convert(mode, n, x):
+    """``mode.convert(x)`` for S_n, or an IngestError naming S_n where the mode cannot read ``x``."""
+    try:
+        return mode.convert(x)
+    except (TypeError, ValueError):
+        raise IngestError(f"S_{n} = {value_text(x)} is not a number in {mode.name} mode") from None
 
 
 @dataclass(frozen=True)
@@ -17,7 +25,10 @@ class Sequence:
     value must be finite in the mode (:class:`NonFiniteError` otherwise),
     and a value that is not of the mode's ``value_type`` (float, mpf or
     Fraction) is stored converted by the mode, so that every engine sees
-    the mode's own numbers and exact mode's arithmetic stays exact.
+    the mode's own numbers and exact mode's arithmetic stays exact.  A
+    value the mode cannot read, such as ``"abc"``, is an
+    :class:`IngestError`; a string it can read is converted like any
+    other value, so a direct build equals :meth:`from_iterable`.
     """
 
     start_label: int
@@ -27,17 +38,24 @@ class Sequence:
     def __post_init__(self):
         if len(self.values) == 0:
             raise EmptyInputError("sequence must contain at least one element")
-        values = tuple(self.values)
-        for n, v in enumerate(values, self.start_label):
-            if not self.mode.is_finite(v):
-                raise NonFiniteError(f"S_{n} = {value_text(v)} is not finite in {self.mode.name} mode")
-        kind, convert = self.mode.value_type, self.mode.convert
-        values = tuple(v if type(v) is kind else convert(v) for v in values)
-        object.__setattr__(self, "values", values)
+        mode = self.mode
+        kind, is_finite = mode.value_type, mode.is_finite
+        values = []
+        for n, v in enumerate(self.values, self.start_label):
+            try:
+                finite = is_finite(v)
+            except TypeError:  # not a real number, such as a str: the mode reads it first
+                v = _convert(mode, n, v)
+                finite = is_finite(v)
+            if not finite:
+                raise NonFiniteError(f"S_{n} = {value_text(v)} is not finite in {mode.name} mode")
+            values.append(v if type(v) is kind else _convert(mode, n, v))
+        object.__setattr__(self, "values", tuple(values))
 
     @classmethod
     def from_iterable(cls, items, start_label=0, mode=FLOAT64):
-        return cls(start_label, tuple(mode.convert(x) for x in items), mode)
+        return cls(start_label,
+                   tuple(_convert(mode, n, x) for n, x in enumerate(items, start_label)), mode)
 
     @property
     def end_label(self):

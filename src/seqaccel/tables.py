@@ -14,7 +14,11 @@ a table makes no object per cell.
 {(k, n): TransformEntry} over the columns, in column order and label
 order within a column.  A ``TransformEntry`` is made only when a VALID
 cell is read; every BREAKDOWN cell reads as the one shared
-``BREAKDOWN_ENTRY``.  Readers of every cell's value, such as the error
+``BREAKDOWN_ENTRY``.  An entry stores ``ok`` beside its value and
+status, so reading it is a slot read.  Iterating ``values()`` or
+``items()`` builds the VALID entries of one column at a time in bulk,
+through C-level ``map``s over the slot descriptors, so no Python code
+runs per VALID cell.  Readers of every cell's value, such as the error
 table and the CLI, take :meth:`TransformTable.cells`, which reads the
 columns without an entry per cell.
 """
@@ -22,10 +26,11 @@ columns without an entry per cell.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from collections.abc import ItemsView, MutableMapping, ValuesView
-from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import index
+from dataclasses import dataclass, field
+from itertools import chain, compress, count, repeat
+from operator import index, is_
 
 
 class Status(enum.Enum):
@@ -35,7 +40,7 @@ class Status(enum.Enum):
 
 
 # Reading a member off an Enum class (Status.VALID) is a slow attribute
-# lookup; ``ok``, which readers call per cell, reads this module constant.
+# lookup; an entry's stored ``ok`` and the bulk build read this module constant.
 _VALID = Status.VALID
 
 
@@ -43,15 +48,21 @@ _VALID = Status.VALID
 class TransformEntry:
     value: object = None
     status: Status = Status.VALID
+    # stored, not a property: readers test it once per cell
+    ok: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _set_ok(self, self.status is _VALID)
 
     @classmethod
     def valid(cls, value):
         return cls(value, Status.VALID)
 
-    @property
-    def ok(self):
-        return self.status is _VALID
 
+# the slot descriptors set a field of a frozen entry without its __setattr__
+_set_value = TransformEntry.value.__set__
+_set_status = TransformEntry.status.__set__
+_set_ok = TransformEntry.ok.__set__
 
 UNAVAILABLE_ENTRY = TransformEntry(None, Status.UNAVAILABLE)
 BREAKDOWN_ENTRY = TransformEntry(None, Status.BREAKDOWN)
@@ -60,6 +71,23 @@ BREAKDOWN_ENTRY = TransformEntry(None, Status.BREAKDOWN)
 def _entry(value):
     """The entry of a prefix cell holding ``value``."""
     return BREAKDOWN_ENTRY if value is None else TransformEntry(value)
+
+
+def _prefix_entries(prefix):
+    """[_entry(v) for v in prefix], built without a Python call per VALID cell.
+
+    Each cell gets a bare entry filled through the slot descriptors by
+    C-level maps; only the ``None`` cells are then visited, to put the
+    shared ``BREAKDOWN_ENTRY`` in their place.
+    """
+    entries = list(map(object.__new__, repeat(TransformEntry, len(prefix))))
+    consume = deque(maxlen=0).extend
+    consume(map(_set_value, entries, prefix))
+    consume(map(_set_status, entries, repeat(_VALID)))
+    consume(map(_set_ok, entries, repeat(True)))
+    for i in compress(count(), map(is_, prefix, repeat(None))):
+        entries[i] = BREAKDOWN_ENTRY
+    return entries
 
 
 def _read(prefix, i):
@@ -123,9 +151,9 @@ class _Values(ValuesView):
     __slots__ = ()
 
     def __iter__(self):
-        # an entry per prefix cell read, and the shared BREAKDOWN_ENTRY past the prefix
+        # one column's entries at a time, and the shared BREAKDOWN_ENTRY past the prefix
         return chain.from_iterable(
-            chain(map(_entry, prefix), repeat(BREAKDOWN_ENTRY, length - len(prefix)))
+            chain(_prefix_entries(prefix), repeat(BREAKDOWN_ENTRY, length - len(prefix)))
             for prefix, length in self._mapping._table.columns.values())
 
 

@@ -33,6 +33,13 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+class Reformatted(float):
+    """A float subclass with its own format(), which format_fixed must not use."""
+
+    def __format__(self, spec):
+        return "reformatted"
+
+
 def fraction_rounding(value, digits):
     """``value`` to ``digits`` places: its exact Fraction, rounded half to even."""
     exact = Fraction(float(value)) if isinstance(value, mpmath.mpf) else Fraction(value)
@@ -67,6 +74,8 @@ class TestFormatting:
                     st.floats(-1e-300, 1e-300),
                     st.fractions(max_denominator=10**6),
                     st.floats(-1e6, 1e6).map(mpmath.mpf),
+                    st.floats(allow_nan=False, allow_infinity=False).map(Reformatted),
+                    st.booleans(),
                 ),
                 st.integers(0, 20),
             ),
@@ -98,6 +107,11 @@ class TestFormatting:
         assert got == fraction_rounding(value, digits)
         if want is not None:
             assert got == want
+
+    @pytest.mark.parametrize("value", [1.25, Fraction(1, 3), 7, mpmath.mpf(2)])
+    def test_negative_digits_raise(self, value):
+        with pytest.raises(ValueError, match="digits must be >= 0"):
+            format_fixed(value, -1)
 
     @pytest.mark.parametrize("value, error", [
         (math.inf, OverflowError), (-math.inf, OverflowError), (math.nan, ValueError)])

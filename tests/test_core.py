@@ -1,5 +1,6 @@
 """Scalar modes, sequences, differences, and table containers."""
 
+import dataclasses
 import gc
 import math
 from dataclasses import FrozenInstanceError
@@ -17,6 +18,7 @@ from seqaccel import (
     BigFloat,
     EmptyInputError,
     GeneratorSpec,
+    IngestError,
     NonFiniteError,
     Sequence,
     Status,
@@ -175,6 +177,27 @@ class TestSequence:
             cells = [[(key, e.status, type(e.value), e.value) for key, e in t] for t in tables]
             assert cells[0] == cells[1]
 
+    @pytest.mark.parametrize("mode", [FLOAT64, BigFloat(64), RATIONAL], ids=lambda m: m.name)
+    def test_direct_build_reads_strings_as_from_iterable(self, mode):
+        values = ("1.5", 2.0, "-3e-2", Fraction(1, 4), 7)
+        direct, built = Sequence(1, values, mode), Sequence.from_iterable(values, 1, mode)
+        assert [(type(v), v) for v in direct.values] == [(type(v), v) for v in built.values]
+        assert all(type(v) is mode.value_type for v in direct.values)
+        assert direct.values == tuple(mode.convert(v) for v in values)
+
+    @pytest.mark.parametrize("build", [Sequence, lambda n, v, m: Sequence.from_iterable(v, n, m)],
+                             ids=["direct", "from_iterable"])
+    @pytest.mark.parametrize("mode", [FLOAT64, BigFloat(64), RATIONAL], ids=lambda m: m.name)
+    @pytest.mark.parametrize("bad, text", [("abc", "'abc'"), (None, "None"), (1j, "1j")])
+    def test_unreadable_value_names_label_and_value(self, build, mode, bad, text):
+        with pytest.raises(IngestError, match=rf"^S_5 = {text} is not a number in {mode.name} mode$"):
+            build(3, (1.0, 2.0, bad, 4.0), mode)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_in_rational_from_iterable(self, bad):
+        with pytest.raises(NonFiniteError, match="is not finite in rational mode"):
+            Sequence.from_iterable([1.0, bad], 0, RATIONAL)
+
 
 class TestForwardDifference:
     def test_order_zero_is_identity(self):
@@ -223,26 +246,59 @@ class TestTransformTable:
         assert table.get(5, 0).status is Status.UNAVAILABLE
 
     def test_entries_equal_constructed_ones(self):
-        # 1e-310 makes the engines break down on product underflow and overflow
+        # 1e-310 makes the engines break down on product underflow and overflow;
+        # a constant stretch gives interior BREAKDOWN cells in every mode
+        stretch = ([Fraction(1, n) for n in range(1, 9)] + [Fraction(1, 8)] * 4
+                   + [Fraction(1, 9), Fraction(1, 10)])
         seqs = [generate(GeneratorSpec("alt_harmonic", 40))[0],
                 Sequence.from_iterable([1e-310 * (1 + 0.5**n) for n in range(16)], 0, FLOAT64),
+                Sequence.from_iterable(stretch, 0, FLOAT64),
+                Sequence.from_iterable(stretch, 0, BigFloat(128)),
+                seq_of(stretch),
                 seq_of([Fraction(1, n) for n in range(1, 12)] + [Fraction(1)] * 3)]
         for seq in seqs:
-            entries = [*lbq_transform(seq, 4).entries.values(),
-                       *epsilon_transform(seq, 5).entries.values()]
-            entries += build_lattice(seq, 4).entries.values()
+            tables = [lbq_transform(seq, 4), epsilon_transform(seq, 5), build_lattice(seq, 4)]
+            entries = [e for t in tables for e in t.entries.values()]
+            assert [e for t in tables for _, e in t.entries.items()] == entries
             assert {e.status for e in entries} == {Status.VALID, Status.BREAKDOWN}
             for entry in entries:
                 if entry.status is Status.BREAKDOWN:
                     assert entry is BREAKDOWN_ENTRY
                     continue
                 built = TransformEntry(entry.value)
-                assert entry == built and hash(entry) == hash(built)
-                assert type(entry) is TransformEntry and entry.ok
-                with pytest.raises(FrozenInstanceError):
-                    entry.value = 0
-                with pytest.raises(FrozenInstanceError):
-                    entry.status = Status.BREAKDOWN
+                assert entry == built and hash(entry) == hash(built) and repr(entry) == repr(built)
+                assert type(entry) is TransformEntry and entry.ok is built.ok is True
+                assert entry.value is built.value and entry.status is built.status
+                for field in ("value", "status", "ok"):
+                    with pytest.raises(FrozenInstanceError):
+                        setattr(entry, field, None)
+        # an interior None cell of a live prefix reads as BREAKDOWN_ENTRY itself
+        for mode in (FLOAT64, BigFloat(128), RATIONAL):
+            table = epsilon_transform(Sequence.from_iterable(stretch, 0, mode), 5)
+            interior = [(k, n) for k, (prefix, _) in table.columns.items()
+                        for n, v in enumerate(prefix) if v is None]
+            assert interior
+            values = list(table.entries.values())
+            items = dict(table.entries.items())
+            for key in interior:
+                assert items[key] is BREAKDOWN_ENTRY
+                assert values[list(table.entries).index(key)] is BREAKDOWN_ENTRY
+
+    def test_ok_is_stored_from_the_status(self):
+        assert TransformEntry(1.5).ok is TransformEntry.valid(1.5).ok is True
+        assert TransformEntry(None, Status.BREAKDOWN).ok is False
+        assert TransformEntry(None, Status.UNAVAILABLE).ok is False
+        assert BREAKDOWN_ENTRY.ok is UNAVAILABLE_ENTRY.ok is False
+        entry = TransformEntry(Fraction(1, 3))
+        with pytest.raises(FrozenInstanceError):
+            entry.ok = False
+        assert dataclasses.replace(entry, status=Status.BREAKDOWN).ok is False
+        assert dataclasses.replace(BREAKDOWN_ENTRY, value=2.0, status=Status.VALID).ok is True
+        # ok is derived: it takes no part in the constructor, ==, hash or repr
+        with pytest.raises(TypeError):
+            TransformEntry(1.5, Status.VALID, False)
+        assert "ok" not in repr(entry)
+        assert hash(entry) == hash((Fraction(1, 3), Status.VALID))
 
     @staticmethod
     def breakdown_table():
