@@ -8,14 +8,13 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from fractions import Fraction
 
 from . import analysis, oracle, seqgen
 from .epsilon import epsilon_transform
 from .errors import SeqAccelError, SpecError
 from .formatting import format_exact, format_fixed
 from .lbq import lbq_transform
-from .modes import mode_from_name
+from .modes import RATIONAL, mode_from_name
 from .tables import Status
 
 
@@ -92,7 +91,7 @@ def _get_mode(args):
 def _get_threshold(args, mode):
     if args.breakdown_threshold is None:
         return None
-    return mode.convert(Fraction(args.breakdown_threshold))
+    return mode.convert(RATIONAL.parse(args.breakdown_threshold))
 
 
 def _load_sequence(args, mode):
@@ -106,7 +105,7 @@ def _load_sequence(args, mode):
         limit = None
     elif args.family is not None:
         start = seqgen.first_label(args.family) if args.start is None else args.start
-        z = Fraction(args.z) if args.z is not None else None
+        z = RATIONAL.parse(args.z) if args.z is not None else None
         spec = seqgen.GeneratorSpec(args.family, args.count, start, mode, z=z, s=args.s)
         seq, limit = seqgen.generate(spec)
     else:

@@ -21,5 +21,5 @@ def epsilon_transform(seq, max_order, breakdown_threshold=None):
     """TransformTable of eps_{2k}^(n) for k = 0..max_order."""
     # driver column m is eps_{m-2}
     seeds = ([seq.mode.convert(0)] * len(seq), list(seq.values))
-    columns = fill(seq, seeds, max_order, False, breakdown_threshold, lambda m: m % 2 == 0)
+    columns = fill(seq, seeds, max_order, breakdown_threshold, lambda m: m % 2 == 0)
     return TransformTable.from_columns({m // 2 - 1: c for m, c in columns.items()}, seq)

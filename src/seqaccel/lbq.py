@@ -28,7 +28,7 @@ def _levels(seq, max_order, threshold, keep):
     seeds = ([mode.convert(0)] * len(seq),
              [mode.convert(n) for n in seq.labels()],
              list(seq.values))
-    return fill(seq, seeds, max_order, True, threshold, keep)
+    return fill(seq, seeds, max_order, threshold, keep)
 
 
 def build_lattice(seq, max_order, breakdown_threshold=None):

@@ -29,7 +29,10 @@ from .errors import ModeUnsupportedError, NonFiniteError
 
 def _parse_number(text):
     """Parse a decimal literal or a p/q fraction string to a Fraction."""
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"{text.strip()} has a zero denominator") from None
 
 
 def value_text(x):
@@ -60,10 +63,7 @@ class Float64:
             raise NonFiniteError(f"{value_text(x)} is beyond the float64 range") from None
 
     def is_finite(self, x):
-        try:
-            return math.isfinite(x)
-        except OverflowError:  # an int beyond the float range
-            return False
+        return math.isfinite(x)
 
     def parse(self, text):
         try:

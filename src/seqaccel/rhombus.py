@@ -5,11 +5,13 @@ Both engines build each new column from the columns at labels n and n+1:
     new[i] = carry[i+1] - 1 / (dtop[i] * dmid[i])    (lattice)
     new[i] = carry[i+1] + 1 / dcur[i]                (epsilon)
 
-where d[i] = f[i+1] - f[i] is a difference factor.  Columns are plain
-lists indexed from the first label, and ``None`` marks a BREAKDOWN
-cell.  A factor d = b - a breaks down when it is zero (exact mode) or
-negligibly small against its operands (float modes): |d| < t·max(|a|, |b|)
-for the breakdown threshold t.  Every cell that depends on a BREAKDOWN
+where d[i] = f[i+1] - f[i] is a difference factor, so the number of
+factors names the rule: two subtract the reciprocal of their product,
+one adds its reciprocal.  Columns are plain lists indexed from the first
+label, and ``None`` marks a BREAKDOWN cell.  A factor d = b - a breaks
+down when it is zero (exact mode) or negligibly small against its
+operands (float modes): |d| < t·max(|a|, |b|) for the breakdown
+threshold t.  Every cell that depends on a BREAKDOWN
 cell breaks down too.  In float64 a cell also breaks down when its
 factor product underflows to zero or its result is not finite; mpmath
 exponents are unbounded, so bigfloat needs no such check.
@@ -128,59 +130,51 @@ def mpf_differences(col, prec, threshold):
     return out
 
 
-def rhombus(carry, factors, subtract, mode):
-    """New column ``carry[i+1] -/+ 1 / prod(f[i] for f in factors)``.
+def rhombus(carry, factors, mode):
+    """New column by the rule the factors name: ``c + 1/d`` from one, ``c - 1/(p·d)`` from two.
 
-    ``factors`` are columns from :func:`differences`.  The new column is
-    as long as the shortest of ``carry[1:]`` and the factors.  The last
-    factor is multiplied in the same pass as the reciprocal and the sum,
-    as in :func:`mpf_rhombus`.
+    Cell i takes c = carry[i+1] and p, d from cell i of the ``factors``,
+    columns from :func:`differences`.  The new column is as long as the
+    shortest of ``carry[1:]`` and the factors.  The product is formed in
+    the same pass as the reciprocal and the sum, as in :func:`mpf_rhombus`.
     """
-    prod = factors[0]
-    for f in factors[1:-1]:
-        prod = [None if p is None or d is None else p * d for p, d in zip(prod, f)]
     float64 = isinstance(mode, Float64)
     if len(factors) == 1:
         # a single factor from differences is never zero
         if float64:
-            return [None if c is None or p is None
-                    or not isfinite(r := c - 1 / p if subtract else c + 1 / p) else r
-                    for c, p in zip(carry[1:], prod)]
-        return [None if c is None or p is None else c - 1 / p if subtract else c + 1 / p
-                for c, p in zip(carry[1:], prod)]
+            return [None if c is None or d is None or not isfinite(r := c + 1 / d) else r
+                    for c, d in zip(carry[1:], factors[0])]
+        return [None if c is None or d is None else c + 1 / d
+                for c, d in zip(carry[1:], factors[0])]
+    top, mid = factors
     if float64:
         # a float64 product of nonzero factors can underflow to zero
         return [None if c is None or p is None or d is None or not (q := p * d)
-                or not isfinite(r := c - 1 / q if subtract else c + 1 / q) else r
-                for c, p, d in zip(carry[1:], prod, factors[-1])]
+                or not isfinite(r := c - 1 / q) else r
+                for c, p, d in zip(carry[1:], top, mid)]
     # exact mode: a product of nonzero factors is nonzero
-    return [None if c is None or p is None or d is None
-            else c - 1 / (p * d) if subtract else c + 1 / (p * d)
-            for c, p, d in zip(carry[1:], prod, factors[-1])]
+    return [None if c is None or p is None or d is None else c - 1 / (p * d)
+            for c, p, d in zip(carry[1:], top, mid)]
 
 
-def mpf_rhombus(carry, factors, subtract, prec):
+def mpf_rhombus(carry, factors, prec):
     """:func:`rhombus` of bigfloat ``_mpf_`` tuple columns, rounded to nearest at ``prec`` bits.
 
-    ``factors`` are columns from :func:`mpf_differences`.  The last
-    factor is multiplied in the same pass as the reciprocal and the sum.
-    A product of nonzero factors is nonzero and mpmath exponents are
-    unbounded, so no cell needs a further check.
+    ``factors`` are columns from :func:`mpf_differences`, one (epsilon) or
+    two (lattice) as for :func:`rhombus`.  A product of nonzero factors is
+    nonzero and mpmath exponents are unbounded, so no cell needs a
+    further check.
     """
-    # c - 1/p is c + (-1)/p: rounding to nearest is symmetric in the sign
-    one = -1 if subtract else 1
-    prod = factors[0]
-    for f in factors[1:-1]:
-        prod = [None if p is None or d is None else mpf_mul(p, d, prec, round_nearest)
-                for p, d in zip(prod, f)]
     if len(factors) == 1:
-        return [None if c is None or p is None
-                else mpf_add(c, mpf_rdiv_int(one, p, prec, round_nearest), prec, round_nearest)
-                for c, p in zip(carry[1:], prod)]
+        return [None if c is None or d is None
+                else mpf_add(c, mpf_rdiv_int(1, d, prec, round_nearest), prec, round_nearest)
+                for c, d in zip(carry[1:], factors[0])]
+    top, mid = factors
+    # c - 1/q is c + (-1)/q: rounding to nearest is symmetric in the sign
     return [None if c is None or p is None or d is None
-            else mpf_add(c, mpf_rdiv_int(one, mpf_mul(p, d, prec, round_nearest),
+            else mpf_add(c, mpf_rdiv_int(-1, mpf_mul(p, d, prec, round_nearest),
                                          prec, round_nearest), prec, round_nearest)
-            for c, p, d in zip(carry[1:], prod, factors[-1])]
+            for c, p, d in zip(carry[1:], top, mid)]
 
 
 def _mpf_column(col):
@@ -189,14 +183,16 @@ def _mpf_column(col):
     return [None if v is None else make_mpf(v) for v in col]
 
 
-def fill(seq, seeds, max_order, subtract, threshold, keep):
+def fill(seq, seeds, max_order, threshold, keep):
     """{m: (live prefix, nominal length)} for the columns m = 1 .. w (max_order + 1) with keep(m).
 
     The w = len(seeds) seed columns are columns 1 .. w, and each later
     column m is the rhombus of column m-w with the differences of
     columns m-1, m-2, ..., m-w+1, in that order, so one unit of order
-    takes w columns.  Only the w live columns and the differences of
-    all but the oldest are held; each column is differenced once.
+    takes w columns: three seeds run the lattice rule and two Wynn's
+    epsilon rule (:func:`rhombus`).  Only the w live columns and the
+    differences of all but the oldest are held; each column is
+    differenced once.
     A seed column's nominal length is len(seq), column m's (m > w) is
     len(seq) - (m - w) (0 when that is negative), and the cells past its
     live prefix, which ends in a VALID cell or is empty, are BREAKDOWN.
@@ -223,14 +219,14 @@ def fill(seq, seeds, max_order, subtract, threshold, keep):
         # unwrapped here once, and only the kept columns are wrapped again
         diff, step, arith = mpf_differences, mpf_rhombus, mode.precision_bits
         threshold = threshold._mpf_
-        live = [[None if v is None else v._mpf_ for v in c] for c in seeds]
+        live = [[v._mpf_ for v in c] for c in seeds]
     else:
         diff, step, arith = differences, rhombus, mode
         live = list(seeds)
     factors = [diff(c, arith, threshold) for c in reversed(live[1:-1])]
     for m in range(width + 1, width * (max_order + 1) + 1):
         factors = [diff(live[-1], arith, threshold)] + factors[:width - 2]
-        new = step(live[0], factors, subtract, arith)
+        new = step(live[0], factors, arith)
         while new and new[-1] is None:
             new.pop()
         if keep(m):

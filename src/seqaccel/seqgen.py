@@ -146,7 +146,7 @@ def ingest(path, fmt="lines", mode=FLOAT64, column=None, start_label=None):
                 continue
             try:
                 values.append(mode.parse(stripped))
-            except (ValueError, ZeroDivisionError) as exc:
+            except ValueError as exc:
                 raise IngestError(f"{path}:{i}: cannot parse {stripped!r}") from exc
         if not values:
             raise IngestError(f"{path}: no values found")
@@ -189,7 +189,7 @@ def _ingest_csv(path, text, mode, column, start_label):
             values.append(mode.parse(row[value_idx]))
             if label_idx is not None:
                 labels.append(int(row[label_idx]))
-        except (ValueError, IndexError, ZeroDivisionError) as exc:
+        except (ValueError, IndexError) as exc:
             raise IngestError(f"{path}:{i}: cannot parse row {row!r}") from exc
     if labels:
         if labels != list(range(labels[0], labels[0] + len(labels))):
@@ -204,9 +204,9 @@ def _ingest_csv(path, text, mode, column, start_label):
 
 def _is_number(text):
     try:
-        Fraction(text.strip())
+        RATIONAL.parse(text)
         return True
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         return False
 
 

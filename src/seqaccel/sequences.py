@@ -8,14 +8,6 @@ from .errors import EmptyInputError, IngestError, NonFiniteError, WindowError
 from .modes import FLOAT64, value_text
 
 
-def _convert(mode, n, x):
-    """``mode.convert(x)`` for S_n, or an IngestError naming S_n where the mode cannot read ``x``."""
-    try:
-        return mode.convert(x)
-    except (TypeError, ValueError):
-        raise IngestError(f"S_{n} = {value_text(x)} is not a number in {mode.name} mode") from None
-
-
 @dataclass(frozen=True)
 class Sequence:
     """A prefix {S_n0, ..., S_{n0+N}} of a sequence, in a single scalar mode.
@@ -39,23 +31,25 @@ class Sequence:
         if len(self.values) == 0:
             raise EmptyInputError("sequence must contain at least one element")
         mode = self.mode
-        kind, is_finite = mode.value_type, mode.is_finite
+        kind, convert, is_finite = mode.value_type, mode.convert, mode.is_finite
         values = []
-        for n, v in enumerate(self.values, self.start_label):
+        for n, x in enumerate(self.values, self.start_label):
             try:
+                v = x if type(x) is kind else convert(x)
                 finite = is_finite(v)
-            except TypeError:  # not a real number, such as a str: the mode reads it first
-                v = _convert(mode, n, v)
-                finite = is_finite(v)
+            except NonFiniteError:  # beyond the mode's range, or NaN or infinite in exact mode
+                finite = False
+            except (TypeError, ValueError):  # not a number the mode can read, such as "abc"
+                raise IngestError(
+                    f"S_{n} = {value_text(x)} is not a number in {mode.name} mode") from None
             if not finite:
-                raise NonFiniteError(f"S_{n} = {value_text(v)} is not finite in {mode.name} mode")
-            values.append(v if type(v) is kind else _convert(mode, n, v))
+                raise NonFiniteError(f"S_{n} = {value_text(x)} is not finite in {mode.name} mode")
+            values.append(v)
         object.__setattr__(self, "values", tuple(values))
 
     @classmethod
     def from_iterable(cls, items, start_label=0, mode=FLOAT64):
-        return cls(start_label,
-                   tuple(_convert(mode, n, x) for n, x in enumerate(items, start_label)), mode)
+        return cls(start_label, tuple(items), mode)
 
     @property
     def end_label(self):

@@ -395,6 +395,27 @@ class TestErrors:
         assert code == 1 and out == ""
         assert err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize("argv", [
+        ("transform", "--family", "geometric", "--z", "1/0"),
+        ("compare", "--family", "alt_harmonic", "--limit", "1/0"),
+        ("transform", "--family", "alt_harmonic", "--breakdown-threshold", "1/0"),
+    ], ids=["z", "limit", "breakdown_threshold"])
+    def test_zero_denominator_option_is_a_clean_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--count", "8")
+        assert code == 1 and out == ""
+        assert err == "error: 1/0 has a zero denominator\n"
+
+    @pytest.mark.parametrize("fmt, text, line", [
+        ("lines", "1\n1/0\n", 2),
+        ("csv", "n,v\n1,1\n2,1/0\n", 3),
+    ], ids=["lines", "csv"])
+    def test_zero_denominator_in_a_file_names_its_line(self, capsys, tmp_path, fmt, text, line):
+        p = tmp_path / "zero.txt"
+        p.write_text(text)
+        code, out, err = run(capsys, "transform", "--input", str(p), "--format", fmt)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {p}:{line}: cannot parse")
+
     def test_float64_threshold_overflow_is_a_clean_error(self, capsys):
         code, out, err = run(capsys, "transform", "--family", "alt_harmonic", "--count", "8",
                              "--breakdown-threshold", "1e400")

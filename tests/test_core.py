@@ -112,6 +112,15 @@ class TestModes:
         assert lbq_transform(seq, 5).get(2, 3).status is Status.BREAKDOWN
 
 
+# (mode, value, its text): each value is not finite in its mode
+NON_FINITE = [
+    (FLOAT64, 10**400, "~1e400"),
+    (FLOAT64, Fraction(-10**401, 7), "~-1e400"),
+    *[(mode, bad, text) for mode in (FLOAT64, BigFloat(64), RATIONAL)
+      for bad, text in ((math.nan, "nan"), (math.inf, "inf"))],
+]
+
+
 class TestSequence:
     def test_label_lookup(self):
         s = seq_of([1, 2, 3], start=5)
@@ -140,10 +149,20 @@ class TestSequence:
             Sequence(0, (10**400,), FLOAT64)
 
     def test_int_beyond_float64_converts_to_a_clean_error(self):
-        with pytest.raises(NonFiniteError, match=r"~1e400 is beyond the float64 range"):
+        with pytest.raises(NonFiniteError, match=r"^S_1 = ~1e400 is not finite in float64 mode$"):
             Sequence.from_iterable([1, 10**400], 0, FLOAT64)
-        with pytest.raises(NonFiniteError, match=r"~-1e400 is beyond the float64 range"):
+        with pytest.raises(NonFiniteError, match=r"^S_0 = ~-1e400 is not finite in float64 mode$"):
             Sequence.from_iterable([Fraction(-10**401, 7)], 0, FLOAT64)
+
+    @pytest.mark.parametrize("mode, bad, text", NON_FINITE,
+                             ids=[f"{mode.name}-{text}" for mode, _, text in NON_FINITE])
+    def test_non_finite_value_has_one_message_on_both_builds(self, mode, bad, text):
+        messages = []
+        for build in (Sequence, lambda n, v, m: Sequence.from_iterable(v, n, m)):
+            with pytest.raises(NonFiniteError) as info:
+                build(3, (1.0, bad, 2.0), mode)
+            messages.append(str(info.value))
+        assert messages == [f"S_4 = {text} is not finite in {mode.name} mode"] * 2
 
     def test_huge_int_named_by_magnitude(self):
         # repr of an int over 4,300 digits raises ValueError in Python 3.11

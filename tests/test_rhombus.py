@@ -211,18 +211,50 @@ class TestFloat64Breakdown:
         assert any(e.status is Status.BREAKDOWN for e in table.entries.values())
 
     def test_product_underflow_breaks_down(self):
-        assert rhombus([0.0, 1.0], ([1e-200], [1e-200]), True, FLOAT64) == [None]
+        assert rhombus([0.0, 1.0], ([1e-200], [1e-200]), FLOAT64) == [None]
 
     def test_reciprocal_overflow_breaks_down(self):
-        assert rhombus([0.0, 1.0], ([1e-310],), False, FLOAT64) == [None]
+        assert rhombus([0.0, 1.0], ([1e-310],), FLOAT64) == [None]
 
     def test_bigfloat_has_no_exponent_bound(self):
         mode = BigFloat(128)
         with mode.context():
             tiny = mpmath.mpf("1e-200")._mpf_
-        (cell,) = mpf_rhombus([fzero, from_int(1)], ([tiny], [tiny]), True, mode.precision_bits)
+        (cell,) = mpf_rhombus([fzero, from_int(1)], ([tiny], [tiny]), mode.precision_bits)
         cell = mpmath.mp.make_mpf(cell)
         assert mpmath.isfinite(cell) and cell < -mpmath.mpf(10) ** 399
+
+
+RULE_BITS = 64
+# a carry value c and factor values p, d in each kernel's numbers
+RULE_VALUES = {
+    "float64": (0.7, 0.3, -1.1),
+    "rational": (Fraction(2, 3), Fraction(-5, 7), Fraction(3, 11)),
+    "mpf": (mpmath.mpf(1) / 3, mpmath.mpf(0.3), -mpmath.mpf(11) / 7),
+}
+
+
+@pytest.mark.parametrize("kernel", ["float64", "rational", "mpf"])
+@pytest.mark.parametrize("width, rule", [
+    (1, lambda c, p, d: c + 1 / d),
+    (2, lambda c, p, d: c - 1 / (p * d)),
+], ids=["one_factor_adds", "two_factors_subtract"])
+def test_the_number_of_factors_names_the_rule(kernel, width, rule):
+    c, p, d = RULE_VALUES[kernel]
+    # cell 0 has no c, cell 1 no p, cell 2 no d, cell 3 all three
+    carry, top, mid = [c, None, c, c, c], [p, None, p, p], [d, d, None, d]
+    factors = (mid,) if width == 1 else (top, mid)
+    with mpmath.workprec(RULE_BITS):
+        r = rule(c, p, d)
+    want = [None, r, None, r] if width == 1 else [None, None, None, r]
+    if kernel == "mpf":
+        def tuples(col):
+            return [None if v is None else v._mpf_ for v in col]
+        got = mpf_rhombus(tuples(carry), [tuples(f) for f in factors], RULE_BITS)
+        assert got == tuples(want)
+    else:
+        got = rhombus(carry, factors, FLOAT64 if kernel == "float64" else RATIONAL)
+        assert len(got) == len(want) and all(g is w or same(g, w) for g, w in zip(got, want))
 
 
 def mpf_of(sign, man, exp):
@@ -376,14 +408,15 @@ class TestLivePrefix:
             for ambient in (bits, 53, 2000):
                 assert_live_prefix_tables(seq, 7, mpmath.mpf, threshold, mpmath.workprec(ambient))
 
-    @pytest.mark.parametrize("subtract", [True, False])
-    def test_fill_returns_live_prefixes_and_nominal_lengths(self, subtract):
+    @pytest.mark.parametrize("seeds_of", [
+        lambda seq: ([0.0] * len(seq), [float(n) for n in seq.labels()], list(seq.values)),
+        lambda seq: ([0.0] * len(seq), list(seq.values)),
+    ], ids=["lattice", "epsilon"])
+    def test_fill_returns_live_prefixes_and_nominal_lengths(self, seeds_of):
         seq, _ = generate(GeneratorSpec("alt_harmonic", 300, 1))
-        zeros, values = [0.0] * len(seq), list(seq.values)
-        # the lattice's and the epsilon engine's seed columns
-        seeds = (zeros, [float(n) for n in seq.labels()], values) if subtract else (zeros, values)
+        seeds = seeds_of(seq)
         width = len(seeds)
-        columns = fill(seq, seeds, 40, subtract, None, lambda m: True)
+        columns = fill(seq, seeds, 40, None, lambda m: True)
         assert sorted(columns) == list(range(1, width * 41 + 1))
         for m, (prefix, length) in columns.items():
             assert length == len(seq) - max(m - width, 0)
