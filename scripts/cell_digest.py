@@ -24,7 +24,14 @@ The corpus:
     and 1 for every breakdown threshold;
   * the float64 ``alt_harmonic`` N=1000, K=50 tables of the benchmark
     from the start labels 1, 7 and 16;
-  * rational sequences that end in a constant tail.
+  * rational sequences that end in a constant tail;
+  * the ``oracle_transform`` table of ``alt_harmonic`` at N=60, K=19 in
+    rational and float64 mode;
+  * seeded random rational sequences and one with a constant tail (its
+    leading minors vanish), each digested as its ``molecule_solution``
+    F and G up to level k+3, in key order, and its ``check_bilinear``
+    report up to order k: the residuals, ``checked`` and
+    ``zero_f_cells``.
 """
 
 import hashlib
@@ -42,9 +49,12 @@ from seqaccel import (
     build_lattice,
     epsilon_transform,
     generate,
+    check_bilinear,
     lbq_transform,
+    molecule_solution,
 )
 from seqaccel.oracle import oracle_transform
+from seqaccel.seqgen import random_rational_sequence
 
 PAPER = (("archimedes_pi", 13, 4), ("alt_harmonic", 18, 5), ("zeta2", 26, 7))
 THRESHOLDS = (("default", None), ("1e-30", 1e-30), ("0", 0), ("2^-40", 2.0**-40), ("1e-3", 1e-3))
@@ -71,6 +81,19 @@ def digest(seq, max_order, threshold=None, builds=ENGINES):
                  for e in table.entries.values()]
         h.update(f"{build.__name__} {table.start_label} {table.end_label}\n"
                  f"{list(table.entries)}\n{cells}\n".encode())
+    return h.hexdigest()
+
+
+def exact_digest(seq, k_max):
+    """SHA-256 of the molecule solution and the bilinear report of ``seq`` up to ``k_max``, in hex."""
+    mol = molecule_solution(seq, k_max + 3)
+    report = check_bilinear(seq, k_max)
+    h = hashlib.sha256()
+    h.update(f"molecule_solution {list(mol.F)}\n{list(map(value_text, mol.F.values()))}\n"
+             f"{list(mol.G)}\n{list(map(value_text, mol.G.values()))}\n".encode())
+    h.update(f"check_bilinear {report.checked} {report.zero_f_cells}\n".encode())
+    for name, residuals in report.residuals.items():
+        h.update(f"{name} {list(residuals)}\n{list(map(value_text, residuals.values()))}\n".encode())
     return h.hexdigest()
 
 
@@ -115,11 +138,25 @@ def cases():
                5, None, ENGINES)
     for case, mode in paper:
         yield paper_case(*case, mode, oracle=True)
+    for mode in (RATIONAL, FLOAT64):
+        seq, _ = generate(GeneratorSpec("alt_harmonic", 60, 1, mode))
+        yield f"oracle alt_harmonic 60 19 {mode.name}", seq, 19, None, (oracle_transform,)
+
+
+def exact_cases():
+    """(name, sequence, k_max) for each molecule and bilinear case of the corpus."""
+    rng = random.Random(20110712)
+    for i, (length, k_max) in enumerate(((12, 3), (14, 9), (14, 9), (16, 11))):
+        yield f"exact random {i}", random_rational_sequence(rng, length, i % 3), k_max
+    values = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(7)] + [Fraction(5, 2)] * 7
+    yield "exact constant tail", Sequence.from_iterable(values, 0, RATIONAL), 9
 
 
 def digests():
     """{case name: digest} over the corpus, in corpus order."""
-    return {name: digest(seq, k, threshold, builds) for name, seq, k, threshold, builds in cases()}
+    out = {name: digest(seq, k, threshold, builds) for name, seq, k, threshold, builds in cases()}
+    out.update((name, exact_digest(seq, k_max)) for name, seq, k_max in exact_cases())
+    return out
 
 
 def main():
