@@ -8,14 +8,20 @@ identities are verified as residuals.
 
 The oracle is exact in every mode.  Each value of S is read exactly (a
 float or mpf is a dyadic rational) and S is scaled by the least common
-denominator of its values, so the one table of forward differences that
-a call builds holds integers.  Every determinant row is a slice of that
-table, and every determinant is one integer Bareiss elimination divided
-by scale**r (r the number of difference rows): one Fraction per
-determinant.  Each public result is rounded to the sequence's mode
-once, at the end, and the T ratio is formed before it is rounded, so a
-float64 T_k^(n) is the correctly rounded transform of its inputs.
-Exact mode returns the Fractions themselves.
+denominator D of its values, so the one table of forward differences
+that a call builds holds integers.  Every determinant row is a slice of
+that table, and every determinant is an integer over a known power of
+D (the number of difference rows).  The work stays in integers until a
+public value is formed, and each public value is one Fraction: a T
+ratio is num / (den * D), G/F and each nonzero bilinear residual are
+one integer over a power of D, and a zero residual is the shared
+Fraction(0).  ``oracle_transform`` takes every order at a label from
+two eliminations without row swaps, numerator and denominator, whose
+pivots are the leading principal minors (Bareiss 1968); from the first
+zero minor on, the rest of that label falls back to one pivoting
+elimination per cell.  Each public result is rounded to the sequence's
+mode once, at the end, so a float64 T_k^(n) is the correctly rounded
+transform of its inputs.  Exact mode returns the Fractions themselves.
 ``verify_routes`` checks the lattice against both routes; agreement is
 an end-to-end correctness check of all three.
 """
@@ -26,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .determinants import bareiss_det, integers_over
+from .determinants import bareiss_det, integers_over, leading_minors
 from .errors import (
     KernelDegeneracyError,
     ModeUnsupportedError,
@@ -71,30 +77,44 @@ def _rounded(mode, x):
 
 
 def _hankel_det(seq, diffs, k, n, shift=0, head=None):
-    """k x k determinant over the columns n..n+k-1 of D^shift S.
+    """k x k determinant over the columns n..n+k-1 of D^shift S, as (integer, power).
 
     The rows are the ``head`` row if one is given (``"labels"``: the
     labels n..n+k-1, or ``"ones"``), then D^shift S, D^(shift+2) S, ...
     read from ``diffs``, since D^(2i) (D^shift S) = D^(2i+shift) S.  The
-    rows are ints, and the integer determinant is divided by scale**r
-    for the r scaled rows, giving an exact Fraction.  Conventions:
-    k = -1 gives 0, k = 0 gives 1.
+    rows are ints; the determinant is the integer over scale**power, the
+    power being the number of difference rows.  Conventions: k = -1
+    gives 0, k = 0 gives 1.
     """
     if k <= 0:
         if k < -1:
             raise WindowError(f"determinant order {k} is below -1")
-        return Fraction(k + 1)
+        return k + 1, 0
     rows = []
     if head is not None:
         rows.append(list(range(n, n + k)) if head == "labels" else [1] * k)
     lo = n - seq.start_label
     scaled = k - len(rows)  # the difference rows, each scaled by diffs.scale
-    for order in range(shift, shift + 2 * scaled, 2):
-        if lo < 0 or order >= len(diffs.rows) or lo + k > len(diffs.rows[order]):
-            raise WindowError(f"labels {n}..{n + k - 1} of the order-{order} "
-                              f"differences lie outside the sequence")
-        rows.append(diffs.rows[order][lo:lo + k])
-    return Fraction(bareiss_det(rows), diffs.scale ** scaled)
+    last = shift + 2 * scaled - 2  # the highest order read, whose row is the shortest
+    if scaled and (lo < 0 or last >= len(diffs.rows) or lo + k > len(diffs.rows[last])):
+        raise WindowError(f"labels {n}..{n + k - 1} of the order-{last} "
+                          f"differences lie outside the sequence")
+    rows += [diffs.rows[order][lo:lo + k] for order in range(shift, last + 1, 2)]
+    return bareiss_det(rows), scaled
+
+
+def _exact(diffs, det):
+    """The Fraction of an (integer, power) determinant."""
+    value, power = det
+    return Fraction(value, diffs.scale ** power)
+
+
+def _quotient(diffs, num, den):
+    """num / den as one Fraction, for (integer, power) values with den nonzero."""
+    (a, p), (b, q) = num, den
+    if q >= p:
+        return Fraction(a * diffs.scale ** (q - p), b)
+    return Fraction(a, b * diffs.scale ** (p - q))
 
 
 def psi_det(v, k, n):
@@ -102,12 +122,14 @@ def psi_det(v, k, n):
 
     Conventions: k = -1 gives 0, k = 0 gives 1.
     """
-    return _rounded(v.mode, _hankel_det(v, _difference_table(v, 2 * k - 2), k, n))
+    diffs = _difference_table(v, 2 * k - 2)
+    return _rounded(v.mode, _exact(diffs, _hankel_det(v, diffs, k, n)))
 
 
 def phi_det(v, k, n):
     """Like psi_det but the first row holds the column labels n..n+k-1."""
-    return _rounded(v.mode, _hankel_det(v, _difference_table(v, 2 * k - 4), k, n, head="labels"))
+    diffs = _difference_table(v, 2 * k - 4)
+    return _rounded(v.mode, _exact(diffs, _hankel_det(v, diffs, k, n, head="labels")))
 
 
 def _t_denominator(seq, diffs, k, n):
@@ -118,14 +140,15 @@ def _t_denominator(seq, diffs, k, n):
 
 def t_denominator(seq, k, n):
     """(k+1) x (k+1) determinant with a row of ones over D^2 S, ..., D^(2k) S."""
-    return _rounded(seq.mode, _t_denominator(seq, _difference_table(seq, 2 * k), k, n))
+    diffs = _difference_table(seq, 2 * k)
+    return _rounded(seq.mode, _exact(diffs, _t_denominator(seq, diffs, k, n)))
 
 
 def _t_value(seq, diffs, k, n):
     den = _t_denominator(seq, diffs, k, n)
-    if den == 0:
+    if den[0] == 0:
         raise SingularError(f"zero denominator determinant at (k={k}, n={n})")
-    return _hankel_det(seq, diffs, k + 1, n) / den
+    return _quotient(diffs, _hankel_det(seq, diffs, k + 1, n), den)
 
 
 def t_determinant(seq, k, n):
@@ -133,11 +156,38 @@ def t_determinant(seq, k, n):
     return _rounded(seq.mode, _t_value(seq, _difference_table(seq, 2 * k), k, n))
 
 
-def _t_cell(seq, diffs, k, n):
-    """_t_value rounded to the mode, or None (BREAKDOWN) where either raises."""
+def _label_cells(seq, diffs, top, n):
+    """T_0^(n), ..., T_top^(n) rounded to the mode; None is BREAKDOWN.
+
+    The numerator and denominator of T_k^(n) are the leading
+    (k+1) x (k+1) blocks of one matrix each, so two eliminations without
+    row swaps give every order at once: the numerator has k+1 scaled
+    rows and the denominator k, so T_k^(n) = num / (den * scale).  From
+    the first zero leading minor on, each cell is its own pivoting
+    determinant.  A zero denominator, or a float64 value beyond the
+    float range, is BREAKDOWN.
+    """
+    lo = n - seq.start_label
+    width = top + 1
+    rows = [diffs.rows[order][lo:lo + width] for order in range(2, 2 * width, 2)]
+    nums = leading_minors([diffs.rows[0][lo:lo + width], *rows])
+    dens = leading_minors([[1] * width, *rows])
+    ratios = [Fraction(num, den * diffs.scale) if den else None for num, den in zip(nums, dens)]
+    for k in range(len(ratios), width):
+        try:
+            ratios.append(_t_value(seq, diffs, k, n))
+        except SingularError:
+            ratios.append(None)
+    return [_cell(seq.mode, x) for x in ratios]
+
+
+def _cell(mode, x):
+    """x rounded to the mode, or None (BREAKDOWN) for no x or one beyond the mode's range."""
+    if x is None:
+        return None
     try:
-        return _rounded(seq.mode, _t_value(seq, diffs, k, n))
-    except SeqAccelError:
+        return _rounded(mode, x)
+    except NonFiniteError:
         return None
 
 
@@ -149,12 +199,11 @@ def oracle_transform(seq, k_max):
     if k_max < 0:
         raise WindowError("max_order must be nonnegative")
     diffs = _difference_table(seq, 2 * k_max)
-    columns = {}
-    for k in range(k_max + 1):
-        column = [_t_cell(seq, diffs, k, n)
-                  for n in range(seq.start_label, seq.end_label - 3 * k + 1)]
-        columns[k] = (column, len(column))
-    return TransformTable.from_columns(columns, seq)
+    columns = {k: [] for k in range(k_max + 1)}
+    for n in seq.labels():
+        for k, cell in enumerate(_label_cells(seq, diffs, min(k_max, (seq.end_label - n) // 3), n)):
+            columns[k].append(cell)
+    return TransformTable.from_columns({k: (c, len(c)) for k, c in columns.items()}, seq)
 
 
 @dataclass
@@ -175,7 +224,7 @@ class MoleculeSolution:
 
 
 def _molecule_cell(seq, diffs, level, n):
-    """(F, G) at one lattice level via the six closed formulas."""
+    """(F, G) at one lattice level via the six closed formulas, each as (integer, power)."""
 
     def det(shift, k, head=None):
         # a Psi or Phi of D^shift S needs D^shift S to exist, even when
@@ -188,8 +237,21 @@ def _molecule_cell(seq, diffs, level, n):
     if r == 0:
         return det(3, k - 1), det(0, k)
     if r == 1:
-        return det(1, k), -det(4, k - 1)
+        g, power = det(4, k - 1)
+        return det(1, k), (-g, power)
     return det(2, k), det(1, k + 1, "labels")
+
+
+def _molecule(seq, diffs, max_level):
+    """{(level, n): (F, G)} for levels 0..max_level wherever the window fits, F and G as (integer, power)."""
+    cells = {}
+    for level in range(0, max_level + 1):
+        for n in seq.labels():
+            try:
+                cells[level, n] = _molecule_cell(seq, diffs, level, n)
+            except WindowError:
+                continue
+    return cells
 
 
 def molecule_solution(seq, max_level):
@@ -201,15 +263,13 @@ def molecule_solution(seq, max_level):
     """
     mol = MoleculeSolution()
     diffs = _difference_table(seq, len(seq) - 1)
-    for level in range(0, max_level + 1):
-        for n in seq.labels():
-            try:
-                f, g = _molecule_cell(seq, diffs, level, n)
-                f, g = _rounded(seq.mode, f), _rounded(seq.mode, g)
-            except (WindowError, NonFiniteError):
-                continue
-            mol.F[(level, n)] = f
-            mol.G[(level, n)] = g
+    for key, (f, g) in _molecule(seq, diffs, max_level).items():
+        try:
+            f, g = _rounded(seq.mode, _exact(diffs, f)), _rounded(seq.mode, _exact(diffs, g))
+        except NonFiniteError:
+            continue
+        mol.F[key] = f
+        mol.G[key] = g
     return mol
 
 
@@ -233,7 +293,7 @@ def verify_routes(seq, k_max):
             cells += 1
             try:
                 f, g = _molecule_cell(seq, diffs, 3 * k + 3, n)
-                agree = f != 0 and entry.value == _t_value(seq, diffs, k, n) == g / f
+                agree = f[0] != 0 and entry.value == _t_value(seq, diffs, k, n) == _quotient(diffs, g, f)
             except SeqAccelError:
                 agree = False
             if not agree:
@@ -253,54 +313,58 @@ class BilinearReport:
 
 
 _BILINEAR_FORMS = {
-    # each maps (F, G, k, n) -> lhs - rhs, or None if an operand is missing
-    "fg_fg_ff": lambda F, G, k, n: _residual(
-        [(F, k, n), (G, k, n + 1)], [(F, k, n + 1), (G, k, n)],
-        [(F, k + 1, n), (F, k - 1, n + 1)]),
-    "fg_cross": lambda F, G, k, n: _residual(
-        [(F, k + 2, n), (G, k - 1, n + 1)], [(F, k - 1, n + 1), (G, k + 2, n)],
-        [(F, k + 1, n + 1), (F, k, n)]),
-    "ff_ff_ff": lambda F, G, k, n: _residual(
-        [(F, k, n), (F, k + 2, n + 1)], [(F, k, n + 1), (F, k + 2, n)],
-        [(F, k + 3, n), (F, k - 1, n + 1)]),
+    # each maps (F, G, k, n) to the operand pairs of the products a, b, c
+    # of the identity a - b = c; a missing operand raises KeyError
+    "fg_fg_ff": lambda F, G, k, n: (
+        (F[k, n], G[k, n + 1]), (F[k, n + 1], G[k, n]), (F[k + 1, n], F[k - 1, n + 1])),
+    "fg_cross": lambda F, G, k, n: (
+        (F[k + 2, n], G[k - 1, n + 1]), (F[k - 1, n + 1], G[k + 2, n]), (F[k + 1, n + 1], F[k, n])),
+    "ff_ff_ff": lambda F, G, k, n: (
+        (F[k, n], F[k + 2, n + 1]), (F[k, n + 1], F[k + 2, n]), (F[k + 3, n], F[k - 1, n + 1])),
 }
 
+_ZERO = Fraction(0)
 
-def _residual(term_a, term_b, term_c):
-    """(a - b) - c for the products a, b, c of the three operand pairs.
 
-    None if an operand is missing.  The operands are multiplied as
-    numerators and denominators and the result is normalised once.
+def _residual(scale, pairs):
+    """(a - b) - c for the products a, b, c of the three operand ``pairs``.
+
+    Each operand is an (integer, power) over ``scale``; the three integer
+    products are aligned to the largest power, so the residual is one
+    integer over scale**power.  A zero residual is the shared Fraction(0).
     """
-    try:
-        pairs = [[store[level, n] for store, level, n in pair] for pair in (term_a, term_b, term_c)]
-    except KeyError:
-        return None
-    (a_num, a_den), (b_num, b_den), (c_num, c_den) = [
-        (x.numerator * y.numerator, x.denominator * y.denominator) for x, y in pairs]
-    lhs_num, lhs_den = a_num * b_den - b_num * a_den, a_den * b_den
-    return Fraction(lhs_num * c_den - c_num * lhs_den, lhs_den * c_den)
+    (a, pa), (b, pb), (c, pc) = [(x * y, p + q) for (x, p), (y, q) in pairs]
+    top = max(pa, pb, pc)
+    num = a * scale ** (top - pa) - b * scale ** (top - pb) - c * scale ** (top - pc)
+    return Fraction(num, scale ** top) if num else _ZERO
 
 
 def check_bilinear(seq, k_max):
     """Residuals of the three bilinear identities over all computable cells.
 
     Exact mode only: the identities hold exactly, and a residual of
-    rounded F and G would measure the rounding.
+    rounded F and G would measure the rounding.  The residuals are
+    taken on the integer molecule, F and G each an integer over a power
+    of the scale, so only a nonzero residual becomes a Fraction.
     """
     if not seq.mode.is_exact:
         raise ModeUnsupportedError(f"check_bilinear needs exact arithmetic, not {seq.mode.name}")
-    mol = molecule_solution(seq, k_max + 3)
+    diffs = _difference_table(seq, len(seq) - 1)
+    cells = _molecule(seq, diffs, k_max + 3)
+    F = {key: f for key, (f, _) in cells.items()}
+    G = {key: g for key, (_, g) in cells.items()}
     residuals = {name: {} for name in _BILINEAR_FORMS}
     for name, form in _BILINEAR_FORMS.items():
         for k in range(1, k_max + 1):
             for n in seq.labels():
-                r = form(mol.F, mol.G, k, n)
-                if r is not None:
-                    residuals[name][(k, n)] = r
+                try:
+                    pairs = form(F, G, k, n)
+                except KeyError:
+                    continue
+                residuals[name][k, n] = _residual(diffs.scale, pairs)
     checked = sum(map(len, residuals.values()))
     # F_0 = 0 is structural; only positive levels signal degeneracy
-    zero_f = [key for key, v in mol.F.items() if v == 0 and key[0] > 0]
+    zero_f = [key for key, (v, _) in F.items() if v == 0 and key[0] > 0]
     return BilinearReport(residuals, checked, zero_f)
 
 

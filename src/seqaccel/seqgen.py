@@ -132,7 +132,8 @@ def ingest(path, fmt="lines", mode=FLOAT64, column=None, start_label=None):
 
     ``lines``: one decimal (or p/q) literal per line, ``#`` comments
     ignored; labels start at 0 unless overridden.  ``csv``: optional
-    header; ``column`` selects the value column by header name or index;
+    header, a first row none of whose cells is a number literal;
+    ``column`` selects the value column by header name or index;
     a leading integer column named ``n`` (or selected implicitly when
     the file has two columns) supplies the labels.
     """
@@ -163,7 +164,7 @@ def _ingest_csv(path, text, mode, column, start_label):
     if not rows:
         raise IngestError(f"{path}: empty file")
     header = None
-    if not _is_number(rows[0][0]):
+    if not any(map(_is_number, rows[0])):
         header = [h.strip() for h in rows[0]]
         rows = rows[1:]
         if not rows:
@@ -203,11 +204,13 @@ def _ingest_csv(path, text, mode, column, start_label):
 
 
 def _is_number(text):
+    """Whether ``text`` is a number literal; ``p/0`` is one, with a zero denominator."""
     try:
         RATIONAL.parse(text)
         return True
     except ValueError:
-        return False
+        numerator, slash, denominator = text.partition("/")
+        return bool(slash) and _is_int(numerator) and _is_int(denominator)
 
 
 def _is_int(text):

@@ -28,6 +28,7 @@ from seqaccel import (
     psi_det,
     t_determinant,
 )
+from seqaccel import oracle
 from seqaccel.seqgen import random_rational_sequence
 from seqaccel.oracle import oracle_transform, t_denominator
 
@@ -121,6 +122,51 @@ class TestTDeterminant:
                 assert t_denominator(seq, k, n) == psi_det(d3, k, n)
 
 
+def zero_minor_corpus(rng, count=60):
+    """Random rational sequences, many of them with zero leading minors.
+
+    Small values repeat often, a quarter of the sequences start at label
+    0 and every third one ends in a constant tail, whose differences
+    vanish.
+    """
+    for i in range(count):
+        length = rng.randint(1, 16)
+        values = [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(length)]
+        if i % 3 == 0:
+            cut = rng.randint(1, length)
+            values[cut:] = [values[cut - 1]] * (length - cut)
+        yield Sequence.from_iterable(values, (0, 1, -2, 3)[i % 4], RATIONAL)
+
+
+class TestOracleTransform:
+    def test_every_cell_is_the_per_cell_ratio(self, rng, monkeypatch):
+        # the table comes from the leading minors of one elimination per
+        # label; each cell must be the ratio t_determinant takes alone, and
+        # a cell where that raises must be BREAKDOWN
+        fallback = []
+        t_value = oracle._t_value
+        monkeypatch.setattr(oracle, "_t_value", lambda *args: fallback.append(args[2:]) or t_value(*args))
+        fallback_cells = 0
+        for seq in zero_minor_corpus(rng):
+            k_max = (len(seq) + 2) // 3  # one order past the longest column
+            before = len(fallback)
+            table = oracle_transform(seq, k_max)
+            fallback_cells += len(fallback) - before
+            keys = [(k, n) for k in range(k_max + 1)
+                    for n in range(seq.start_label, seq.end_label - 3 * k + 1)]
+            assert list(table.entries) == keys
+            for k, n in keys:
+                entry = table.get(k, n)
+                try:
+                    want = t_determinant(seq, k, n)
+                except SingularError:
+                    assert entry.status is Status.BREAKDOWN
+                    continue
+                assert entry.ok and type(entry.value) is Fraction
+                assert entry.value == want
+        assert fallback_cells > 0  # the corpus runs the zero-minor fallback
+
+
 class TestMoleculeSolution:
     def test_initial_levels(self, rng):
         seq = random_rational_sequence(rng, length=8)
@@ -164,6 +210,48 @@ class TestBilinear:
         report = check_bilinear(seq, 4)
         assert report.residuals["fg_fg_ff"][(3, 0)] == 0
         assert report.residuals["ff_ff_ff"][(4, 1)] == 0
+
+    @pytest.mark.parametrize("perturb", [0, 1], ids=["exact", "perturbed"])
+    def test_residuals_are_those_of_the_molecule_fractions(self, rng, monkeypatch, perturb):
+        # the residuals are taken on integers over powers of the scale; they
+        # must equal the residuals of molecule_solution's Fractions, also
+        # when every determinant is off by one and the residuals are nonzero
+        bareiss_det = oracle.bareiss_det
+        monkeypatch.setattr(oracle, "bareiss_det", lambda rows: bareiss_det(rows) + perturb)
+        forms = {
+            "fg_fg_ff": lambda F, G, k, n: (
+                F[k, n] * G[k, n + 1] - F[k, n + 1] * G[k, n] - F[k + 1, n] * F[k - 1, n + 1]),
+            "fg_cross": lambda F, G, k, n: (
+                F[k + 2, n] * G[k - 1, n + 1] - F[k - 1, n + 1] * G[k + 2, n] - F[k + 1, n + 1] * F[k, n]),
+            "ff_ff_ff": lambda F, G, k, n: (
+                F[k, n] * F[k + 2, n + 1] - F[k, n + 1] * F[k + 2, n] - F[k + 3, n] * F[k - 1, n + 1]),
+        }
+        nonzero = 0
+        for seq in [random_rational_sequence(rng, 14, i % 3) for i in range(4)] + list(zero_minor_corpus(rng, 12)):
+            k_max = 9
+            report = check_bilinear(seq, k_max)
+            mol = molecule_solution(seq, k_max + 3)
+            want = {name: {} for name in forms}
+            for name, form in forms.items():
+                for k in range(1, k_max + 1):
+                    for n in seq.labels():
+                        try:
+                            want[name][k, n] = form(mol.F, mol.G, k, n)
+                        except KeyError:
+                            pass
+            assert report.residuals == want
+            assert all(type(r) is Fraction for eq in report.residuals.values() for r in eq.values())
+            assert report.checked == sum(map(len, want.values()))
+            assert report.zero_f_cells == [key for key, f in mol.F.items() if f == 0 and key[0] > 0]
+            nonzero += sum(r != 0 for eq in report.residuals.values() for r in eq.values())
+        assert (nonzero > 0) == bool(perturb)
+
+    def test_residual_aligns_unequal_powers(self):
+        # operands are (integer, power of the scale); the identities' three
+        # products share one power, so only a direct call shows the alignment
+        pairs = (((3, 0), (1, 0)), ((1, 1), (2, 0)), ((1, 0), (1, 2)))
+        assert oracle._residual(10, pairs) == 3 - Fraction(2, 10) - Fraction(1, 100)
+        assert oracle._residual(10, (((1, 1), (1, 0)), ((1, 0), (1, 1)), ((0, 0), (5, 3)))) is oracle._ZERO
 
     def test_degenerate_input_flags_zero_f(self):
         seq = seq_of([2] * 10)

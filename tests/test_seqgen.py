@@ -166,6 +166,16 @@ class TestIngest:
         assert seq.start_label == 1
         assert seq.at(2) == pytest.approx(2.82843)
 
+    @pytest.mark.parametrize("text", ["1/0,0.5\n2,1\n", "1/0\n", "x,1\n0,2\n"],
+                             ids=["zero_denominator", "one_column", "numeric_cell"])
+    def test_csv_first_row_with_a_number_is_data(self, tmp_path, text):
+        # a row is a header only when none of its cells is a number literal,
+        # so a malformed first data row is reported, not dropped as a header
+        p = tmp_path / "seq.csv"
+        p.write_text(text)
+        with pytest.raises(IngestError, match=":1: cannot parse"):
+            ingest(p, "csv", FLOAT64)
+
     def test_csv_column_by_name(self, tmp_path):
         p = tmp_path / "seq.csv"
         p.write_text("n,a,b\n0,9,1.5\n1,9,2.5\n")
