@@ -31,7 +31,13 @@ The corpus:
     leading minors vanish), each digested as its ``molecule_solution``
     F and G up to level k+3, in key order, and its ``check_bilinear``
     report up to order k: the residuals, ``checked`` and
-    ``zero_f_cells``.
+    ``zero_f_cells``;
+  * the same molecule and bilinear digests up to level 42 for rational
+    ``alt_harmonic`` at N=40, a seeded random length-30 sequence and a
+    length-24 sequence with a constant tail (its zero minors start
+    at higher orders);
+  * the ``verify_routes`` result, cells compared and mismatches, of
+    rational ``alt_harmonic`` at N=60, K=19.
 """
 
 import hashlib
@@ -53,7 +59,7 @@ from seqaccel import (
     lbq_transform,
     molecule_solution,
 )
-from seqaccel.oracle import oracle_transform
+from seqaccel.oracle import oracle_transform, verify_routes
 from seqaccel.seqgen import random_rational_sequence
 
 PAPER = (("archimedes_pi", 13, 4), ("alt_harmonic", 18, 5), ("zeta2", 26, 7))
@@ -150,12 +156,25 @@ def exact_cases():
         yield f"exact random {i}", random_rational_sequence(rng, length, i % 3), k_max
     values = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(7)] + [Fraction(5, 2)] * 7
     yield "exact constant tail", Sequence.from_iterable(values, 0, RATIONAL), 9
+    seq, _ = generate(GeneratorSpec("alt_harmonic", 40, 1, RATIONAL))
+    yield "exact alt_harmonic 40", seq, 39
+    yield "exact random 30", random_rational_sequence(rng, 30, 1), 39
+    values = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(15)] + [Fraction(-4, 3)] * 9
+    yield "exact constant tail 24", Sequence.from_iterable(values, 2, RATIONAL), 39
+
+
+def routes_digest(seq, k_max):
+    """SHA-256 of ``verify_routes`` of ``seq`` up to ``k_max``: the cells compared and the mismatches."""
+    cells, mismatches = verify_routes(seq, k_max)
+    return hashlib.sha256(f"verify_routes {cells} {mismatches}\n".encode()).hexdigest()
 
 
 def digests():
     """{case name: digest} over the corpus, in corpus order."""
     out = {name: digest(seq, k, threshold, builds) for name, seq, k, threshold, builds in cases()}
     out.update((name, exact_digest(seq, k_max)) for name, seq, k_max in exact_cases())
+    seq, _ = generate(GeneratorSpec("alt_harmonic", 60, 1, RATIONAL))
+    out["routes alt_harmonic 60 19 rational"] = routes_digest(seq, 19)
     return out
 
 
