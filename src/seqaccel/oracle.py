@@ -15,15 +15,23 @@ D (the number of difference rows).  The work stays in integers until a
 public value is formed, and each public value is one Fraction: a T
 ratio is num / (den * D), G/F and each nonzero bilinear residual are
 one integer over a power of D, and a zero residual is the shared
-Fraction(0).  ``oracle_transform`` takes every order at a label from
-two eliminations without row swaps, numerator and denominator, whose
-pivots are the leading principal minors (Bareiss 1968); from the first
-zero minor on, the rest of that label falls back to one pivoting
-elimination per cell.  Each public result is rounded to the sequence's
-mode once, at the end, so a float64 T_k^(n) is the correctly rounded
-transform of its inputs.  Exact mode returns the Fractions themselves.
-``verify_routes`` checks the lattice against both routes; agreement is
-an end-to-end correctness check of all three.
+Fraction(0).
+
+The routes take every order at a label from one elimination without
+row swaps per matrix, whose pivots are the leading principal minors
+(Bareiss 1968).  ``oracle_transform`` takes T from two such
+eliminations, numerator and denominator.  The molecule (and with it
+``check_bilinear``) takes Psi_1, Psi_2, ... of each D^shift S it reads,
+and Phi_1, Phi_2, ... of D S, from one block per label, as deep as the
+highest order the requested levels read.  From the first zero minor on,
+the rest of that label falls back to one pivoting elimination per
+order.  Every determinant of order 1 or more checks that its columns lie
+in the sequence, also one that reads no difference row.  Each public
+result is rounded to the sequence's mode once, at the end, so a float64
+T_k^(n) is the correctly rounded transform of its inputs.  Exact mode
+returns the Fractions themselves.  ``verify_routes`` checks the lattice
+against both routes, each on the nested eliminations; agreement is an
+end-to-end correctness check of all three.
 """
 
 from __future__ import annotations
@@ -37,7 +45,6 @@ from .errors import (
     KernelDegeneracyError,
     ModeUnsupportedError,
     NonFiniteError,
-    SeqAccelError,
     SingularError,
     SpecError,
     WindowError,
@@ -76,31 +83,48 @@ def _rounded(mode, x):
     return x if mode.is_exact else mode.convert(x)
 
 
-def _hankel_det(seq, diffs, k, n, shift=0, head=None):
-    """k x k determinant over the columns n..n+k-1 of D^shift S, as (integer, power).
+def _fits(seq, diffs, k, n, shift, scaled):
+    """Whether an order-k >= 1 determinant over the columns n..n+k-1 fits the sequence.
 
-    The rows are the ``head`` row if one is given (``"labels"``: the
-    labels n..n+k-1, or ``"ones"``), then D^shift S, D^(shift+2) S, ...
-    read from ``diffs``, since D^(2i) (D^shift S) = D^(2i+shift) S.  The
-    rows are ints; the determinant is the integer over scale**power, the
-    power being the number of difference rows.  Conventions: k = -1
-    gives 0, k = 0 gives 1.
+    Its ``scaled`` difference rows are D^shift S, D^(shift+2) S, ...; the
+    columns must lie in the highest order read, whose row is the
+    shortest, or in S itself when no difference row is read.
+    """
+    lo = n - seq.start_label
+    last = shift + 2 * scaled - 2 if scaled else 0
+    return lo >= 0 and last < len(diffs.rows) and lo + k <= len(diffs.rows[last])
+
+
+def _block(seq, diffs, k, n, shift, head):
+    """The k x k matrix of an order-k >= 1 determinant whose window fits.
+
+    Its rows are the ``head`` row, if any (``"labels"``: the labels
+    n..n+k-1, or ``"ones"``), then D^shift S, D^(shift+2) S, ... over the
+    columns n..n+k-1, read from ``diffs``, since D^(2i) (D^shift S) =
+    D^(2i+shift) S.
+    """
+    lo = n - seq.start_label
+    rows = [] if head is None else [list(range(n, n + k)) if head == "labels" else [1] * k]
+    return rows + [diffs.rows[order][lo:lo + k] for order in range(shift, shift + 2 * (k - len(rows)) - 1, 2)]
+
+
+def _hankel_det(seq, diffs, k, n, shift=0, head=None):
+    """k x k determinant of ``_block`` at label n, as (integer, power).
+
+    The rows are ints; the determinant is the integer over scale**power,
+    the power being the number of difference rows.  Conventions: k = -1
+    gives 0, k = 0 gives 1.  A window outside the sequence raises
+    WindowError.
     """
     if k <= 0:
         if k < -1:
             raise WindowError(f"determinant order {k} is below -1")
         return k + 1, 0
-    rows = []
-    if head is not None:
-        rows.append(list(range(n, n + k)) if head == "labels" else [1] * k)
-    lo = n - seq.start_label
-    scaled = k - len(rows)  # the difference rows, each scaled by diffs.scale
-    last = shift + 2 * scaled - 2  # the highest order read, whose row is the shortest
-    if scaled and (lo < 0 or last >= len(diffs.rows) or lo + k > len(diffs.rows[last])):
-        raise WindowError(f"labels {n}..{n + k - 1} of the order-{last} "
-                          f"differences lie outside the sequence")
-    rows += [diffs.rows[order][lo:lo + k] for order in range(shift, last + 1, 2)]
-    return bareiss_det(rows), scaled
+    scaled = k - (head is not None)
+    if not _fits(seq, diffs, k, n, shift, scaled):
+        raise WindowError(f"labels {n}..{n + k - 1} of the order-{k} determinant over D^{shift} S "
+                          f"lie outside the sequence")
+    return bareiss_det(_block(seq, diffs, k, n, shift, head)), scaled
 
 
 def _exact(diffs, det):
@@ -156,29 +180,26 @@ def t_determinant(seq, k, n):
     return _rounded(seq.mode, _t_value(seq, _difference_table(seq, 2 * k), k, n))
 
 
-def _label_cells(seq, diffs, top, n):
-    """T_0^(n), ..., T_top^(n) rounded to the mode; None is BREAKDOWN.
+def _label_ratios(seq, diffs, top, n):
+    """The exact T_0^(n), ..., T_top^(n); None is a zero denominator.
 
     The numerator and denominator of T_k^(n) are the leading
     (k+1) x (k+1) blocks of one matrix each, so two eliminations without
     row swaps give every order at once: the numerator has k+1 scaled
     rows and the denominator k, so T_k^(n) = num / (den * scale).  From
     the first zero leading minor on, each cell is its own pivoting
-    determinant.  A zero denominator, or a float64 value beyond the
-    float range, is BREAKDOWN.
+    determinant.
     """
-    lo = n - seq.start_label
     width = top + 1
-    rows = [diffs.rows[order][lo:lo + width] for order in range(2, 2 * width, 2)]
-    nums = leading_minors([diffs.rows[0][lo:lo + width], *rows])
-    dens = leading_minors([[1] * width, *rows])
+    nums = leading_minors(_block(seq, diffs, width, n, 0, None))
+    dens = leading_minors(_block(seq, diffs, width, n, 2, "ones"))
     ratios = [Fraction(num, den * diffs.scale) if den else None for num, den in zip(nums, dens)]
     for k in range(len(ratios), width):
         try:
             ratios.append(_t_value(seq, diffs, k, n))
         except SingularError:
             ratios.append(None)
-    return [_cell(seq.mode, x) for x in ratios]
+    return ratios
 
 
 def _cell(mode, x):
@@ -201,8 +222,8 @@ def oracle_transform(seq, k_max):
     diffs = _difference_table(seq, 2 * k_max)
     columns = {k: [] for k in range(k_max + 1)}
     for n in seq.labels():
-        for k, cell in enumerate(_label_cells(seq, diffs, min(k_max, (seq.end_label - n) // 3), n)):
-            columns[k].append(cell)
+        for k, x in enumerate(_label_ratios(seq, diffs, min(k_max, (seq.end_label - n) // 3), n)):
+            columns[k].append(_cell(seq.mode, x))
     return TransformTable.from_columns({k: (c, len(c)) for k, c in columns.items()}, seq)
 
 
@@ -223,34 +244,67 @@ class MoleculeSolution:
         return g / f
 
 
-def _molecule_cell(seq, diffs, level, n):
-    """(F, G) at one lattice level via the six closed formulas, each as (integer, power)."""
-
-    def det(shift, k, head=None):
-        # a Psi or Phi of D^shift S needs D^shift S to exist, even when
-        # Phi_1 reads only its label row
-        if k > 0 and shift >= len(diffs.rows):
-            raise WindowError(f"difference order {shift} exceeds available length {len(seq)}")
-        return _hankel_det(seq, diffs, k, n, shift, head)
-
-    k, r = divmod(level, 3)
-    if r == 0:
-        return det(3, k - 1), det(0, k)
-    if r == 1:
-        g, power = det(4, k - 1)
-        return det(1, k), (-g, power)
-    return det(2, k), det(1, k + 1, "labels")
+# F and G at level 3k + r, for r = 0, 1, 2: each is the order-(k + offset)
+# Psi (or, with a head row, Phi) of D^shift S, read as (shift, head, offset);
+# G at r = 1 is negated
+_MOLECULE = (
+    ((3, None, -1), (0, None, 0)),
+    ((1, None, 0), (4, None, -1)),
+    ((2, None, 0), (1, "labels", 1)),
+)
 
 
-def _molecule(seq, diffs, max_level):
-    """{(level, n): (F, G)} for levels 0..max_level wherever the window fits, F and G as (integer, power)."""
+def _minors(seq, diffs, n, shift, head, top):
+    """Psi (or, with a ``head`` row, Phi) of D^shift S at label n, each as (integer, power).
+
+    Entry i is the order-(i - 1) determinant, from order -1 on.  The
+    orders run up to ``top``, or to the highest order below it whose
+    window fits.  Orders 1 and up are the leading minors of that one
+    block; from the first zero minor on, each order is its own pivoting
+    elimination.
+    """
+    extra = head is not None
+    if shift >= len(diffs.rows):
+        # a Psi or Phi of D^shift S needs D^shift S to exist, even Phi_1,
+        # which reads only its label row
+        top = 0
+    while top > 0 and not _fits(seq, diffs, top, n, shift, top - extra):
+        top -= 1
+    dets = [(0, 0), (1, 0)]
+    if top > 0:
+        minors = leading_minors(_block(seq, diffs, top, n, shift, head))
+        dets += [(d, j - extra) for j, d in enumerate(minors, 1)]
+        dets += [_hankel_det(seq, diffs, j, n, shift, head) for j in range(len(minors) + 1, top + 1)]
+    return dets
+
+
+def _molecule(seq, diffs, levels):
+    """{(level, n): (F, G)} for the ``levels`` wherever the windows fit, F and G as (integer, power).
+
+    At each label, every Psi or Phi that the levels read of one D^shift S
+    comes from one block, as deep as the highest order they read.
+    """
+    tops = {}
+    for level in levels:
+        k, r = divmod(level, 3)
+        for shift, head, offset in _MOLECULE[r]:
+            tops[shift, head] = max(tops.get((shift, head), -1), k + offset)
+    labels = list(seq.labels())
+    columns = {}
+    for (shift, head), top in tops.items():
+        column = columns[shift, head] = []
+        for n in labels:
+            column.append(_minors(seq, diffs, n, shift, head, top))
+            top = len(column[-1]) - 2  # the window at n + 1 is no larger
     cells = {}
-    for level in range(0, max_level + 1):
-        for n in seq.labels():
-            try:
-                cells[level, n] = _molecule_cell(seq, diffs, level, n)
-            except WindowError:
-                continue
+    for level in levels:
+        k, r = divmod(level, 3)
+        (fs, fh, fo), (gs, gh, go) = _MOLECULE[r]
+        fi, gi = k + fo + 1, k + go + 1
+        for n, f, g in zip(labels, columns[fs, fh], columns[gs, gh]):
+            if fi < len(f) and gi < len(g):
+                g_value, power = g[gi]
+                cells[level, n] = f[fi], (-g_value if r == 1 else g_value, power)
     return cells
 
 
@@ -263,7 +317,7 @@ def molecule_solution(seq, max_level):
     """
     mol = MoleculeSolution()
     diffs = _difference_table(seq, len(seq) - 1)
-    for key, (f, g) in _molecule(seq, diffs, max_level).items():
+    for key, (f, g) in _molecule(seq, diffs, range(max_level + 1)).items():
         try:
             f, g = _rounded(seq.mode, _exact(diffs, f)), _rounded(seq.mode, _exact(diffs, g))
         except NonFiniteError:
@@ -278,12 +332,15 @@ def verify_routes(seq, k_max):
 
     The lattice value must equal the exact determinant ratio and the
     exact molecule ratio G/F at level 3k+3, both read from one
-    difference table.  A route that raises, or has F = 0, counts as a
-    mismatch.  Returns the number of cells compared and the (k, n) of
-    each mismatch.
+    difference table and each taken per label from the leading minors
+    of one elimination.  A zero denominator, a molecule cell whose
+    window does not fit, or F = 0 counts as a mismatch.  Returns the
+    number of cells compared and the (k, n) of each mismatch.
     """
     lattice = lbq_transform(seq, k_max)
     diffs = _difference_table(seq, len(seq) - 1)
+    ratios = {n: _label_ratios(seq, diffs, min(k_max, (seq.end_label - n) // 3), n) for n in seq.labels()}
+    molecule = _molecule(seq, diffs, range(6, 3 * k_max + 4, 3))
     cells, mismatches = 0, []
     for k in range(1, k_max + 1):
         for n in seq.labels():
@@ -291,12 +348,8 @@ def verify_routes(seq, k_max):
             if not entry.ok:
                 continue
             cells += 1
-            try:
-                f, g = _molecule_cell(seq, diffs, 3 * k + 3, n)
-                agree = f[0] != 0 and entry.value == _t_value(seq, diffs, k, n) == _quotient(diffs, g, f)
-            except SeqAccelError:
-                agree = False
-            if not agree:
+            f, g = molecule.get((3 * k + 3, n), ((0, 0), None))
+            if not (f[0] != 0 and entry.value == ratios[n][k] == _quotient(diffs, g, f)):
                 mismatches.append((k, n))
     return cells, mismatches
 
@@ -350,7 +403,7 @@ def check_bilinear(seq, k_max):
     if not seq.mode.is_exact:
         raise ModeUnsupportedError(f"check_bilinear needs exact arithmetic, not {seq.mode.name}")
     diffs = _difference_table(seq, len(seq) - 1)
-    cells = _molecule(seq, diffs, k_max + 3)
+    cells = _molecule(seq, diffs, range(k_max + 4))
     F = {key: f for key, (f, _) in cells.items()}
     G = {key: g for key, (_, g) in cells.items()}
     residuals = {name: {} for name in _BILINEAR_FORMS}

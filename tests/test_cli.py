@@ -313,9 +313,9 @@ class TestVerify:
     def test_verify_fails_on_route_mismatch(self, capsys, monkeypatch):
         from seqaccel import oracle
 
-        t_value = oracle._t_value
-        monkeypatch.setattr(oracle, "_t_value",
-                            lambda seq, diffs, k, n: t_value(seq, diffs, k, n) + 1)
+        label_ratios = oracle._label_ratios
+        monkeypatch.setattr(oracle, "_label_ratios",
+                            lambda *args: [x if x is None else x + 1 for x in label_ratios(*args)])
         code, out, _ = run(capsys, "verify", "--trials", "1", "--k-max", "3", "--seed", "7")
         assert code == 1
         assert "route equivalence" in out and "FAIL" in out

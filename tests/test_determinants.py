@@ -90,13 +90,16 @@ class TestBareiss:
 def reference_det(seq, k, n, orders, head=None):
     """Fraction determinant of ``head`` over rows D^order S, columns n..n+k-1.
 
-    None if a row's window falls outside the sequence.
+    None if a row's window falls outside the sequence, or with no
+    difference row, if the columns fall outside the sequence.
     """
     if k == -1:
         return Fraction(0)
     if k == 0:
         return Fraction(1)
     lo = n - seq.start_label
+    if lo < 0 or lo + k > len(seq):
+        return None
     rows = [] if head is None else [[Fraction(head(n + j)) for j in range(k)]]
     for order in orders:
         if lo < 0 or order > len(seq) - 1:

@@ -12,6 +12,7 @@ from seqaccel import (
     KernelDegeneracyError,
     ModeUnsupportedError,
     NonFiniteError,
+    SeqAccelError,
     Sequence,
     SingularError,
     SpecError,
@@ -30,7 +31,8 @@ from seqaccel import (
 )
 from seqaccel import oracle
 from seqaccel.seqgen import random_rational_sequence
-from seqaccel.oracle import oracle_transform, t_denominator
+from seqaccel.formatting import to_fraction
+from seqaccel.oracle import oracle_transform, t_denominator, verify_routes
 
 
 def seq_of(values, start=0, mode=RATIONAL):
@@ -70,6 +72,20 @@ class TestPsiPhi:
         for det in (psi_det, phi_det):
             with pytest.raises(WindowError):
                 det(w, -2, 3)  # no order below -1
+
+    @pytest.mark.parametrize("values", [[1, 2, 3], [1, 2, 4, 8, 16, 32, 64]])
+    def test_every_order_checks_its_column_window(self, values):
+        # also an order whose only row is its head row, such as phi_det's
+        # order 1 or t_denominator's order 0: it reads the labels n..n+k-1
+        s = seq_of(values, start=3)
+        for n in (s.start_label - 1, s.end_label + 1):
+            for k in range(1, len(s) + 2):
+                for det in (psi_det, phi_det, t_denominator, t_determinant):
+                    with pytest.raises(WindowError):
+                        det(s, k, n)
+            for det in (t_denominator, t_determinant):
+                with pytest.raises(WindowError):
+                    det(s, 0, n)
 
     def test_int_valued_rational_sequence_stays_exact(self):
         s = Sequence(0, (0, 1, 3, 10, 4, 7, 2), RATIONAL)
@@ -167,7 +183,80 @@ class TestOracleTransform:
         assert fallback_cells > 0  # the corpus runs the zero-minor fallback
 
 
+def closed_forms(seq, max_level):
+    """{(level, n): (F, G)} for levels 0..max_level, one psi_det or phi_det of D^shift S per determinant.
+
+    A cell whose F or G raises WindowError is left out.
+    """
+    shifted = {shift: forward_difference(seq, shift) for shift in range(min(5, len(seq)))}
+
+    def det(fn, shift, k, n):
+        if k <= 0:
+            return fn(seq, k, n)  # the conventions -1 -> 0 and 0 -> 1 read no window
+        if shift not in shifted:
+            raise WindowError(f"D^{shift} S does not exist")
+        if fn is phi_det and k == 1:
+            return Fraction(n)  # Phi_1 is its label row alone, read at every label of S
+        return fn(shifted[shift], k, n)
+
+    forms = (
+        lambda k, n: (det(psi_det, 3, k - 1, n), det(psi_det, 0, k, n)),
+        lambda k, n: (det(psi_det, 1, k, n), -det(psi_det, 4, k - 1, n)),
+        lambda k, n: (det(psi_det, 2, k, n), det(phi_det, 1, k + 1, n)),
+    )
+    cells = {}
+    for level in range(max_level + 1):
+        k, r = divmod(level, 3)
+        for n in seq.labels():
+            try:
+                cells[level, n] = forms[r](k, n)
+            except WindowError:
+                continue
+    return cells
+
+
+def per_cell_routes(seq, k_max):
+    """verify_routes' (cells, mismatches) from one t_determinant and two psi_det calls per cell."""
+    exact = Sequence(seq.start_label, tuple(map(to_fraction, seq.values)), RATIONAL)
+    lattice = lbq_transform(seq, k_max)
+    cells, mismatches = 0, []
+    for k in range(1, k_max + 1):
+        for n in seq.labels():
+            entry = lattice.get(k, n)
+            if not entry.ok:
+                continue
+            cells += 1
+            try:
+                f = psi_det(forward_difference(exact, 3), k, n)
+                agree = f != 0 and entry.value == t_determinant(exact, k, n) == psi_det(exact, k + 1, n) / f
+            except SeqAccelError:
+                agree = False
+            if not agree:
+                mismatches.append((k, n))
+    return cells, mismatches
+
+
 class TestMoleculeSolution:
+    def test_every_cell_is_the_per_cell_closed_form(self, rng, monkeypatch):
+        # every Psi and Phi at a label comes from the leading minors of one
+        # block per (shift, head); each must be the determinant psi_det or
+        # phi_det takes alone, with the same keys in the same order
+        calls = []
+        hankel_det = oracle._hankel_det
+        monkeypatch.setattr(oracle, "_hankel_det",
+                            lambda *args, **kw: calls.append(args[2:]) or hankel_det(*args, **kw))
+        fallback_cells = 0
+        corpus = list(zero_minor_corpus(rng)) + [
+            random_rational_sequence(rng, rng.randint(1, 30), i % 3) for i in range(4)]
+        for seq in corpus:
+            before = len(calls)
+            mol = molecule_solution(seq, 3 * len(seq))
+            fallback_cells += len(calls) - before
+            want = closed_forms(seq, 3 * len(seq))
+            assert list(mol.F) == list(mol.G) == list(want)
+            assert [(mol.F[key], mol.G[key]) for key in want] == list(want.values())
+        assert fallback_cells > 0  # the corpus runs the zero-minor fallback
+
     def test_initial_levels(self, rng):
         seq = random_rational_sequence(rng, length=8)
         mol = molecule_solution(seq, 4)
@@ -197,6 +286,21 @@ class TestMoleculeSolution:
                         assert ratio == expected
 
 
+class TestVerifyRoutes:
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT64], ids=["rational", "float64"])
+    def test_same_result_as_the_per_cell_routes(self, rng, mode):
+        # a float64 lattice value is compared with the exact routes, so
+        # rounding shows as mismatches, which must be the per-cell ones
+        mismatches = 0
+        for seq in zero_minor_corpus(rng, 30):
+            seq = Sequence.from_iterable(seq.values, seq.start_label, mode)
+            k_max = (len(seq) + 2) // 3
+            got = verify_routes(seq, k_max)
+            assert got == per_cell_routes(seq, k_max)
+            mismatches += len(got[1])
+        assert (mismatches > 0) == (mode is FLOAT64)
+
+
 class TestBilinear:
     def test_residuals_vanish_exactly(self, rng):
         for _ in range(5):
@@ -216,8 +320,10 @@ class TestBilinear:
         # the residuals are taken on integers over powers of the scale; they
         # must equal the residuals of molecule_solution's Fractions, also
         # when every determinant is off by one and the residuals are nonzero
-        bareiss_det = oracle.bareiss_det
+        bareiss_det, leading_minors = oracle.bareiss_det, oracle.leading_minors
         monkeypatch.setattr(oracle, "bareiss_det", lambda rows: bareiss_det(rows) + perturb)
+        monkeypatch.setattr(oracle, "leading_minors",
+                            lambda rows: [m + perturb for m in leading_minors(rows)])
         forms = {
             "fg_fg_ff": lambda F, G, k, n: (
                 F[k, n] * G[k, n + 1] - F[k, n + 1] * G[k, n] - F[k + 1, n] * F[k - 1, n + 1]),
