@@ -37,7 +37,11 @@ The corpus:
     length-24 sequence with a constant tail (its zero minors start
     at higher orders);
   * the ``verify_routes`` result, cells compared and mismatches, of
-    rational ``alt_harmonic`` at N=60, K=19.
+    rational ``alt_harmonic`` at N=60, K=19;
+  * ``generate``'s values and limit for each of the six families in
+    float64, bigfloat at 64, 256 and 1200 bits and rational mode, a
+    ``None`` limit and a ``ModeUnsupportedError`` recorded as such, and
+    ``archimedes_pi`` from the start labels -1022 and 1021, count 3.
 """
 
 import hashlib
@@ -51,6 +55,7 @@ from seqaccel import (
     RATIONAL,
     BigFloat,
     GeneratorSpec,
+    ModeUnsupportedError,
     Sequence,
     build_lattice,
     epsilon_transform,
@@ -66,6 +71,10 @@ PAPER = (("archimedes_pi", 13, 4), ("alt_harmonic", 18, 5), ("zeta2", 26, 7))
 THRESHOLDS = (("default", None), ("1e-30", 1e-30), ("0", 0), ("2^-40", 2.0**-40), ("1e-3", 1e-3))
 SCALES = ("1e-400", "1e-100", "1", "1e100", "1e300")
 ENGINES = (lbq_transform, epsilon_transform, build_lattice)
+GENERATOR_MODES = (FLOAT64, BigFloat(64), BigFloat(256), BigFloat(1200), RATIONAL)
+GENERATORS = (("archimedes_pi", 1, {}), ("alt_harmonic", 1, {}), ("zeta2", 1, {}),
+              ("geometric", 0, {"z": Fraction(-2, 3)}), ("exp_series", 0, {"z": Fraction(7, 5)}),
+              ("zeta", 1, {"s": 3}))
 
 
 def value_text(value):
@@ -169,12 +178,37 @@ def routes_digest(seq, k_max):
     return hashlib.sha256(f"verify_routes {cells} {mismatches}\n".encode()).hexdigest()
 
 
+def generator_digest(family, count, start, mode, **args):
+    """SHA-256 of ``generate``'s values and limit, or of the ``ModeUnsupportedError`` it raises, in hex."""
+    try:
+        seq, limit = generate(GeneratorSpec(family, count, start, mode, **args))
+    except ModeUnsupportedError:
+        text = "ModeUnsupportedError\n"
+    else:
+        text = (f"generate {seq.start_label} {list(map(value_text, seq))}\n"
+                f"limit {'None' if limit is None else value_text(limit)}\n")
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def generator_digests():
+    """{case name: digest} of each generator case of the corpus."""
+    out = {}
+    for mode in GENERATOR_MODES:
+        for family, start, args in GENERATORS:
+            out[f"generate {family} {mode.name}"] = generator_digest(family, 12, start, mode, **args)
+        for start in (-1022, 1021):
+            out[f"generate archimedes_pi {mode.name} start {start}"] = generator_digest(
+                "archimedes_pi", 3, start, mode)
+    return out
+
+
 def digests():
     """{case name: digest} over the corpus, in corpus order."""
     out = {name: digest(seq, k, threshold, builds) for name, seq, k, threshold, builds in cases()}
     out.update((name, exact_digest(seq, k_max)) for name, seq, k_max in exact_cases())
     seq, _ = generate(GeneratorSpec("alt_harmonic", 60, 1, RATIONAL))
     out["routes alt_harmonic 60 19 rational"] = routes_digest(seq, 19)
+    out.update(generator_digests())
     return out
 
 
