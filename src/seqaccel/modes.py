@@ -7,10 +7,9 @@ Three modes are supported:
 * ``RATIONAL`` -- :class:`fractions.Fraction`, exactly closed under
   field operations.
 
-A mode object knows how to coerce and parse values, supplies the
-transcendental constants and functions needed by the sequence
-generators, and provides a context manager that pins the working
-precision for the duration of a table computation.
+A mode object knows how to coerce, parse and test values, and provides
+a context manager that pins the working precision for the duration of
+a table computation.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from fractions import Fraction
 import mpmath
 from mpmath.libmp import from_rational, round_nearest
 
-from .errors import ModeUnsupportedError, NonFiniteError
+from .errors import NonFiniteError
 
 
 def _parse_number(text):
@@ -74,21 +73,6 @@ class Float64:
     def context(self):
         return nullcontext()
 
-    def pi(self):
-        return math.pi
-
-    def log(self, x):
-        return math.log(x)
-
-    def sin(self, x):
-        return math.sin(x)
-
-    def exp(self, x):
-        return math.exp(x)
-
-    def zeta(self, s):
-        return float(mpmath.zeta(s))
-
 
 @dataclass(frozen=True)
 class BigFloat:
@@ -128,26 +112,6 @@ class BigFloat:
     def context(self):
         return mpmath.mp.workprec(self.precision_bits)
 
-    def pi(self):
-        with self.context():
-            return +mpmath.pi
-
-    def log(self, x):
-        with self.context():
-            return mpmath.log(x)
-
-    def sin(self, x):
-        with self.context():
-            return mpmath.sin(x)
-
-    def exp(self, x):
-        with self.context():
-            return mpmath.exp(x)
-
-    def zeta(self, s):
-        with self.context():
-            return mpmath.zeta(s)
-
 
 @dataclass(frozen=True)
 class Rational:
@@ -172,24 +136,6 @@ class Rational:
 
     def context(self):
         return nullcontext()
-
-    def _unsupported(self, what):
-        raise ModeUnsupportedError(f"{what} is not an exact rational")
-
-    def pi(self):
-        self._unsupported("pi")
-
-    def log(self, x):
-        self._unsupported(f"log({x})")
-
-    def sin(self, x):
-        self._unsupported(f"sin({x})")
-
-    def exp(self, x):
-        self._unsupported(f"exp({x})")
-
-    def zeta(self, s):
-        self._unsupported(f"zeta({s})")
 
 
 FLOAT64 = Float64()

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import EmptyInputError, IngestError, ModeUnsupportedError, SpecError
+import mpmath
+
+from .errors import EmptyInputError, IngestError, ModeUnsupportedError, NonFiniteError, SpecError
 from .modes import FLOAT64, RATIONAL
 from .sequences import Sequence
 
@@ -33,14 +36,16 @@ class GeneratorSpec:
             raise SpecError(f"unknown family {self.family!r}")
         if self.count < 1:
             raise SpecError("count must be >= 1")
-        if self.family == "geometric":
-            if self.z is None or self.z == 1:
+        if self.family in ("geometric", "exp_series"):
+            try:
+                z = Fraction(self.z)
+            except (TypeError, ValueError, OverflowError):  # None, NaN, infinite or not a number
+                raise SpecError(f"{self.family} requires z, a finite int, Fraction or float, "
+                                f"got {self.z!r}") from None
+            if self.family == "geometric" and z == 1:
                 raise SpecError("geometric requires z != 1")
-        if self.family == "exp_series" and self.z is None:
-            raise SpecError("exp_series requires z")
-        if self.family == "zeta":
-            if self.s is None or self.s <= 1:
-                raise SpecError("zeta requires s > 1")
+        if self.family == "zeta" and not (isinstance(self.s, int) and self.s > 1):
+            raise SpecError(f"zeta requires s, an int > 1, got {self.s!r}")
         if self.family != "archimedes_pi" and self.start_label < first_label(self.family):
             raise SpecError(f"{self.family} starts at label >= {first_label(self.family)}")
 
@@ -67,19 +72,26 @@ def generate(spec):
     """Build the sequence prefix plus its analytic limit where known.
 
     The limit is None when it is not representable in the active mode
-    (e.g. any transcendental limit under RATIONAL).
+    (any transcendental limit under RATIONAL, or one beyond the float64
+    range).  Float64 ``archimedes_pi`` holds labels -1022 to 1023; a
+    label beyond is a :class:`NonFiniteError`.
     """
     mode = spec.mode
+    labels = range(spec.start_label, spec.start_label + spec.count)
     if spec.family == "archimedes_pi":
         if mode.is_exact:
             raise ModeUnsupportedError("archimedes_pi values are irrational")
+        functions = _functions(mode)
         with mode.context():
-            pi = mode.pi()
+            pi = +functions.pi
             two = mode.convert(2)
-            values = [
-                two**n * mode.sin(pi / two**n)
-                for n in range(spec.start_label, spec.start_label + spec.count)
-            ]
+            values = []
+            for n in labels:
+                try:
+                    values.append(two**n * functions.sin(pi / two**n))
+                except (OverflowError, ValueError, ZeroDivisionError):  # float 2**n or pi / 2**n
+                    raise NonFiniteError(f"archimedes_pi label {n} is beyond the float64 range, "
+                                         "which holds labels -1022 to 1023") from None
             return Sequence(spec.start_label, tuple(values), mode), pi
 
     with mode.context():
@@ -88,31 +100,41 @@ def generate(spec):
         for j in range(first_label(spec.family), spec.start_label):
             total = total + _term(spec, j, mode)
         values = []
-        for n in range(spec.start_label, spec.start_label + spec.count):
+        for n in labels:
             total = total + _term(spec, n, mode)
             values.append(total)
         limit = _known_limit(spec, mode)
     return Sequence(spec.start_label, tuple(values), mode), limit
 
 
+def _functions(mode):
+    """The module whose pi, sin, log and exp a float ``mode`` computes with: math or mpmath."""
+    return math if mode.value_type is float else mpmath
+
+
 def _known_limit(spec, mode):
-    try:
-        if spec.family == "alt_harmonic":
-            return mode.log(mode.convert(2))
-        if spec.family == "zeta2":
-            pi = mode.pi()
-            return pi * pi / 6
-        if spec.family == "zeta":
-            return mode.zeta(spec.s)
-        if spec.family == "geometric":
-            return mode.convert(Fraction(1) / (1 - Fraction(spec.z)))
-        if spec.family == "exp_series":
-            if spec.z == 0:
-                return mode.convert(1)
-            return mode.exp(mode.convert(Fraction(spec.z)))
-    except ModeUnsupportedError:
+    """The family's limit in ``mode``, or None where the mode cannot hold it."""
+    if spec.family == "geometric":
+        try:
+            return mode.convert(1 / (1 - Fraction(spec.z)))
+        except NonFiniteError:  # beyond the float64 range
+            return None
+    if spec.family == "exp_series" and Fraction(spec.z) == 0:
+        return mode.convert(1)
+    if mode.is_exact:  # every other limit is transcendental
         return None
-    return None
+    functions = _functions(mode)
+    if spec.family == "alt_harmonic":
+        return functions.log(mode.convert(2))
+    if spec.family == "zeta2":
+        pi = +functions.pi
+        return pi * pi / 6
+    if spec.family == "zeta":
+        return mode.convert(mpmath.zeta(spec.s))
+    try:
+        return functions.exp(mode.convert(Fraction(spec.z)))
+    except OverflowError:  # e**z beyond the float64 range
+        return None
 
 
 def partial_sums(terms):

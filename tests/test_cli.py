@@ -1,11 +1,13 @@
 """Command-line interface."""
 
+import contextlib
+import io
 import math
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqaccel import (
@@ -31,6 +33,27 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@st.composite
+def generator_args(draw):
+    """--family and its arguments, --mode and --count for any family in any mode.
+
+    The partial-sum families start at small labels, since their set-up
+    sums every term below the start.
+    """
+    family = draw(st.sampled_from(seqgen.FAMILIES))
+    first = seqgen.first_label(family)
+    start = draw(st.integers(-1100, 1100) if family == "archimedes_pi"
+                 else st.integers(first, first + 8))
+    args = ["--family", family, "--start", str(start), "--count", str(draw(st.integers(1, 6))),
+            "--mode", draw(st.sampled_from(["float64", "bigfloat", "rational"])),
+            "--precision-bits", str(draw(st.sampled_from([64, 128, 256])))]
+    if family in ("geometric", "exp_series"):
+        args.append(f"--z={draw(st.integers(-10**4, 10**4))}/{draw(st.integers(1, 10**4))}")
+    if family == "zeta":
+        args += ["--s", str(draw(st.integers(2, 60)))]
+    return args
 
 
 class Reformatted(float):
@@ -381,6 +404,33 @@ class TestErrors:
                            "--limit", "1e400")
         assert code == 1
         assert err.startswith("error: ") and "1e400" in err
+
+    @pytest.mark.parametrize("command", ["generate", "transform", "classify", "compare"])
+    def test_float64_exp_limit_beyond_the_range_is_unknown(self, capsys, command):
+        code, out, err = run(capsys, command, "--family", "exp_series", "--z", "710", "--count", "8")
+        if command == "compare":
+            assert (code, out, err) == (1, "", "error: compare needs a known or overridden limit\n")
+        else:
+            assert code == 0 and out and err == ""
+
+    @settings(max_examples=100, deadline=None)
+    @given(args=generator_args())
+    @example(args=["--family", "exp_series", "--z", "710"])
+    @example(args=["--family", "archimedes_pi", "--start", "1024"])
+    @example(args=["--family", "archimedes_pi", "--start", "-1023"])
+    @example(args=["--family", "archimedes_pi", "--start", "-1075"])
+    def test_generator_input_exits_cleanly(self, args):
+        for command in ("generate", "transform"):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert main([command, *args]) in (0, 1)
+
+    @pytest.mark.parametrize("command", ["generate", "transform"])
+    @pytest.mark.parametrize("start, label", [(1021, 1024), (-1023, -1023), (-1075, -1075)])
+    def test_float64_archimedes_label_out_of_range(self, capsys, command, start, label):
+        code, out, err = run(capsys, command, "--family", "archimedes_pi", "--start", str(start),
+                             "--count", "4")
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: archimedes_pi label {label} is beyond the float64 range")
 
     @pytest.mark.parametrize("argv, message", [
         (("--breakdown-threshold", "-1"), "breakdown threshold -1.0 is negative"),

@@ -56,12 +56,6 @@ class TestModes:
         assert RATIONAL.parse("0.1") == Fraction(1, 10)
         assert RATIONAL.parse("3/7") == Fraction(3, 7)
 
-    def test_rational_constants_unsupported(self):
-        from seqaccel import ModeUnsupportedError
-
-        with pytest.raises(ModeUnsupportedError):
-            RATIONAL.pi()
-
     @given(a=rationals, b=rationals, c=rationals)
     def test_rational_arithmetic_round_trips(self, a, b, c):
         # order of evaluation never changes an exact result

@@ -1,8 +1,10 @@
 """Generators, partial sums, and file ingestion."""
 
 import math
+import re
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from seqaccel import (
@@ -13,6 +15,7 @@ from seqaccel import (
     GeneratorSpec,
     IngestError,
     ModeUnsupportedError,
+    NonFiniteError,
     Sequence,
     generate,
     ingest,
@@ -79,8 +82,6 @@ class TestGenerate:
         assert abs(seq.at(1) - 2) < 1e-35
 
     def test_invalid_specs(self):
-        from seqaccel import SpecError
-
         with pytest.raises(SpecError):
             GeneratorSpec("nope", 5)
         with pytest.raises(SpecError):
@@ -89,6 +90,34 @@ class TestGenerate:
             GeneratorSpec("geometric", 5, z=1)
         with pytest.raises(SpecError):
             GeneratorSpec("zeta", 5, s=1)
+        # the term 1/n**s must be a Fraction, so s is an int
+        for s in (2.5, Fraction(5, 2), 3.0, None):
+            with pytest.raises(SpecError, match=f"^zeta requires s, an int > 1, got {re.escape(repr(s))}$"):
+                GeneratorSpec("zeta", 5, s=s)
+        # the terms and the limit read z as an exact Fraction
+        for family in ("geometric", "exp_series"):
+            for z in (math.nan, math.inf, -math.inf, mpmath.mpf(2), None):
+                with pytest.raises(SpecError, match=f"^{family} requires z, a finite int"):
+                    GeneratorSpec(family, 5, 0, z=z)
+
+    def test_float64_limit_beyond_the_range_is_none(self):
+        seq, limit = generate(GeneratorSpec("exp_series", 4, 0, z=710))
+        assert seq.at(1) == 711.0 and limit is None
+        _, limit = generate(GeneratorSpec("exp_series", 4, 0, z=709))
+        assert limit == math.exp(709)
+        _, limit = generate(GeneratorSpec("geometric", 4, 0, z=1 - Fraction(1, 10**400)))
+        assert limit is None
+        _, limit = generate(GeneratorSpec("exp_series", 4, 0, BigFloat(64), z=710))
+        with mpmath.workprec(64):
+            assert limit == mpmath.exp(710)
+
+    @pytest.mark.parametrize("start, count, label", [
+        (1024, 2, 1024), (1021, 5, 1024), (-1023, 3, -1023), (-1074, 1, -1074),
+        (-1075, 1, -1075), (-1100, 4, -1100),
+    ])
+    def test_float64_archimedes_label_range(self, start, count, label):
+        with pytest.raises(NonFiniteError, match=f"^archimedes_pi label {label} is beyond"):
+            generate(GeneratorSpec("archimedes_pi", count, start))
 
 
     @pytest.mark.parametrize("family, extra", [
