@@ -83,7 +83,7 @@ def generate(spec):
             raise ModeUnsupportedError("archimedes_pi values are irrational")
         functions = _functions(mode)
         with mode.context():
-            pi = +functions.pi
+            pi = +functions.pi  # unary + rounds mpmath's pi to the working precision
             two = mode.convert(2)
             values = []
             for n in labels:

@@ -37,7 +37,8 @@ def run(capsys, *argv):
 
 @st.composite
 def generator_args(draw):
-    """--family and its arguments, --mode and --count for any family in any mode.
+    """Generator arguments for any family in any mode: --family with its --z or --s, --start,
+    --count, --mode and --precision-bits.
 
     The partial-sum families start at small labels, since their set-up
     sums every term below the start.
