@@ -57,6 +57,7 @@ from seqaccel import (
     GeneratorSpec,
     ModeUnsupportedError,
     Sequence,
+    Status,
     build_lattice,
     epsilon_transform,
     generate,
@@ -92,10 +93,10 @@ def digest(seq, max_order, threshold=None, builds=ENGINES):
     h = hashlib.sha256()
     for build in builds:
         table = build(seq, max_order) if threshold is None else build(seq, max_order, threshold)
-        cells = [e.status.value if e.value is None else value_text(e.value)
-                 for e in table.entries.values()]
+        cells = table.cells(value_text)
+        texts = [cell.value if cell is Status.BREAKDOWN else cell for cell in cells.values()]
         h.update(f"{build.__name__} {table.start_label} {table.end_label}\n"
-                 f"{list(table.entries)}\n{cells}\n".encode())
+                 f"{list(cells)}\n{texts}\n".encode())
     return h.hexdigest()
 
 

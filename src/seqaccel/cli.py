@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import random
+import re
 import sys
 
 from . import analysis, oracle, seqgen
@@ -243,9 +244,25 @@ def cmd_verify(args):
     return 0 if failures == 0 else 1
 
 
+def _join_negative_numbers(argv):
+    """argv with each negative number after ``--z``, ``--limit`` or ``--breakdown-threshold`` joined to it.
+
+    argparse reads a token like ``-1/2`` or ``-1e-1`` as an option, since
+    only plain negatives like ``-0.5`` look like values to it;
+    ``--z -1/2`` becomes ``--z=-1/2``.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] in ("--z", "--limit", "--breakdown-threshold") and re.match(r"-[\d.]", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None):
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_join_negative_numbers(sys.argv[1:] if argv is None else argv))
     handlers = {
         "generate": cmd_generate,
         "transform": cmd_transform,

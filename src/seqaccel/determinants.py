@@ -9,7 +9,8 @@ system.  ``bareiss_det`` is fraction-free Bareiss elimination on those
 integers; each of its divisions is exact.  ``leading_minors`` runs the
 same elimination without row swaps, whose pivots are the leading
 principal minors (Bareiss 1968, by Sylvester's identity), so one pass
-gives the determinants of every leading block.
+gives the determinants of every leading block up to the first zero one;
+each block past it is its own ``bareiss_det``.
 """
 
 from __future__ import annotations
@@ -55,9 +56,9 @@ def leading_minors(rows):
     """Leading principal minors of an integer matrix: entry j is the det of the leading (j+1)x(j+1) block.
 
     Bareiss elimination without row swaps: each pivot is the next
-    leading minor.  The list stops at the first zero minor, since the
-    elimination cannot go past a zero pivot without a swap, which would
-    change the blocks after it.
+    leading minor.  The elimination cannot go past a zero pivot without
+    a swap, which would change the blocks after it, so from the first
+    zero minor on each leading block is its own ``bareiss_det``.
     """
     minors = []
     a = rows
@@ -69,4 +70,4 @@ def leading_minors(rows):
             break
         a = [[(x * p - f * y) // prev for x, y in zip(row, tail)] for f, *row in rest]
         prev = p
-    return minors
+    return minors + [bareiss_det([row[:j] for row in rows[:j]]) for j in range(len(minors) + 1, len(rows) + 1)]

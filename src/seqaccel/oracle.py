@@ -17,21 +17,20 @@ ratio is num / (den * D), G/F and each nonzero bilinear residual are
 one integer over a power of D, and a zero residual is the shared
 Fraction(0).
 
-The routes take every order at a label from one elimination without
-row swaps per matrix, whose pivots are the leading principal minors
-(Bareiss 1968).  ``oracle_transform`` takes T from two such
-eliminations, numerator and denominator.  The molecule (and with it
+The routes take every order at a label from the leading principal
+minors of one matrix (``determinants.leading_minors``, which also owns
+what happens past a zero minor).  ``oracle_transform`` takes T from two
+such matrices, numerator and denominator.  The molecule (and with it
 ``check_bilinear``) takes Psi_1, Psi_2, ... of each D^shift S it reads,
 and Phi_1, Phi_2, ... of D S, from one block per label, as deep as the
-highest order the requested levels read.  From the first zero minor on,
-the rest of that label falls back to one pivoting elimination per
-order.  Every determinant of order 1 or more checks that its columns lie
-in the sequence, also one that reads no difference row.  Each public
-result is rounded to the sequence's mode once, at the end, so a float64
-T_k^(n) is the correctly rounded transform of its inputs.  Exact mode
-returns the Fractions themselves.  ``verify_routes`` checks the lattice
-against both routes, each on the nested eliminations; agreement is an
-end-to-end correctness check of all three.
+highest order the requested levels read.  Every determinant of order 1
+or more checks that its columns lie in the sequence, also one that
+reads no difference row.  Each public result is rounded to the
+sequence's mode once, at the end, so a float64 T_k^(n) is the correctly
+rounded transform of its inputs.  Exact mode returns the Fractions
+themselves.  ``verify_routes`` checks the lattice against both routes,
+each on the leading minors; agreement is an end-to-end correctness
+check of all three.
 """
 
 from __future__ import annotations
@@ -83,15 +82,23 @@ def _rounded(mode, x):
     return x if mode.is_exact else mode.convert(x)
 
 
-def _fits(seq, diffs, k, n, shift, scaled):
+def _last_order(k, shift, head):
+    """The highest difference order an order-k determinant reads, or 0 (S itself) when it reads none.
+
+    Below its ``head`` row, if any, its rows are D^shift S, D^(shift+2) S, ....
+    """
+    scaled = k - (head is not None)
+    return shift + 2 * scaled - 2 if scaled > 0 else 0
+
+
+def _fits(seq, diffs, k, n, shift, head):
     """Whether an order-k >= 1 determinant over the columns n..n+k-1 fits the sequence.
 
-    Its ``scaled`` difference rows are D^shift S, D^(shift+2) S, ...; the
-    columns must lie in the highest order read, whose row is the
-    shortest, or in S itself when no difference row is read.
+    The columns must lie in the highest order read, whose row is the
+    shortest.
     """
     lo = n - seq.start_label
-    last = shift + 2 * scaled - 2 if scaled else 0
+    last = _last_order(k, shift, head)
     return lo >= 0 and last < len(diffs.rows) and lo + k <= len(diffs.rows[last])
 
 
@@ -120,11 +127,16 @@ def _hankel_det(seq, diffs, k, n, shift=0, head=None):
         if k < -1:
             raise WindowError(f"determinant order {k} is below -1")
         return k + 1, 0
-    scaled = k - (head is not None)
-    if not _fits(seq, diffs, k, n, shift, scaled):
+    if not _fits(seq, diffs, k, n, shift, head):
         raise WindowError(f"labels {n}..{n + k - 1} of the order-{k} determinant over D^{shift} S "
                           f"lie outside the sequence")
-    return bareiss_det(_block(seq, diffs, k, n, shift, head)), scaled
+    return bareiss_det(_block(seq, diffs, k, n, shift, head)), k - (head is not None)
+
+
+def _single(seq, k, n, shift=0, head=None):
+    """``_hankel_det`` of ``seq`` alone, over a difference table as deep as it reads, as (diffs, det)."""
+    diffs = _difference_table(seq, _last_order(k, shift, head))
+    return diffs, _hankel_det(seq, diffs, k, n, shift, head)
 
 
 def _exact(diffs, det):
@@ -146,60 +158,42 @@ def psi_det(v, k, n):
 
     Conventions: k = -1 gives 0, k = 0 gives 1.
     """
-    diffs = _difference_table(v, 2 * k - 2)
-    return _rounded(v.mode, _exact(diffs, _hankel_det(v, diffs, k, n)))
+    return _rounded(v.mode, _exact(*_single(v, k, n)))
 
 
 def phi_det(v, k, n):
     """Like psi_det but the first row holds the column labels n..n+k-1."""
-    diffs = _difference_table(v, 2 * k - 4)
-    return _rounded(v.mode, _exact(diffs, _hankel_det(v, diffs, k, n, head="labels")))
-
-
-def _t_denominator(seq, diffs, k, n):
-    if k < 0:
-        raise WindowError("transform order k must be nonnegative")
-    return _hankel_det(seq, diffs, k + 1, n, 2, "ones")
+    return _rounded(v.mode, _exact(*_single(v, k, n, head="labels")))
 
 
 def t_denominator(seq, k, n):
     """(k+1) x (k+1) determinant with a row of ones over D^2 S, ..., D^(2k) S."""
-    diffs = _difference_table(seq, 2 * k)
-    return _rounded(seq.mode, _exact(diffs, _t_denominator(seq, diffs, k, n)))
-
-
-def _t_value(seq, diffs, k, n):
-    den = _t_denominator(seq, diffs, k, n)
-    if den[0] == 0:
-        raise SingularError(f"zero denominator determinant at (k={k}, n={n})")
-    return _quotient(diffs, _hankel_det(seq, diffs, k + 1, n), den)
+    if k < 0:
+        raise WindowError("transform order k must be nonnegative")
+    return _rounded(seq.mode, _exact(*_single(seq, k + 1, n, 2, "ones")))
 
 
 def t_determinant(seq, k, n):
     """Transform value T_k^(n) as the ratio of the two (k+1)x(k+1) determinants."""
-    return _rounded(seq.mode, _t_value(seq, _difference_table(seq, 2 * k), k, n))
+    if k < 0:
+        raise WindowError("transform order k must be nonnegative")
+    diffs, den = _single(seq, k + 1, n, 2, "ones")
+    if den[0] == 0:
+        raise SingularError(f"zero denominator determinant at (k={k}, n={n})")
+    return _rounded(seq.mode, _quotient(diffs, _hankel_det(seq, diffs, k + 1, n), den))
 
 
-def _label_ratios(seq, diffs, top, n):
-    """The exact T_0^(n), ..., T_top^(n); None is a zero denominator.
+def _label_ratios(seq, diffs, k_max, n):
+    """The exact T_0^(n), ..., T_k_max^(n) wherever the window fits; None is a zero denominator.
 
-    The numerator and denominator of T_k^(n) are the leading
-    (k+1) x (k+1) blocks of one matrix each, so two eliminations without
-    row swaps give every order at once: the numerator has k+1 scaled
-    rows and the denominator k, so T_k^(n) = num / (den * scale).  From
-    the first zero leading minor on, each cell is its own pivoting
-    determinant.
+    The numerator of T_k^(n) is the order-(k+1) Psi of S, and its
+    denominator the order-(k+1) determinant with a row of ones over
+    D^2 S, ..., so ``_minors`` gives every order of each at once.
     """
-    width = top + 1
-    nums = leading_minors(_block(seq, diffs, width, n, 0, None))
-    dens = leading_minors(_block(seq, diffs, width, n, 2, "ones"))
-    ratios = [Fraction(num, den * diffs.scale) if den else None for num, den in zip(nums, dens)]
-    for k in range(len(ratios), width):
-        try:
-            ratios.append(_t_value(seq, diffs, k, n))
-        except SingularError:
-            ratios.append(None)
-    return ratios
+    top = min(k_max, (seq.end_label - n) // 3) + 1  # the highest order whose window fits
+    nums = _minors(seq, diffs, n, 0, None, top)
+    dens = _minors(seq, diffs, n, 2, "ones", top)
+    return [_quotient(diffs, num, den) if den[0] else None for num, den in zip(nums[2:], dens[2:])]
 
 
 def _cell(mode, x):
@@ -222,7 +216,7 @@ def oracle_transform(seq, k_max):
     diffs = _difference_table(seq, 2 * k_max)
     columns = {k: [] for k in range(k_max + 1)}
     for n in seq.labels():
-        for k, x in enumerate(_label_ratios(seq, diffs, min(k_max, (seq.end_label - n) // 3), n)):
+        for k, x in enumerate(_label_ratios(seq, diffs, k_max, n)):
             columns[k].append(_cell(seq.mode, x))
     return TransformTable.from_columns({k: (c, len(c)) for k, c in columns.items()}, seq)
 
@@ -255,27 +249,17 @@ _MOLECULE = (
 
 
 def _minors(seq, diffs, n, shift, head, top):
-    """Psi (or, with a ``head`` row, Phi) of D^shift S at label n, each as (integer, power).
+    """The determinants of ``_block`` at label n of every order, each as (integer, power).
 
     Entry i is the order-(i - 1) determinant, from order -1 on.  The
     orders run up to ``top``, or to the highest order below it whose
     window fits.  Orders 1 and up are the leading minors of that one
-    block; from the first zero minor on, each order is its own pivoting
-    elimination.
+    block.
     """
-    extra = head is not None
-    if shift >= len(diffs.rows):
-        # a Psi or Phi of D^shift S needs D^shift S to exist, even Phi_1,
-        # which reads only its label row
-        top = 0
-    while top > 0 and not _fits(seq, diffs, top, n, shift, top - extra):
+    while top > 0 and not _fits(seq, diffs, top, n, shift, head):
         top -= 1
-    dets = [(0, 0), (1, 0)]
-    if top > 0:
-        minors = leading_minors(_block(seq, diffs, top, n, shift, head))
-        dets += [(d, j - extra) for j, d in enumerate(minors, 1)]
-        dets += [_hankel_det(seq, diffs, j, n, shift, head) for j in range(len(minors) + 1, top + 1)]
-    return dets
+    minors = leading_minors(_block(seq, diffs, top, n, shift, head)) if top > 0 else []
+    return [(0, 0), (1, 0)] + [(d, j - (head is not None)) for j, d in enumerate(minors, 1)]
 
 
 def _molecule(seq, diffs, levels):
@@ -292,6 +276,10 @@ def _molecule(seq, diffs, levels):
     labels = list(seq.labels())
     columns = {}
     for (shift, head), top in tops.items():
+        if shift >= len(diffs.rows):
+            # a Psi or Phi of D^shift S needs D^shift S to exist, even Phi_1,
+            # which reads only its label row
+            top = 0
         column = columns[shift, head] = []
         for n in labels:
             column.append(_minors(seq, diffs, n, shift, head, top))
@@ -339,7 +327,7 @@ def verify_routes(seq, k_max):
     """
     lattice = lbq_transform(seq, k_max)
     diffs = _difference_table(seq, len(seq) - 1)
-    ratios = {n: _label_ratios(seq, diffs, min(k_max, (seq.end_label - n) // 3), n) for n in seq.labels()}
+    ratios = {n: _label_ratios(seq, diffs, k_max, n) for n in seq.labels()}
     molecule = _molecule(seq, diffs, range(6, 3 * k_max + 4, 3))
     cells, mismatches = 0, []
     for k in range(1, k_max + 1):

@@ -51,7 +51,7 @@ def generator_args(draw):
             "--mode", draw(st.sampled_from(["float64", "bigfloat", "rational"])),
             "--precision-bits", str(draw(st.sampled_from([64, 128, 256])))]
     if family in ("geometric", "exp_series"):
-        args.append(f"--z={draw(st.integers(-10**4, 10**4))}/{draw(st.integers(1, 10**4))}")
+        args += ["--z", f"{draw(st.integers(-10**4, 10**4))}/{draw(st.integers(1, 10**4))}"]
     if family == "zeta":
         args += ["--s", str(draw(st.integers(2, 60)))]
     return args
@@ -282,7 +282,14 @@ class TestCompare:
          GeneratorSpec("zeta2", 20, mode=BigFloat(128))),
         (("--family", "geometric", "--z=-2/3", "--count", "12", "--mode", "rational"),
          GeneratorSpec("geometric", 12, 0, RATIONAL, z=Fraction(-2, 3))),
-    ], ids=["float64", "bigfloat128", "rational"])
+        # a negative p/q or exponent-form value given as its own token
+        (("--family", "geometric", "--z", "-2/3", "--count", "12", "--mode", "rational"),
+         GeneratorSpec("geometric", 12, 0, RATIONAL, z=Fraction(-2, 3))),
+        (("--family", "exp_series", "--z", "-1e-1", "--count", "12"),
+         GeneratorSpec("exp_series", 12, 0, z=Fraction(-1, 10))),
+        (("--family", "alt_harmonic", "--count", "12", "--mode", "rational", "--limit", "-1/3"),
+         GeneratorSpec("alt_harmonic", 12, 1, RATIONAL)),
+    ], ids=["float64", "bigfloat128", "rational", "z_token", "z_exponent", "limit_token"])
     def test_cells_are_the_error_table(self, capsys, argv, spec):
         """Column 2k + i is error_table of the lattice (i = 0) or epsilon (i = 1)
         table at order k, computed at the mode's precision: BRK for a
@@ -291,6 +298,8 @@ class TestCompare:
                            "--output-format", "csv", "--digits", "20")
         assert code == 0
         seq, limit = generate(spec)
+        if "--limit" in argv:
+            limit = spec.mode.parse(argv[argv.index("--limit") + 1])
         with spec.mode.context():
             errors = [error_table(transform(seq, 3), limit)
                       for transform in (lbq_transform, epsilon_transform)]
@@ -435,11 +444,12 @@ class TestErrors:
 
     @pytest.mark.parametrize("argv, message", [
         (("--breakdown-threshold", "-1"), "breakdown threshold -1.0 is negative"),
+        (("--breakdown-threshold", "-1e-3"), "breakdown threshold -0.001 is negative"),
         (("--mode", "rational", "--breakdown-threshold", "1000"),
          "breakdown threshold 1000 has no effect in rational mode"),
         (("--algorithm", "oracle", "--breakdown-threshold", "1e-9"),
          "--breakdown-threshold does not apply to --algorithm oracle"),
-    ], ids=["negative", "exact_mode", "oracle"])
+    ], ids=["negative", "negative_exponent", "exact_mode", "oracle"])
     def test_threshold_the_run_cannot_honour_is_rejected(self, capsys, argv, message):
         code, out, err = run(capsys, "transform", "--family", "alt_harmonic", "--count", "8",
                              "--k-max", "1", *argv)

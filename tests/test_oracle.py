@@ -29,7 +29,7 @@ from seqaccel import (
     psi_det,
     t_determinant,
 )
-from seqaccel import oracle
+from seqaccel import determinants, oracle
 from seqaccel.seqgen import random_rational_sequence
 from seqaccel.formatting import to_fraction
 from seqaccel.oracle import oracle_transform, t_denominator, verify_routes
@@ -154,14 +154,24 @@ def zero_minor_corpus(rng, count=60):
         yield Sequence.from_iterable(values, (0, 1, -2, 3)[i % 4], RATIONAL)
 
 
+def count_fallbacks(monkeypatch):
+    """A list that grows by one for each leading block that ``leading_minors`` takes as its own ``bareiss_det``.
+
+    The oracle's per-cell determinants call ``bareiss_det`` through their
+    own import, so they are not counted.
+    """
+    calls = []
+    bareiss_det = determinants.bareiss_det
+    monkeypatch.setattr(determinants, "bareiss_det", lambda rows: calls.append(len(rows)) or bareiss_det(rows))
+    return calls
+
+
 class TestOracleTransform:
     def test_every_cell_is_the_per_cell_ratio(self, rng, monkeypatch):
         # the table comes from the leading minors of one elimination per
         # label; each cell must be the ratio t_determinant takes alone, and
         # a cell where that raises must be BREAKDOWN
-        fallback = []
-        t_value = oracle._t_value
-        monkeypatch.setattr(oracle, "_t_value", lambda *args: fallback.append(args[2:]) or t_value(*args))
+        fallback = count_fallbacks(monkeypatch)
         fallback_cells = 0
         for seq in zero_minor_corpus(rng):
             k_max = (len(seq) + 2) // 3  # one order past the longest column
@@ -241,10 +251,7 @@ class TestMoleculeSolution:
         # every Psi and Phi at a label comes from the leading minors of one
         # block per (shift, head); each must be the determinant psi_det or
         # phi_det takes alone, with the same keys in the same order
-        calls = []
-        hankel_det = oracle._hankel_det
-        monkeypatch.setattr(oracle, "_hankel_det",
-                            lambda *args, **kw: calls.append(args[2:]) or hankel_det(*args, **kw))
+        calls = count_fallbacks(monkeypatch)
         fallback_cells = 0
         corpus = list(zero_minor_corpus(rng)) + [
             random_rational_sequence(rng, rng.randint(1, 30), i % 3) for i in range(4)]
