@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .errors import WindowError
+from .errors import SpecError, WindowError
 
 
 class Classification(enum.Enum):
@@ -43,7 +43,11 @@ def estimate_rho(seq, limit=None, delta=0.05):
     * magnitude at most delta   -> HYPERLINEAR
     * magnitude at least 1+delta -> DIVERGENT
     * otherwise                 -> LINEAR (sign reported separately)
+
+    ``delta`` must be a finite number >= 0.
     """
+    if not 0 <= delta < float("inf"):
+        raise SpecError(f"delta must be a finite number >= 0, got {delta}")
     if len(seq) < 3:
         raise WindowError("need at least 3 elements to estimate rho")
     proxy = limit is None

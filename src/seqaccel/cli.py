@@ -225,6 +225,8 @@ def cmd_classify(args):
 
 
 def cmd_verify(args):
+    if args.trials < 1:
+        raise SpecError(f"--trials must be at least 1, got {args.trials}")
     rng = random.Random(args.seed)
     failures = 0
     for trial in range(args.trials):
@@ -249,11 +251,17 @@ def _join_negative_numbers(argv):
 
     argparse reads a token like ``-1/2`` or ``-1e-1`` as an option, since
     only plain negatives like ``-0.5`` look like values to it;
-    ``--z -1/2`` becomes ``--z=-1/2``.
+    ``--z -1/2`` becomes ``--z=-1/2``.  An option may be abbreviated as
+    argparse allows, to ``--`` and at least one more character of its
+    name (``--lim -1/3`` becomes ``--lim=-1/3``); no two of the three
+    share such a prefix, and argparse itself rejects one that another
+    option of the command shares.
     """
     out = []
     for token in argv:
-        if out and out[-1] in ("--z", "--limit", "--breakdown-threshold") and re.match(r"-[\d.]", token):
+        option = out[-1] if out else ""
+        if re.match(r"-[\d.]", token) and len(option) > 2 and any(
+                name.startswith(option) for name in ("--z", "--limit", "--breakdown-threshold")):
             out[-1] += "=" + token
         else:
             out.append(token)

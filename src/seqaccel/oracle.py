@@ -19,18 +19,28 @@ Fraction(0).
 
 The routes take every order at a label from the leading principal
 minors of one matrix (``determinants.leading_minors``, which also owns
-what happens past a zero minor).  ``oracle_transform`` takes T from two
-such matrices, numerator and denominator.  The molecule (and with it
+what happens past a zero minor).  ``_t_columns`` takes T from two such
+matrices, numerator and denominator; ``oracle_transform`` and
+``verify_routes`` both read it.  The molecule (and with it
 ``check_bilinear``) takes Psi_1, Psi_2, ... of each D^shift S it reads,
 and Phi_1, Phi_2, ... of D S, from one block per label, as deep as the
 highest order the requested levels read.  Every determinant of order 1
 or more checks that its columns lie in the sequence, also one that
-reads no difference row.  Each public result is rounded to the
-sequence's mode once, at the end, so a float64 T_k^(n) is the correctly
-rounded transform of its inputs.  Exact mode returns the Fractions
-themselves.  ``verify_routes`` checks the lattice against both routes,
-each on the leading minors; agreement is an end-to-end correctness
-check of all three.
+reads no difference row.
+
+Like the engines' tables, the routes are label columns: one list per
+order or level, from the start label on, as far as the window fits.  A
+window only shrinks as the label grows, so every column is a prefix of
+the labels, and its next label n + 1 is the column read from its second
+cell.  ``check_bilinear`` and ``verify_routes`` zip the columns they
+compare; only ``molecule_solution``'s public F and G are keyed by
+(level, label).
+
+Each public result is rounded to the sequence's mode once, at the end,
+so a float64 T_k^(n) is the correctly rounded transform of its inputs.
+Exact mode returns the Fractions themselves.  ``verify_routes`` checks
+the lattice against both routes, each on the leading minors; agreement
+is an end-to-end correctness check of all three.
 """
 
 from __future__ import annotations
@@ -183,17 +193,22 @@ def t_determinant(seq, k, n):
     return _rounded(seq.mode, _quotient(diffs, _hankel_det(seq, diffs, k + 1, n), den))
 
 
-def _label_ratios(seq, diffs, k_max, n):
-    """The exact T_0^(n), ..., T_k_max^(n) wherever the window fits; None is a zero denominator.
+def _t_columns(seq, diffs, k_max):
+    """The exact label columns T_0, ..., T_k_max; None is a zero denominator.
 
-    The numerator of T_k^(n) is the order-(k+1) Psi of S, and its
-    denominator the order-(k+1) determinant with a row of ones over
-    D^2 S, ..., so ``_minors`` gives every order of each at once.
+    Column k runs from the start label as far as the window of T_k^(n)
+    fits, that is while n + 3k is a label.  The numerator of T_k^(n) is
+    the order-(k+1) Psi of S, and its denominator the order-(k+1)
+    determinant with a row of ones over D^2 S, ..., so ``_minors`` gives
+    every order of each at a label at once.
     """
-    top = min(k_max, (seq.end_label - n) // 3) + 1  # the highest order whose window fits
-    nums = _minors(seq, diffs, n, 0, None, top)
-    dens = _minors(seq, diffs, n, 2, "ones", top)
-    return [_quotient(diffs, num, den) if den[0] else None for num, den in zip(nums[2:], dens[2:])]
+    columns = [[] for _ in range(k_max + 1)]
+    for n in seq.labels():
+        top = min(k_max, (seq.end_label - n) // 3) + 1  # the highest order whose window fits
+        nums, dens = _minors(seq, diffs, n, 0, None, top), _minors(seq, diffs, n, 2, "ones", top)
+        for column, num, den in zip(columns, nums[2:], dens[2:]):
+            column.append(_quotient(diffs, num, den) if den[0] else None)
+    return columns
 
 
 def _cell(mode, x):
@@ -213,12 +228,9 @@ def oracle_transform(seq, k_max):
     """
     if k_max < 0:
         raise WindowError("max_order must be nonnegative")
-    diffs = _difference_table(seq, 2 * k_max)
-    columns = {k: [] for k in range(k_max + 1)}
-    for n in seq.labels():
-        for k, x in enumerate(_label_ratios(seq, diffs, k_max, n)):
-            columns[k].append(_cell(seq.mode, x))
-    return TransformTable.from_columns({k: (c, len(c)) for k, c in columns.items()}, seq)
+    columns = [[_cell(seq.mode, x) for x in column]
+               for column in _t_columns(seq, _difference_table(seq, 2 * k_max), k_max)]
+    return TransformTable.from_columns({k: (c, len(c)) for k, c in enumerate(columns)}, seq)
 
 
 @dataclass
@@ -263,37 +275,40 @@ def _minors(seq, diffs, n, shift, head, top):
 
 
 def _molecule(seq, diffs, levels):
-    """{(level, n): (F, G)} for the ``levels`` wherever the windows fit, F and G as (integer, power).
+    """The label columns of F and G at the ``levels``, as two dicts {level: column}.
 
-    At each label, every Psi or Phi that the levels read of one D^shift S
-    comes from one block, as deep as the highest order they read.
+    A column holds the level's values from the start label on, as far as
+    both the F and the G window fit, each as (integer, power).  A window
+    only shrinks as the label grows, so each level's cells are a prefix
+    of the labels.  At each label, every Psi or Phi that the levels read
+    of one D^shift S comes from one block, as deep as the highest order
+    they read.
     """
     tops = {}
     for level in levels:
         k, r = divmod(level, 3)
         for shift, head, offset in _MOLECULE[r]:
             tops[shift, head] = max(tops.get((shift, head), -1), k + offset)
-    labels = list(seq.labels())
-    columns = {}
+    orders = {}  # orders[shift, head][i] is the label column of the order-(i - 1) determinant
     for (shift, head), top in tops.items():
+        columns = orders[shift, head] = [[] for _ in range(top + 2)]
         if shift >= len(diffs.rows):
             # a Psi or Phi of D^shift S needs D^shift S to exist, even Phi_1,
             # which reads only its label row
             top = 0
-        column = columns[shift, head] = []
-        for n in labels:
-            column.append(_minors(seq, diffs, n, shift, head, top))
-            top = len(column[-1]) - 2  # the window at n + 1 is no larger
-    cells = {}
+        for n in seq.labels():
+            minors = _minors(seq, diffs, n, shift, head, top)
+            for column, minor in zip(columns, minors):
+                column.append(minor)
+            top = len(minors) - 2  # the window at n + 1 is no larger
+    F, G = {}, {}
     for level in levels:
         k, r = divmod(level, 3)
         (fs, fh, fo), (gs, gh, go) = _MOLECULE[r]
-        fi, gi = k + fo + 1, k + go + 1
-        for n, f, g in zip(labels, columns[fs, fh], columns[gs, gh]):
-            if fi < len(f) and gi < len(g):
-                g_value, power = g[gi]
-                cells[level, n] = f[fi], (-g_value if r == 1 else g_value, power)
-    return cells
+        f, g = orders[fs, fh][k + fo + 1], orders[gs, gh][k + go + 1]
+        size = min(len(f), len(g))
+        F[level], G[level] = f[:size], [(-x, p) for x, p in g[:size]] if r == 1 else g[:size]
+    return F, G
 
 
 def molecule_solution(seq, max_level):
@@ -305,13 +320,15 @@ def molecule_solution(seq, max_level):
     """
     mol = MoleculeSolution()
     diffs = _difference_table(seq, len(seq) - 1)
-    for key, (f, g) in _molecule(seq, diffs, range(max_level + 1)).items():
-        try:
-            f, g = _rounded(seq.mode, _exact(diffs, f)), _rounded(seq.mode, _exact(diffs, g))
-        except NonFiniteError:
-            continue
-        mol.F[key] = f
-        mol.G[key] = g
+    F, G = _molecule(seq, diffs, range(max_level + 1))
+    for level, fs in F.items():
+        for n, f, g in zip(seq.labels(), fs, G[level]):
+            try:
+                f, g = _rounded(seq.mode, _exact(diffs, f)), _rounded(seq.mode, _exact(diffs, g))
+            except NonFiniteError:
+                continue
+            mol.F[level, n] = f
+            mol.G[level, n] = g
     return mol
 
 
@@ -320,24 +337,24 @@ def verify_routes(seq, k_max):
 
     The lattice value must equal the exact determinant ratio and the
     exact molecule ratio G/F at level 3k+3, both read from one
-    difference table and each taken per label from the leading minors
-    of one elimination.  A zero denominator, a molecule cell whose
-    window does not fit, or F = 0 counts as a mismatch.  Returns the
-    number of cells compared and the (k, n) of each mismatch.
+    difference table as label columns, each taken per label from the
+    leading minors of one elimination.  For each k, the lattice column's
+    prefix, the T column and the molecule column at level 3k+3 are
+    walked together by label; all three windows fit while n + 3k is a
+    label.  A zero denominator or F = 0 counts as a mismatch.  Returns
+    the number of cells compared and the (k, n) of each mismatch.
     """
     lattice = lbq_transform(seq, k_max)
     diffs = _difference_table(seq, len(seq) - 1)
-    ratios = {n: _label_ratios(seq, diffs, k_max, n) for n in seq.labels()}
-    molecule = _molecule(seq, diffs, range(6, 3 * k_max + 4, 3))
+    T = _t_columns(seq, diffs, k_max)
+    F, G = _molecule(seq, diffs, range(6, 3 * k_max + 4, 3))
     cells, mismatches = 0, []
     for k in range(1, k_max + 1):
-        for n in seq.labels():
-            entry = lattice.get(k, n)
-            if not entry.ok:
+        for n, value, t, f, g in zip(seq.labels(), lattice.columns[k][0], T[k], F[3 * k + 3], G[3 * k + 3]):
+            if value is None:
                 continue
             cells += 1
-            f, g = molecule.get((3 * k + 3, n), ((0, 0), None))
-            if not (f[0] != 0 and entry.value == ratios[n][k] == _quotient(diffs, g, f)):
+            if not (f[0] != 0 and value == t == _quotient(diffs, g, f)):
                 mismatches.append((k, n))
     return cells, mismatches
 
@@ -354,14 +371,15 @@ class BilinearReport:
 
 
 _BILINEAR_FORMS = {
-    # each maps (F, G, k, n) to the operand pairs of the products a, b, c
-    # of the identity a - b = c; a missing operand raises KeyError
-    "fg_fg_ff": lambda F, G, k, n: (
-        (F[k, n], G[k, n + 1]), (F[k, n + 1], G[k, n]), (F[k + 1, n], F[k - 1, n + 1])),
-    "fg_cross": lambda F, G, k, n: (
-        (F[k + 2, n], G[k - 1, n + 1]), (F[k - 1, n + 1], G[k + 2, n]), (F[k + 1, n + 1], F[k, n])),
-    "ff_ff_ff": lambda F, G, k, n: (
-        (F[k, n], F[k + 2, n + 1]), (F[k, n + 1], F[k + 2, n]), (F[k + 3, n], F[k - 1, n + 1])),
+    # each maps the F and G label columns and a level k to the operand
+    # column pairs of the products a, b, c of the identity a - b = c at
+    # (k, n); a column read from its second cell, [1:], is the column at n + 1
+    "fg_fg_ff": lambda F, G, k: (
+        (F[k], G[k][1:]), (F[k][1:], G[k]), (F[k + 1], F[k - 1][1:])),
+    "fg_cross": lambda F, G, k: (
+        (F[k + 2], G[k - 1][1:]), (F[k - 1][1:], G[k + 2]), (F[k + 1][1:], F[k])),
+    "ff_ff_ff": lambda F, G, k: (
+        (F[k], F[k + 2][1:]), (F[k][1:], F[k + 2]), (F[k + 3], F[k - 1][1:])),
 }
 
 _ZERO = Fraction(0)
@@ -385,27 +403,25 @@ def check_bilinear(seq, k_max):
 
     Exact mode only: the identities hold exactly, and a residual of
     rounded F and G would measure the rounding.  The residuals are
-    taken on the integer molecule, F and G each an integer over a power
-    of the scale, so only a nonzero residual becomes a Fraction.
+    taken on the integer molecule's label columns, F and G each an
+    integer over a power of the scale, so only a nonzero residual
+    becomes a Fraction.  At each level k an identity's operands are the
+    F and G columns of nearby levels, read at n or at n + 1; its cells
+    are a zip over those columns, as far as every operand has a cell.
     """
     if not seq.mode.is_exact:
         raise ModeUnsupportedError(f"check_bilinear needs exact arithmetic, not {seq.mode.name}")
     diffs = _difference_table(seq, len(seq) - 1)
-    cells = _molecule(seq, diffs, range(k_max + 4))
-    F = {key: f for key, (f, _) in cells.items()}
-    G = {key: g for key, (_, g) in cells.items()}
+    F, G = _molecule(seq, diffs, range(k_max + 4))
     residuals = {name: {} for name in _BILINEAR_FORMS}
     for name, form in _BILINEAR_FORMS.items():
         for k in range(1, k_max + 1):
-            for n in seq.labels():
-                try:
-                    pairs = form(F, G, k, n)
-                except KeyError:
-                    continue
-                residuals[name][k, n] = _residual(diffs.scale, pairs)
+            cells = zip(seq.labels(), *(zip(x, y) for x, y in form(F, G, k)))
+            residuals[name].update(((k, n), _residual(diffs.scale, pairs)) for n, *pairs in cells)
     checked = sum(map(len, residuals.values()))
     # F_0 = 0 is structural; only positive levels signal degeneracy
-    zero_f = [key for key, (v, _) in F.items() if v == 0 and key[0] > 0]
+    zero_f = [(level, n) for level, fs in F.items() if level > 0
+              for n, (f, _) in zip(seq.labels(), fs) if f == 0]
     return BilinearReport(residuals, checked, zero_f)
 
 

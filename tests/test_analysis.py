@@ -11,6 +11,7 @@ from seqaccel import (
     Classification,
     GeneratorSpec,
     Sequence,
+    SpecError,
     Status,
     WindowError,
     epsilon_transform,
@@ -68,6 +69,18 @@ class TestEstimateRho:
     def test_too_short(self):
         with pytest.raises(WindowError):
             estimate_rho(seq_of([1.0, 2.0]), 0.0)
+
+    @pytest.mark.parametrize("delta", [-1, -1e-300, float("nan"), float("inf"), Fraction(-1, 2)])
+    def test_delta_must_be_finite_and_nonnegative(self, delta):
+        # a negative delta called a logarithmic sequence divergent, and a
+        # NaN one called every sequence linear
+        seq, limit = generate(GeneratorSpec("zeta2", 10, 1))
+        with pytest.raises(SpecError, match="delta"):
+            estimate_rho(seq, limit, delta)
+
+    def test_zero_delta_is_accepted(self):
+        seq, limit = generate(GeneratorSpec("zeta2", 60, 1))
+        assert estimate_rho(seq, limit, 0).classification is Classification.LINEAR
 
 
 class TestErrorTable:

@@ -258,6 +258,12 @@ class TestClassify:
         assert code == 0
         assert "limit used: 1.6449340668482264\n" in out
 
+    @pytest.mark.parametrize("delta", ["-1", "nan", "inf"])
+    def test_delta_that_is_negative_or_not_finite_is_rejected(self, capsys, delta):
+        code, out, err = run(capsys, "classify", "--family", "zeta2", "--count", "10", "--delta", delta)
+        assert code == 1 and out == ""
+        assert err == f"error: delta must be a finite number >= 0, got {float(delta)}\n"
+
     def test_classify_alternating(self, capsys):
         code, out, _ = run(
             capsys, "classify", "--family", "alt_harmonic", "--count", "40",
@@ -289,7 +295,10 @@ class TestCompare:
          GeneratorSpec("exp_series", 12, 0, z=Fraction(-1, 10))),
         (("--family", "alt_harmonic", "--count", "12", "--mode", "rational", "--limit", "-1/3"),
          GeneratorSpec("alt_harmonic", 12, 1, RATIONAL)),
-    ], ids=["float64", "bigfloat128", "rational", "z_token", "z_exponent", "limit_token"])
+        # ... also after an option abbreviated as argparse allows
+        (("--family", "alt_harmonic", "--count", "12", "--mode", "rational", "--lim", "-1/3"),
+         GeneratorSpec("alt_harmonic", 12, 1, RATIONAL)),
+    ], ids=["float64", "bigfloat128", "rational", "z_token", "z_exponent", "limit_token", "limit_prefix"])
     def test_cells_are_the_error_table(self, capsys, argv, spec):
         """Column 2k + i is error_table of the lattice (i = 0) or epsilon (i = 1)
         table at order k, computed at the mode's precision: BRK for a
@@ -298,8 +307,9 @@ class TestCompare:
                            "--output-format", "csv", "--digits", "20")
         assert code == 0
         seq, limit = generate(spec)
-        if "--limit" in argv:
-            limit = spec.mode.parse(argv[argv.index("--limit") + 1])
+        limit_option = next((a for a in argv if a.startswith("--lim")), None)
+        if limit_option is not None:
+            limit = spec.mode.parse(argv[argv.index(limit_option) + 1])
         with spec.mode.context():
             errors = [error_table(transform(seq, 3), limit)
                       for transform in (lbq_transform, epsilon_transform)]
@@ -346,13 +356,20 @@ class TestVerify:
     def test_verify_fails_on_route_mismatch(self, capsys, monkeypatch):
         from seqaccel import oracle
 
-        label_ratios = oracle._label_ratios
-        monkeypatch.setattr(oracle, "_label_ratios",
-                            lambda *args: [x if x is None else x + 1 for x in label_ratios(*args)])
+        t_columns = oracle._t_columns
+        monkeypatch.setattr(oracle, "_t_columns", lambda *args: [
+            [x if x is None else x + 1 for x in column] for column in t_columns(*args)])
         code, out, _ = run(capsys, "verify", "--trials", "1", "--k-max", "3", "--seed", "7")
         assert code == 1
         assert "route equivalence" in out and "FAIL" in out
         assert out.strip().endswith("FAIL (1 checks)")
+
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_no_trial_is_rejected(self, capsys, trials):
+        # a run that checks nothing must not print PASS
+        code, out, err = run(capsys, "verify", "--trials", trials)
+        assert code == 1 and out == ""
+        assert err == f"error: --trials must be at least 1, got {trials}\n"
 
     def test_verify_deterministic(self, capsys):
         argv = ["verify", "--trials", "2", "--k-max", "5", "--seed", "42"]
@@ -445,11 +462,12 @@ class TestErrors:
     @pytest.mark.parametrize("argv, message", [
         (("--breakdown-threshold", "-1"), "breakdown threshold -1.0 is negative"),
         (("--breakdown-threshold", "-1e-3"), "breakdown threshold -0.001 is negative"),
+        (("--breakdown", "-1e-3"), "breakdown threshold -0.001 is negative"),
         (("--mode", "rational", "--breakdown-threshold", "1000"),
          "breakdown threshold 1000 has no effect in rational mode"),
         (("--algorithm", "oracle", "--breakdown-threshold", "1e-9"),
          "--breakdown-threshold does not apply to --algorithm oracle"),
-    ], ids=["negative", "negative_exponent", "exact_mode", "oracle"])
+    ], ids=["negative", "negative_exponent", "abbreviated_exponent", "exact_mode", "oracle"])
     def test_threshold_the_run_cannot_honour_is_rejected(self, capsys, argv, message):
         code, out, err = run(capsys, "transform", "--family", "alt_harmonic", "--count", "8",
                              "--k-max", "1", *argv)

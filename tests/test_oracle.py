@@ -307,6 +307,26 @@ class TestVerifyRoutes:
             mismatches += len(got[1])
         assert (mismatches > 0) == (mode is FLOAT64)
 
+    def test_a_molecule_mismatch_alone_is_reported(self, rng, monkeypatch):
+        # the lattice and the T route agree; G off by one at level 9 = 3k + 3
+        # must make every compared cell of order k = 2, and only those, a mismatch
+        sequences = [random_rational_sequence(rng, 12, i % 3) for i in range(5)]
+        assert all(verify_routes(seq, 3)[1] == [] for seq in sequences)
+        molecule = oracle._molecule
+
+        def perturbed(*args):
+            F, G = molecule(*args)
+            G[9] = [(g + 1, power) for g, power in G[9]]
+            return F, G
+
+        monkeypatch.setattr(oracle, "_molecule", perturbed)
+        for seq in sequences:
+            lattice = lbq_transform(seq, 3)
+            compared = [(k, n) for k in range(1, 4) for n in seq.labels() if lattice.get(k, n).ok]
+            cells, mismatches = verify_routes(seq, 3)
+            assert cells == len(compared)
+            assert mismatches == [(k, n) for k, n in compared if k == 2] != []
+
 
 class TestBilinear:
     def test_residuals_vanish_exactly(self, rng):
