@@ -138,9 +138,12 @@ def _render_table(header, rows, fmt):
 
 def _column_digits(args, ncols):
     """Decimal places of each of the ``ncols`` value columns: ``--col-digits``
-    if given, else ``--digits`` for every column; none may be negative."""
-    digits = ([int(p) for p in args.col_digits.split(",")] if args.col_digits
-              else [args.digits] * ncols)
+    if given, else ``--digits`` for every column; each is an integer, and
+    none may be negative."""
+    try:
+        digits = [int(p) for p in args.col_digits.split(",")] if args.col_digits else [args.digits] * ncols
+    except ValueError as exc:  # int() quotes the entry it rejects
+        raise SpecError(f"--col-digits entries must be integers ({exc})") from None
     if len(digits) != ncols:
         raise SeqAccelError(f"--col-digits needs {ncols} entries, got {len(digits)}")
     if min(digits, default=0) < 0:
@@ -225,8 +228,12 @@ def cmd_classify(args):
 
 
 def cmd_verify(args):
-    if args.trials < 1:
-        raise SpecError(f"--trials must be at least 1, got {args.trials}")
+    # below these a run checks nothing: check_bilinear has no cell at k_max 0,
+    # and verify_routes(seq, 3) none on fewer than 4 values
+    for option, value, least in (("--trials", args.trials, 1), ("--k-max", args.k_max, 1),
+                                 ("--length", args.length, 4)):
+        if value < least:
+            raise SpecError(f"{option} must be at least {least}, got {value}")
     rng = random.Random(args.seed)
     failures = 0
     for trial in range(args.trials):

@@ -8,25 +8,28 @@ identities are verified as residuals.
 
 The oracle is exact in every mode.  Each value of S is read exactly (a
 float or mpf is a dyadic rational) and S is scaled by the least common
-denominator D of its values, so the one table of forward differences
-that a call builds holds integers.  Every determinant row is a slice of
-that table, and every determinant is an integer over a known power of
+denominator D of its values, so each table of forward differences it
+builds holds integers.  A table is only as deep as the determinants it
+serves read (``_difference_table``).  Every determinant row is a slice
+of a table, and every determinant is an integer over a known power of
 D (the number of difference rows).  The work stays in integers until a
 public value is formed, and each public value is one Fraction: a T
 ratio is num / (den * D), G/F and each nonzero bilinear residual are
 one integer over a power of D, and a zero residual is the shared
 Fraction(0).
 
-The routes take every order at a label from the leading principal
-minors of one matrix (``determinants.leading_minors``, which also owns
-what happens past a zero minor).  ``_t_columns`` takes T from two such
-matrices, numerator and denominator; ``oracle_transform`` and
-``verify_routes`` both read it.  The molecule (and with it
-``check_bilinear``) takes Psi_1, Psi_2, ... of each D^shift S it reads,
-and Phi_1, Phi_2, ... of D S, from one block per label, as deep as the
-highest order the requested levels read.  Every determinant of order 1
-or more checks that its columns lie in the sequence, also one that
-reads no difference row.
+The routes have one label-column builder, ``_orders``.  Given the
+highest order wanted of each kind of determinant, (shift, head), it
+builds the one difference table those orders read, and takes every
+order at a label from the leading principal minors of one matrix
+(``determinants.leading_minors``, which also owns what happens past a
+zero minor).  ``_t_columns`` asks it for the numerator and denominator
+of T; ``oracle_transform`` and ``verify_routes`` both read T from it.
+The molecule (and with it ``check_bilinear``) asks it for Psi_1,
+Psi_2, ... of each D^shift S it reads, and Phi_1, Phi_2, ... of D S, as
+deep as the highest order the requested levels read.  Every
+determinant of order 1 or more checks that its columns lie in the
+sequence, also one that reads no difference row.
 
 Like the engines' tables, the routes are label columns: one list per
 order or level, from the start label on, as far as the window fits.  A
@@ -70,15 +73,19 @@ class _Differences(NamedTuple):
     scale: int  # least common denominator of S
 
 
-def _difference_table(seq, order):
-    """D^0, D^1, ..., D^order of scale * S, stopping at the last nonempty one.
+def _difference_table(seq, tops):
+    """D^0, D^1, ... of scale * S, as deep as the determinants of ``tops`` read.
 
+    ``tops`` maps (shift, head) to the highest order read of that kind
+    (see ``_block``); the table stops at the highest difference order
+    any of them reads (``_last_order``), or at the last nonempty one.
     Every value is read exactly and scaled to an integer, so every row
     is a list of ints.
     """
     values, scale = integers_over(list(map(integer_ratio, seq.values)))
     rows = [values]
-    for _ in range(min(order, len(values) - 1)):
+    depth = max((_last_order(k, shift, head) for (shift, head), k in tops.items()), default=0)
+    for _ in range(min(depth, len(values) - 1)):
         prev = rows[-1]
         rows.append([b - a for a, b in zip(prev, prev[1:])])
     return _Differences(rows, scale)
@@ -145,7 +152,7 @@ def _hankel_det(seq, diffs, k, n, shift=0, head=None):
 
 def _single(seq, k, n, shift=0, head=None):
     """``_hankel_det`` of ``seq`` alone, over a difference table as deep as it reads, as (diffs, det)."""
-    diffs = _difference_table(seq, _last_order(k, shift, head))
+    diffs = _difference_table(seq, {(shift, head): k})
     return diffs, _hankel_det(seq, diffs, k, n, shift, head)
 
 
@@ -193,22 +200,18 @@ def t_determinant(seq, k, n):
     return _rounded(seq.mode, _quotient(diffs, _hankel_det(seq, diffs, k + 1, n), den))
 
 
-def _t_columns(seq, diffs, k_max):
+def _t_columns(seq, k_max):
     """The exact label columns T_0, ..., T_k_max; None is a zero denominator.
 
-    Column k runs from the start label as far as the window of T_k^(n)
-    fits, that is while n + 3k is a label.  The numerator of T_k^(n) is
-    the order-(k+1) Psi of S, and its denominator the order-(k+1)
-    determinant with a row of ones over D^2 S, ..., so ``_minors`` gives
-    every order of each at a label at once.
+    The numerator of T_k^(n) is the order-(k+1) Psi of S, and its
+    denominator the order-(k+1) determinant with a row of ones over
+    D^2 S, ..., D^(2k) S; ``_orders`` gives the label columns of both.
+    Both windows fit while n + 3k is a label, so column k of each is
+    as long, and the two are zipped.
     """
-    columns = [[] for _ in range(k_max + 1)]
-    for n in seq.labels():
-        top = min(k_max, (seq.end_label - n) // 3) + 1  # the highest order whose window fits
-        nums, dens = _minors(seq, diffs, n, 0, None, top), _minors(seq, diffs, n, 2, "ones", top)
-        for column, num, den in zip(columns, nums[2:], dens[2:]):
-            column.append(_quotient(diffs, num, den) if den[0] else None)
-    return columns
+    diffs, orders = _orders(seq, {(0, None): k_max + 1, (2, "ones"): k_max + 1})
+    return [[_quotient(diffs, num, den) if den[0] else None for num, den in zip(nums, dens)]
+            for nums, dens in zip(orders[0, None][2:], orders[2, "ones"][2:])]
 
 
 def _cell(mode, x):
@@ -229,7 +232,7 @@ def oracle_transform(seq, k_max):
     if k_max < 0:
         raise WindowError("max_order must be nonnegative")
     columns = [[_cell(seq.mode, x) for x in column]
-               for column in _t_columns(seq, _difference_table(seq, 2 * k_max), k_max)]
+               for column in _t_columns(seq, k_max)]
     return TransformTable.from_columns({k: (c, len(c)) for k, c in enumerate(columns)}, seq)
 
 
@@ -274,41 +277,57 @@ def _minors(seq, diffs, n, shift, head, top):
     return [(0, 0), (1, 0)] + [(d, j - (head is not None)) for j, d in enumerate(minors, 1)]
 
 
-def _molecule(seq, diffs, levels):
-    """The label columns of F and G at the ``levels``, as two dicts {level: column}.
+def _orders(seq, tops):
+    """The difference table that ``tops`` reads, and the label column of every order it names.
 
-    A column holds the level's values from the start label on, as far as
-    both the F and the G window fit, each as (integer, power).  A window
-    only shrinks as the label grows, so each level's cells are a prefix
-    of the labels.  At each label, every Psi or Phi that the levels read
-    of one D^shift S comes from one block, as deep as the highest order
-    they read.
+    ``tops`` maps (shift, head) to the highest order wanted of that
+    kind.  Returns (diffs, orders), where orders[shift, head][i] is the
+    label column of the order-(i - 1) determinant: its values from the
+    start label on, as far as its window fits, each as (integer, power).
+    A window only shrinks as the label grows, so each column is a prefix
+    of the labels.  At each label every order of one (shift, head) comes
+    from one ``_minors`` block, as deep as the highest order that fits.
+    """
+    diffs = _difference_table(seq, tops)
+    orders = {}
+    for (shift, head), top in tops.items():
+        columns = orders[shift, head] = [[] for _ in range(top + 2)]
+        for n in seq.labels():
+            minors = _minors(seq, diffs, n, shift, head, top)
+            for column, minor in zip(columns, minors):
+                column.append(minor)
+            top = len(minors) - 2  # the window at n + 1 is no larger
+    return diffs, orders
+
+
+def _molecule(seq, levels):
+    """The difference table and the label columns of F and G at the ``levels``, as (diffs, F, G).
+
+    F and G are dicts {level: column}.  A column holds the level's values
+    from the start label on, as far as both the F and the G window fit,
+    each as (integer, power); each level's cells are a prefix of the
+    labels.  The Psi and Phi that the levels read come from ``_orders``,
+    each (shift, head) as deep as the highest order the levels read.
     """
     tops = {}
     for level in levels:
         k, r = divmod(level, 3)
         for shift, head, offset in _MOLECULE[r]:
             tops[shift, head] = max(tops.get((shift, head), -1), k + offset)
-    orders = {}  # orders[shift, head][i] is the label column of the order-(i - 1) determinant
-    for (shift, head), top in tops.items():
-        columns = orders[shift, head] = [[] for _ in range(top + 2)]
-        if shift >= len(diffs.rows):
+    diffs, orders = _orders(seq, tops)
+    for (shift, _), columns in orders.items():
+        if shift >= len(seq):
             # a Psi or Phi of D^shift S needs D^shift S to exist, even Phi_1,
             # which reads only its label row
-            top = 0
-        for n in seq.labels():
-            minors = _minors(seq, diffs, n, shift, head, top)
-            for column, minor in zip(columns, minors):
-                column.append(minor)
-            top = len(minors) - 2  # the window at n + 1 is no larger
+            for column in columns[2:]:
+                column.clear()
     F, G = {}, {}
     for level in levels:
         k, r = divmod(level, 3)
-        (fs, fh, fo), (gs, gh, go) = _MOLECULE[r]
-        f, g = orders[fs, fh][k + fo + 1], orders[gs, gh][k + go + 1]
+        f, g = (orders[shift, head][k + offset + 1] for shift, head, offset in _MOLECULE[r])
         size = min(len(f), len(g))
         F[level], G[level] = f[:size], [(-x, p) for x, p in g[:size]] if r == 1 else g[:size]
-    return F, G
+    return diffs, F, G
 
 
 def molecule_solution(seq, max_level):
@@ -319,16 +338,12 @@ def molecule_solution(seq, max_level):
     not fit.
     """
     mol = MoleculeSolution()
-    diffs = _difference_table(seq, len(seq) - 1)
-    F, G = _molecule(seq, diffs, range(max_level + 1))
+    diffs, F, G = _molecule(seq, range(max_level + 1))
     for level, fs in F.items():
         for n, f, g in zip(seq.labels(), fs, G[level]):
-            try:
-                f, g = _rounded(seq.mode, _exact(diffs, f)), _rounded(seq.mode, _exact(diffs, g))
-            except NonFiniteError:
-                continue
-            mol.F[level, n] = f
-            mol.G[level, n] = g
+            f, g = _cell(seq.mode, _exact(diffs, f)), _cell(seq.mode, _exact(diffs, g))
+            if f is not None and g is not None:
+                mol.F[level, n], mol.G[level, n] = f, g
     return mol
 
 
@@ -336,18 +351,18 @@ def verify_routes(seq, k_max):
     """Check T_k^(n), 1 <= k <= k_max, on every VALID lattice cell.
 
     The lattice value must equal the exact determinant ratio and the
-    exact molecule ratio G/F at level 3k+3, both read from one
-    difference table as label columns, each taken per label from the
-    leading minors of one elimination.  For each k, the lattice column's
+    exact molecule ratio G/F at level 3k+3.  Both are label columns
+    from ``_orders``, each over a table as deep as its own orders read,
+    and each taken per label from the leading minors of one
+    elimination.  For each k, the lattice column's
     prefix, the T column and the molecule column at level 3k+3 are
     walked together by label; all three windows fit while n + 3k is a
     label.  A zero denominator or F = 0 counts as a mismatch.  Returns
     the number of cells compared and the (k, n) of each mismatch.
     """
     lattice = lbq_transform(seq, k_max)
-    diffs = _difference_table(seq, len(seq) - 1)
-    T = _t_columns(seq, diffs, k_max)
-    F, G = _molecule(seq, diffs, range(6, 3 * k_max + 4, 3))
+    T = _t_columns(seq, k_max)
+    diffs, F, G = _molecule(seq, range(6, 3 * k_max + 4, 3))
     cells, mismatches = 0, []
     for k in range(1, k_max + 1):
         for n, value, t, f, g in zip(seq.labels(), lattice.columns[k][0], T[k], F[3 * k + 3], G[3 * k + 3]):
@@ -411,8 +426,7 @@ def check_bilinear(seq, k_max):
     """
     if not seq.mode.is_exact:
         raise ModeUnsupportedError(f"check_bilinear needs exact arithmetic, not {seq.mode.name}")
-    diffs = _difference_table(seq, len(seq) - 1)
-    F, G = _molecule(seq, diffs, range(k_max + 4))
+    diffs, F, G = _molecule(seq, range(k_max + 4))
     residuals = {name: {} for name in _BILINEAR_FORMS}
     for name, form in _BILINEAR_FORMS.items():
         for k in range(1, k_max + 1):

@@ -364,12 +364,22 @@ class TestVerify:
         assert "route equivalence" in out and "FAIL" in out
         assert out.strip().endswith("FAIL (1 checks)")
 
-    @pytest.mark.parametrize("trials", ["0", "-2"])
-    def test_no_trial_is_rejected(self, capsys, trials):
-        # a run that checks nothing must not print PASS
-        code, out, err = run(capsys, "verify", "--trials", trials)
+    @pytest.mark.parametrize("option, value, message", [
+        ("--trials", "0", "--trials must be at least 1, got 0"),
+        ("--trials", "-2", "--trials must be at least 1, got -2"),
+        ("--k-max", "0", "--k-max must be at least 1, got 0"),
+        ("--k-max", "-1", "--k-max must be at least 1, got -1"),
+        ("--length", "3", "--length must be at least 4, got 3"),
+        ("--length", "1", "--length must be at least 4, got 1"),
+        ("--length", "0", "--length must be at least 4, got 0"),
+    ], ids=["0", "-2", "k_max_0", "k_max_-1", "length_3", "length_1", "length_0"])
+    def test_no_trial_is_rejected(self, capsys, option, value, message):
+        # a run that checks nothing must not print PASS, nor a FAIL per
+        # empty check: no trials, no bilinear cell at k_max 0, no route
+        # cell of k = 1 on fewer than 4 values
+        code, out, err = run(capsys, "verify", option, value)
         assert code == 1 and out == ""
-        assert err == f"error: --trials must be at least 1, got {trials}\n"
+        assert err == f"error: {message}\n"
 
     def test_verify_deterministic(self, capsys):
         argv = ["verify", "--trials", "2", "--k-max", "5", "--seed", "42"]
@@ -406,6 +416,13 @@ class TestErrors:
         code, out, err = run(capsys, *argv, "--family", "alt_harmonic", "--count", "8")
         assert code == 1 and out == ""
         assert err == f"error: --digits and --col-digits must be >= 0, got {value}\n"
+
+    @pytest.mark.parametrize("entries, entry", [("5,x", "x"), ("5,", ""), ("5,2.5", "2.5")])
+    def test_col_digits_entry_that_is_not_an_integer_is_rejected(self, capsys, entries, entry):
+        code, out, err = run(capsys, "transform", "--family", "alt_harmonic", "--count", "8",
+                             "--col-digits", entries)
+        assert code == 1 and out == ""
+        assert err.startswith("error: --col-digits ") and repr(entry) in err
 
     @pytest.mark.parametrize("algorithm", ["lbq", "epsilon", "oracle"])
     def test_negative_k_max_exits_1(self, capsys, algorithm):

@@ -264,6 +264,19 @@ class TestMoleculeSolution:
             assert [(mol.F[key], mol.G[key]) for key in want] == list(want.values())
         assert fallback_cells > 0  # the corpus runs the zero-minor fallback
 
+    def test_each_max_level_reads_the_cells_of_the_deepest(self, rng):
+        # the difference table is only as deep as the requested levels read,
+        # so a lower max_level builds a shallower one; its cells must be the
+        # deepest solution's cells of those levels, also where D^shift S is
+        # missing (a length-1 sequence has no level 2) or the table stops
+        # short of D^shift S (levels 0..2 read no difference row)
+        for seq in list(zero_minor_corpus(rng, 30)) + [seq_of([3]), seq_of([1, 2])]:
+            deepest = molecule_solution(seq, 3 * len(seq))
+            for max_level in range(3 * len(seq)):
+                mol = molecule_solution(seq, max_level)
+                assert mol.F == {key: f for key, f in deepest.F.items() if key[0] <= max_level}
+                assert mol.G == {key: g for key, g in deepest.G.items() if key[0] <= max_level}
+
     def test_initial_levels(self, rng):
         seq = random_rational_sequence(rng, length=8)
         mol = molecule_solution(seq, 4)
@@ -315,9 +328,9 @@ class TestVerifyRoutes:
         molecule = oracle._molecule
 
         def perturbed(*args):
-            F, G = molecule(*args)
+            diffs, F, G = molecule(*args)
             G[9] = [(g + 1, power) for g, power in G[9]]
-            return F, G
+            return diffs, F, G
 
         monkeypatch.setattr(oracle, "_molecule", perturbed)
         for seq in sequences:
@@ -326,6 +339,31 @@ class TestVerifyRoutes:
             cells, mismatches = verify_routes(seq, 3)
             assert cells == len(compared)
             assert mismatches == [(k, n) for k, n in compared if k == 2] != []
+
+
+class TestTableDepth:
+    @pytest.mark.parametrize("call, arg, rows", [
+        (check_bilinear, 3, 4),
+        (molecule_solution, 6, 4),
+        (verify_routes, 1, 4),
+        (oracle_transform, 2, 5),
+    ], ids=["check_bilinear", "molecule_solution", "verify_routes", "oracle_transform"])
+    def test_each_table_is_as_deep_as_the_orders_it_serves(self, monkeypatch, call, arg, rows):
+        # the molecule's levels 0..6 read difference orders up to 3, T_1
+        # up to 2 and T_2 up to 4; a table of rows D^0..D^d has d + 1 rows,
+        # and none may be the whole table of 60 rows
+        seq, _ = generate(GeneratorSpec("alt_harmonic", 60, 1, RATIONAL))
+        built = []
+        difference_table = oracle._difference_table
+
+        def recording(*args):
+            diffs = difference_table(*args)
+            built.append(len(diffs.rows))
+            return diffs
+
+        monkeypatch.setattr(oracle, "_difference_table", recording)
+        call(seq, arg)
+        assert built and max(built) == rows
 
 
 class TestBilinear:
