@@ -308,6 +308,10 @@ def _molecule(seq, levels):
     each as (integer, power); each level's cells are a prefix of the
     labels.  The Psi and Phi that the levels read come from ``_orders``,
     each (shift, head) as deep as the highest order the levels read.
+    Level 2 is the seed level: G_2/F_2 = Phi_1(D S)/Psi_0(D^2 S) = n is
+    the lattice's seed U_2^n = n, defined at every label of S, so Phi_1,
+    which reads only its label row, is read at the last label too, where
+    D S has no cell.
     """
     tops = {}
     for level in levels:
@@ -335,7 +339,8 @@ def molecule_solution(seq, max_level):
 
     Each value is rounded once to the mode; a float64 cell whose F or G
     lies beyond the float range is left out, like one whose window does
-    not fit.
+    not fit.  Level 2 is the seed level: G_2/F_2 = n = U_2^n at every
+    label of S, the last one included.
     """
     mol = MoleculeSolution()
     diffs, F, G = _molecule(seq, range(max_level + 1))

@@ -16,10 +16,17 @@ cell breaks down too.  In float64 a cell also breaks down when its
 factor product underflows to zero or its result is not finite; mpmath
 exponents are unbounded, so bigfloat needs no such check.
 
-Bigfloat columns run as raw ``_mpf_`` tuples through ``mpmath.libmp``
-(:func:`mpf_differences`, :func:`mpf_rhombus`), each operation rounded
-to nearest at the mode's precision, which is what the mpf operators do
-under ``mode.context()``, without building an mpf object per operation.
+Bigfloat columns run as raw ``_mpf_`` tuples (:func:`mpf_differences`,
+:func:`mpf_rhombus`) on the kernel's own tuple arithmetic, each
+operation rounded to nearest at the mode's precision.  :func:`_normalize`,
+:func:`_add` and :func:`_reciprocal` keep the integer algorithms of
+mpmath.libmp's ``normalize``, ``mpf_add``, ``mpf_mul`` and
+``mpf_rdiv_int`` at ``round_nearest``, every rounding step included, so
+each result is the tuple the mpf operators give under
+``mode.context()``.  They leave out only what finite operands at one
+rounding mode never need: the checks for special values, the dispatch
+on the rounding mode and mpmath's pure-Python bit count, for which
+``int.bit_length`` stands.  No mpf object is built per operation.
 :func:`fill` converts at its edges: it unwraps the seed columns and the
 threshold once and wraps only the columns it keeps back into mpf, so no
 caller sees a tuple and the ambient mpmath precision plays no part.
@@ -29,8 +36,9 @@ values already carry.  With mag(v) = exp + bc for a nonzero mpf, so that
 2**(mag(v)-1) <= |v| < 2**mag(v), and gap = mag(d) - mag(t) - mag(M) for
 M = max(|a|, |b|), a gap >= 1 keeps the factor and a gap <= -2 breaks it
 down, in any rounding mode; only a gap of -1 or 0, or a zero operand,
-runs the full mpf comparison.  On the benchmark's 256-bit alt_harmonic
-(300, 30) tables that is under 0.3% of the differences.
+runs the full comparison, on mpmath.libmp's functions.  On the
+benchmark's 256-bit alt_harmonic (300, 30) tables that is under 0.3% of
+the differences.
 
 :func:`fill` is the one driver both engines call: it runs the rule
 from a tuple of seed columns and keeps only the live columns while it
@@ -44,20 +52,72 @@ from __future__ import annotations
 from math import isfinite
 
 import mpmath
-from mpmath.libmp import (
-    fzero,
-    mpf_abs,
-    mpf_add,
-    mpf_gt,
-    mpf_lt,
-    mpf_mul,
-    mpf_rdiv_int,
-    mpf_sub,
-    round_nearest,
-)
+from mpmath.libmp import fzero, mpf_abs, mpf_gt, mpf_lt, mpf_mul, round_nearest
 
 from .errors import SpecError, WindowError
 from .modes import BigFloat, Float64, value_text
+
+
+def _normalize(sign, man, exp, prec):
+    """(-1)**sign·man·2**exp, ``man`` >= 0, as an ``_mpf_`` tuple rounded to nearest at ``prec`` bits.
+
+    This is mpmath's ``normalize`` at ``round_nearest``: a mantissa wider
+    than ``prec`` is rounded half to even, the trailing zeros are stripped,
+    so the mantissa is odd, and a zero mantissa gives ``fzero``.
+    """
+    if not man:
+        return fzero
+    n = man.bit_length() - prec
+    if n > 0:
+        t = man >> (n - 1)  # the kept bits and the half bit below them
+        if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
+            man = (t >> 1) + 1
+        else:
+            man = t >> 1
+        exp += n
+    if not man & 1:
+        zeros = (man & -man).bit_length() - 1
+        man >>= zeros
+        exp += zeros
+    return sign, man, exp, man.bit_length()
+
+
+def _add(s, t, prec, negate=0):
+    """s + t, or s - t with ``negate``, of finite ``_mpf_`` tuples, rounded as ``mpf_add`` rounds."""
+    ssign, sman, sexp, sbc = s
+    tsign, tman, texp, tbc = t
+    tsign ^= negate
+    if not (sman and tman):
+        return _normalize(tsign, tman, texp, prec) if tman else _normalize(ssign, sman, sexp, prec)
+    if sexp < texp:
+        ssign, sman, sexp, sbc, tsign, tman, texp, tbc = (tsign, tman, texp, tbc,
+                                                          ssign, sman, sexp, sbc)
+    offset = sexp - texp
+    if offset > 100 and sexp + sbc - texp - tbc > prec + 4:
+        # mpf_add's shortcut for a t far below s: a ±1 past prec + 4 more bits of s
+        # stands for t (for an s wider than prec it may round unlike the exact sum)
+        return _normalize(ssign, (sman << prec + 4) + (1 if ssign == tsign else -1),
+                          sexp - prec - 4, prec)
+    man = sman << offset
+    if ssign == tsign:
+        man += tman
+    else:
+        man -= tman
+        if man < 0:
+            ssign, man = ssign ^ 1, -man
+    return _normalize(ssign, man, texp, prec)
+
+
+def _reciprocal(t, prec, negate=0):
+    """1/t, or -1/t with ``negate``, of a nonzero ``_mpf_`` tuple, rounded as ``mpf_rdiv_int`` rounds.
+
+    The quotient carries 5 bits past ``prec`` and one sticky bit, set for
+    any remainder, below them.
+    """
+    sign, man, exp, bc = t
+    extra = prec + bc + 5
+    quot, rem = divmod(1 << extra, man)
+    return _normalize(sign ^ negate, quot << 1 | (rem > 0), -exp - extra - 1, prec)
 
 
 def differences(col, mode, threshold):
@@ -98,7 +158,7 @@ def mpf_differences(col, prec, threshold):
     threshold leaves only the zero test.
     """
     if threshold == fzero:
-        return [None if a is None or b is None or not (d := mpf_sub(b, a, prec, round_nearest))[1]
+        return [None if a is None or b is None or not (d := _add(b, a, prec, 1))[1]
                 else d for a, b in zip(col, col[1:])]
     # mag(v) of each element once, None for a zero or BREAKDOWN element; an
     # infinite or NaN threshold (mantissa 0) has no magnitude, so every cell is compared
@@ -111,7 +171,7 @@ def mpf_differences(col, prec, threshold):
         if a is None or b is None:
             out.append(None)
             continue
-        d = mpf_sub(b, a, prec, round_nearest)
+        d = _add(b, a, prec, 1)
         _, man, exp, bc = d
         if not man:
             out.append(None)
@@ -166,14 +226,13 @@ def mpf_rhombus(carry, factors, prec):
     further check.
     """
     if len(factors) == 1:
-        return [None if c is None or d is None
-                else mpf_add(c, mpf_rdiv_int(1, d, prec, round_nearest), prec, round_nearest)
+        return [None if c is None or d is None else _add(c, _reciprocal(d, prec), prec)
                 for c, d in zip(carry[1:], factors[0])]
     top, mid = factors
-    # c - 1/q is c + (-1)/q: rounding to nearest is symmetric in the sign
+    # c - 1/q is c + (-1)/q, and q is the product p·d rounded as mpf_mul rounds it
     return [None if c is None or p is None or d is None
-            else mpf_add(c, mpf_rdiv_int(-1, mpf_mul(p, d, prec, round_nearest),
-                                         prec, round_nearest), prec, round_nearest)
+            else _add(c, _reciprocal(_normalize(p[0] ^ d[0], p[1] * d[1], p[2] + d[2], prec),
+                                     prec, 1), prec)
             for c, p, d in zip(carry[1:], top, mid)]
 
 

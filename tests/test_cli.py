@@ -364,6 +364,25 @@ class TestVerify:
         assert "route equivalence" in out and "FAIL" in out
         assert out.strip().endswith("FAIL (1 checks)")
 
+    def test_a_check_that_compared_nothing_is_not_a_failure(self, capsys):
+        # at length 4 the route check has one cell, and in 9 of these 300
+        # trials the lattice breaks down there: those checks compare nothing
+        code, out, _ = run(capsys, "verify", "--trials", "300", "--length", "4", "--k-max", "1")
+        assert code == 0
+        assert "FAIL" not in out and out.strip().endswith("PASS")
+        assert out.count("route equivalence (0 cells) not compared") == 9
+
+    def test_a_run_that_compared_nothing_fails(self, capsys, monkeypatch):
+        from seqaccel import oracle
+
+        monkeypatch.setattr(oracle, "verify_routes", lambda seq, k_max: (0, []))
+        monkeypatch.setattr(oracle, "check_bilinear",
+                            lambda seq, k_max: oracle.BilinearReport({}, 0, []))
+        code, out, _ = run(capsys, "verify", "--trials", "2", "--seed", "7")
+        assert code == 1
+        assert out.count("(0 cells) not compared") == 4
+        assert out.strip().endswith("FAIL (no check compared a cell)")
+
     @pytest.mark.parametrize("option, value, message", [
         ("--trials", "0", "--trials must be at least 1, got 0"),
         ("--trials", "-2", "--trials must be at least 1, got -2"),

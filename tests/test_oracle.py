@@ -206,7 +206,9 @@ def closed_forms(seq, max_level):
         if shift not in shifted:
             raise WindowError(f"D^{shift} S does not exist")
         if fn is phi_det and k == 1:
-            return Fraction(n)  # Phi_1 is its label row alone, read at every label of S
+            # level 2 is the seed level: G_2 = Phi_1(D S) = n = U_2^n is
+            # its label row alone, defined at every label of S (the last too)
+            return Fraction(n)
         return fn(shifted[shift], k, n)
 
     forms = (
@@ -290,6 +292,16 @@ class TestMoleculeSolution:
             assert mol.G[(3, n)] == seq.at(n)
             if (4, n) in mol.F and d1.start_label <= n <= d1.end_label:
                 assert mol.F[(4, n)] == d1.at(n)
+
+    def test_level_two_is_the_seed_level_at_every_label(self):
+        # G_2 = Phi_1(D S) reads only its label row, so the last label has a
+        # cell although D S has none there (phi_det of D S at 3 is a WindowError)
+        seq = seq_of([1, 2, 4, 8], start=0)
+        with pytest.raises(WindowError):
+            phi_det(forward_difference(seq), 1, 3)
+        mol = molecule_solution(seq, 2)
+        assert mol.G[2, 3] == 3
+        assert all(mol.ratio(2, n) == n for n in seq.labels())
 
     def test_ratio_matches_determinant_route(self, rng):
         for _ in range(10):

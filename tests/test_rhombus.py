@@ -5,7 +5,16 @@ from contextlib import nullcontext
 from fractions import Fraction
 
 import mpmath
-from mpmath.libmp import from_int, from_man_exp, fzero
+from mpmath.libmp import (
+    from_int,
+    from_man_exp,
+    fzero,
+    mpf_add,
+    mpf_mul,
+    mpf_rdiv_int,
+    mpf_sub,
+    round_nearest,
+)
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -24,7 +33,15 @@ from seqaccel import (
     generate,
     lbq_transform,
 )
-from seqaccel.rhombus import fill, mpf_differences, mpf_rhombus, rhombus
+from seqaccel.rhombus import (
+    _add,
+    _normalize,
+    _reciprocal,
+    fill,
+    mpf_differences,
+    mpf_rhombus,
+    rhombus,
+)
 from seqaccel.tables import BREAKDOWN_ENTRY
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
@@ -332,6 +349,88 @@ class TestBigfloatGuard:
         assert got == [None if v is None else v._mpf_ for v in want]
 
 
+@st.composite
+def mpf_tuples(draw, prec):
+    """A canonical ``_mpf_`` tuple: zero, or an odd mantissa of 1, narrower
+    than ``prec``, of ``prec`` bits, of prec + 1 bits (a tie when rounded to
+    prec) or wider, a quarter of them all ones (rounding up to a power of two)."""
+    width = draw(st.sampled_from(["zero", "one", "narrow", "prec", "tie", "wide"]))
+    if width == "zero":
+        return fzero
+    bc = {"one": 1, "narrow": draw(st.integers(1, prec - 1)), "prec": prec, "tie": prec + 1,
+          "wide": draw(st.integers(prec + 2, 2 * prec + 70))}[width]
+    ones = draw(st.integers(0, 3)) == 0
+    man = 2**bc - 1 if ones else draw(st.integers(2 ** (bc - 1), 2**bc - 1)) | 1
+    return draw(st.integers(0, 1)), man, draw(st.integers(-1500, 1500)), bc
+
+
+@st.composite
+def operand_pairs(draw):
+    """(prec, s, t): t placed against s at an exponent offset of 0, a few
+    bits or 100 and more, at a magnitude gap on either side of prec + 4
+    (where mpf_add perturbs s by a sticky bit instead of adding t), as ±s
+    (exact cancellation) or half a unit below s's last bit (a tie)."""
+    prec = draw(st.sampled_from([53, 64, 256, 1200]))
+    s, t = draw(mpf_tuples(prec)), draw(mpf_tuples(prec))
+    if s[1] and t[1]:
+        place = draw(st.sampled_from(["offset", "gap", "cancel", "tie", "any"]))
+        if place == "offset":
+            offset = draw(st.one_of(st.just(0), st.integers(-8, 8),
+                                    st.integers(100, 400), st.integers(-400, -100)))
+            t = (t[0], t[1], s[2] - offset, t[3])
+        elif place == "gap":
+            # mag(s) - mag(t) = gap, with mag = exp + bc
+            gap = draw(st.sampled_from([1, -1])) * (prec + 4 + draw(st.integers(-3, 3)))
+            t = (t[0], t[1], s[2] + s[3] - gap - t[3], t[3])
+        elif place == "cancel":
+            t = (draw(st.integers(0, 1)),) + s[1:]
+        elif place == "tie":
+            t = (draw(st.integers(0, 1)), 1, s[2] - 1, 1)
+    return prec, s, t
+
+
+def same_tuple(got, want):
+    """Equal ``_mpf_`` tuples whose entries are all ints, as mpmath's are."""
+    return got == want and all(type(x) is int for x in got)
+
+
+class TestTupleArithmetic:
+    """The kernel's helpers against mpmath.libmp at round_nearest, tuple for tuple."""
+
+    @example(case=(53, (0, 2**53 - 3, 1, 53), (0, 1, 0, 1)))  # ties, to even up and down
+    @example(case=(53, (0, 1, 0, 1), (0, 2**53 + 1, 0, 54)))  # product tie, down
+    @example(case=(53, (0, 1, 0, 1), (0, 2**53 + 3, 0, 54)))  # product tie, up
+    @example(case=(53, (0, 1, 0, 1), (1, 1, -200, 1)))  # sticky shortcut
+    @example(case=(53, (0, 1, 0, 1), (0, 2**70 - 1, -120, 70)))  # offset 120, gap 51: exact
+    # s wider than prec, where the sticky bit rounds unlike the exact sum: the
+    # shortcut's edges, offset 100 and gap prec + 4, add exactly, and offset
+    # 101 and gap prec + 5 take the sticky bit
+    @example(case=(53, (0, 30251034114829473185658665, 0, 85),
+                   (1, 155014295824321659629239811334655154197, -100, 127)))
+    @example(case=(53, (0, 15803637636609560856207560975, 0, 94),
+                   (0, 314067762375803014615898561290624247562967, -101, 138)))
+    @example(case=(53, (0, 13251449785041906833177, 0, 74),
+                   (1, 92922322604667649851196435661384303, -101, 117)))
+    @example(case=(53, (0, 15803637636609560856207560975, 0, 94),
+                   (0, 314067762375803014615898561290624247562967, -102, 138)))
+    @example(case=(64, (1, 2**65 - 1, 7, 65), fzero))  # all ones round up
+    @example(case=(256, (0, 5, -3, 3), (1, 5, -3, 3)))  # exact cancellation
+    @settings(max_examples=800, deadline=None)
+    @given(case=operand_pairs())
+    def test_each_helper_rounds_as_mpmath(self, case):
+        prec, s, t = case
+        assert same_tuple(_add(s, t, prec), mpf_add(s, t, prec, round_nearest))
+        assert same_tuple(_add(s, t, prec, 1), mpf_sub(s, t, prec, round_nearest))
+        # the kernel's product is the exact product rounded by _normalize
+        assert same_tuple(_normalize(s[0] ^ t[0], s[1] * t[1], s[2] + t[2], prec),
+                          mpf_mul(s, t, prec, round_nearest))
+        for v in (s, t):
+            if v[1]:
+                assert same_tuple(_reciprocal(v, prec), mpf_rdiv_int(1, v, prec, round_nearest))
+                assert same_tuple(_reciprocal(v, prec, 1),
+                                  mpf_rdiv_int(-1, v, prec, round_nearest))
+
+
 def assert_live_prefix_tables(seq, max_order, scalar, threshold=None, engines_in=None):
     """lbq_transform, epsilon_transform and build_lattice each hold exactly
     their triangle's keys (so Σ(N - w k) cells), store every cell past a
@@ -407,6 +506,28 @@ class TestLivePrefix:
             seq = Sequence(1, tuple(values), mode)
             for ambient in (bits, 53, 2000):
                 assert_live_prefix_tables(seq, 7, mpmath.mpf, threshold, mpmath.workprec(ambient))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        bits=st.sampled_from([64, 113, 256]),
+        draws=st.lists(st.tuples(st.integers(-2**70, 2**70), st.integers(-600, 600),
+                                 st.integers(0, 11), st.booleans()), min_size=1, max_size=12),
+        threshold=st.sampled_from([None, 0, 1e-30]),
+        start=st.integers(-2, 3),
+        max_order=st.integers(0, 4),
+    )
+    def test_bigfloat_values_spanning_exponents_and_repeating(self, bits, draws, threshold,
+                                                               start, max_order):
+        # each value is man·2**e for e in [-600, 600], or repeats an earlier value
+        mode = BigFloat(bits)
+        with mode.context():
+            values = []
+            for man, e, i, repeat in draws:
+                values.append(values[i % len(values)] if repeat and values
+                              else mpmath.ldexp(mpmath.mpf(man), e))
+            seq = Sequence(start, tuple(values), mode)
+            assert_live_prefix_tables(seq, max_order, mpmath.mpf, threshold,
+                                      mpmath.workprec(53))
 
     @pytest.mark.parametrize("seeds_of", [
         lambda seq: ([0.0] * len(seq), [float(n) for n in seq.labels()], list(seq.values)),
