@@ -41,7 +41,8 @@ The corpus:
   * ``generate``'s values and limit for each of the six families in
     float64, bigfloat at 64, 256 and 1200 bits and rational mode, a
     ``None`` limit and a ``ModeUnsupportedError`` recorded as such, and
-    ``archimedes_pi`` from the start labels -1022 and 1021, count 3.
+    ``archimedes_pi`` from the start labels -1022 (a ``SpecError`` in
+    the float modes, recorded as such) and 1021, count 3.
 """
 
 import hashlib
@@ -57,6 +58,7 @@ from seqaccel import (
     GeneratorSpec,
     ModeUnsupportedError,
     Sequence,
+    SpecError,
     Status,
     build_lattice,
     epsilon_transform,
@@ -180,11 +182,14 @@ def routes_digest(seq, k_max):
 
 
 def generator_digest(family, count, start, mode, **args):
-    """SHA-256 of ``generate``'s values and limit, or of the ``ModeUnsupportedError`` it raises, in hex."""
+    """SHA-256 of ``generate``'s values and limit, or of the name of the error it raises, in hex.
+
+    The errors recorded are ``ModeUnsupportedError`` and ``SpecError``.
+    """
     try:
         seq, limit = generate(GeneratorSpec(family, count, start, mode, **args))
-    except ModeUnsupportedError:
-        text = "ModeUnsupportedError\n"
+    except (ModeUnsupportedError, SpecError) as error:
+        text = f"{type(error).__name__}\n"
     else:
         text = (f"generate {seq.start_label} {list(map(value_text, seq))}\n"
                 f"limit {'None' if limit is None else value_text(limit)}\n")

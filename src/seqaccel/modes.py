@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import from_rational, mpf_pos, round_nearest
 
 from .errors import NonFiniteError
 
@@ -99,6 +99,8 @@ class BigFloat:
             # rounded once: mpf(p) / q would round p and then the quotient
             return mpmath.mp.make_mpf(
                 from_rational(x.numerator, x.denominator, self.precision_bits, round_nearest))
+        if type(x) is mpmath.mpf:  # rounded to the precision, as mpf(x) would in its context
+            return mpmath.mp.make_mpf(mpf_pos(x._mpf_, self.precision_bits, round_nearest))
         with self.context():
             return mpmath.mpf(x)
 

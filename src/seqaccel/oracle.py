@@ -20,16 +20,23 @@ Fraction(0).
 
 The routes have one label-column builder, ``_orders``.  Given the
 highest order wanted of each kind of determinant, (shift, head), it
-builds the one difference table those orders read, and takes every
-order at a label from the leading principal minors of one matrix
-(``determinants.leading_minors``, which also owns what happens past a
-zero minor).  ``_t_columns`` asks it for the numerator and denominator
-of T; ``oracle_transform`` and ``verify_routes`` both read T from it.
-The molecule (and with it ``check_bilinear``) asks it for Psi_1,
-Psi_2, ... of each D^shift S it reads, and Phi_1, Phi_2, ... of D S, as
-deep as the highest order the requested levels read.  Every
-determinant of order 1 or more checks that its columns lie in the
-sequence, also one that reads no difference row.
+builds the one difference table those orders read.  Each order's label
+column is condensed from the columns of the two orders below it by
+Sylvester's identity (Dodgson 1866, Bareiss 1968), one exact integer
+division per cell; where the divisor is zero, that one cell is its own
+``bareiss_det``.  The kinds share the columns of the determinants
+without a head row, one family per parity of the shift.
+``_t_columns`` asks it for the numerator and denominator of T;
+``oracle_transform`` and ``verify_routes`` both read T from it.  The
+molecule (and with it ``check_bilinear``) asks it for Psi_1, Psi_2, ...
+of each D^shift S it reads, and Phi_1, Phi_2, ... of D S, as deep as the
+highest order the requested levels read.  F and G stay closed-form
+determinants, so ``check_bilinear`` checks identities the molecule did
+not use.  ``psi_det``, ``phi_det``, ``t_denominator`` and
+``t_determinant`` take each cell by its own ``bareiss_det``, an
+independent reference for the columns.  Every determinant of order 1
+or more checks that its columns lie in the sequence, also one that
+reads no difference row.
 
 Like the engines' tables, the routes are label columns: one list per
 order or level, from the start label on, as far as the window fits.  A
@@ -42,8 +49,8 @@ compare; only ``molecule_solution``'s public F and G are keyed by
 Each public result is rounded to the sequence's mode once, at the end,
 so a float64 T_k^(n) is the correctly rounded transform of its inputs.
 Exact mode returns the Fractions themselves.  ``verify_routes`` checks
-the lattice against both routes, each on the leading minors; agreement
-is an end-to-end correctness check of all three.
+the lattice against both routes, each on the condensed label columns;
+agreement is an end-to-end correctness check of all three.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .determinants import bareiss_det, integers_over, leading_minors
+from .determinants import bareiss_det, integers_over
 from .errors import (
     KernelDegeneracyError,
     ModeUnsupportedError,
@@ -263,18 +270,20 @@ _MOLECULE = (
 )
 
 
-def _minors(seq, diffs, n, shift, head, top):
-    """The determinants of ``_block`` at label n of every order, each as (integer, power).
+def _condensed(seq, diffs, j, shift, head, x, y, below):
+    """The order-j label column of (shift, head), condensed from the columns of the two orders below.
 
-    Entry i is the order-(i - 1) determinant, from order -1 on.  The
-    orders run up to ``top``, or to the highest order below it whose
-    window fits.  Orders 1 and up are the leading minors of that one
-    block.
+    x holds the minors of the order-j block without its last row, y
+    those without its first row, each over the block's first j - 1
+    columns when read at n, or its last j - 1 when read at n + 1;
+    ``below`` holds the inner minors, without both, read at n + 1.  By
+    Sylvester's identity (Desnanot-Jacobi), cell i is
+    (x[i] y[i+1] - y[i] x[i+1]) / below[i+1], an exact division; where
+    below[i+1] is 0, the cell is its own ``bareiss_det``.  The zip ends
+    where the order-j window stops fitting.
     """
-    while top > 0 and not _fits(seq, diffs, top, n, shift, head):
-        top -= 1
-    minors = leading_minors(_block(seq, diffs, top, n, shift, head)) if top > 0 else []
-    return [(0, 0), (1, 0)] + [(d, j - (head is not None)) for j, d in enumerate(minors, 1)]
+    return [(a * d - b * c) // e if e else bareiss_det(_block(seq, diffs, j, seq.start_label + i, shift, head))
+            for i, (a, b, c, d, e) in enumerate(zip(x, y, x[1:], y[1:], below[1:]))]
 
 
 def _orders(seq, tops):
@@ -285,18 +294,39 @@ def _orders(seq, tops):
     label column of the order-(i - 1) determinant: its values from the
     start label on, as far as its window fits, each as (integer, power).
     A window only shrinks as the label grows, so each column is a prefix
-    of the labels.  At each label every order of one (shift, head) comes
-    from one ``_minors`` block, as deep as the highest order that fits.
+    of the labels.
+
+    Each order is condensed from the two orders below it (``_condensed``).
+    H[s][j], the order-j column with rows D^s S, D^(s+2) S, ..., comes
+    from H[s][j-1] and H[s+2][j-1] over H[s+2][j-2], with H[s][0] = 1 and
+    H[s][1] = D^s S; a head row's order j comes from its order j - 1 and
+    H[s][j-1] over H[s][j-2].  The kinds share their H columns, one shift
+    family per parity.
     """
     diffs = _difference_table(seq, tops)
+    need = {}  # shift: the highest order of H[shift] read
+    for (shift, head), top in tops.items():
+        top -= head is not None  # a head row's order j reads H[shift] up to order j - 1
+        for i in range(top):
+            need[shift + 2 * i] = max(need.get(shift + 2 * i, 0), top - i)
+    ones = [1] * len(seq)
+    H = {}
+    for s in sorted(need, reverse=True):
+        H[s] = [ones, diffs.rows[s] if s < len(diffs.rows) else []]
+        for j in range(2, need[s] + 1):
+            H[s].append(_condensed(seq, diffs, j, s, None, H[s][j - 1], H[s + 2][j - 1], H[s + 2][j - 2]))
     orders = {}
     for (shift, head), top in tops.items():
-        columns = orders[shift, head] = [[] for _ in range(top + 2)]
-        for n in seq.labels():
-            minors = _minors(seq, diffs, n, shift, head, top)
-            for column, minor in zip(columns, minors):
-                column.append(minor)
-            top = len(minors) - 2  # the window at n + 1 is no larger
+        if head is None:
+            columns = H.get(shift, [ones])
+        else:
+            columns = [ones, list(seq.labels()) if head == "labels" else ones]
+            for j in range(2, top + 1):
+                columns.append(_condensed(seq, diffs, j, shift, head, columns[j - 1], H[shift][j - 1], H[shift][j - 2]))
+        # the power of order j is its number of difference rows
+        orders[shift, head] = ([[(0, 0)] * len(seq), [(1, 0)] * len(seq)] + [
+            [(d, power) for d in column]
+            for power, column in enumerate(columns[1:top + 1], 1 - (head is not None))])[:top + 2]
     return diffs, orders
 
 
@@ -357,13 +387,12 @@ def verify_routes(seq, k_max):
 
     The lattice value must equal the exact determinant ratio and the
     exact molecule ratio G/F at level 3k+3.  Both are label columns
-    from ``_orders``, each over a table as deep as its own orders read,
-    and each taken per label from the leading minors of one
-    elimination.  For each k, the lattice column's
-    prefix, the T column and the molecule column at level 3k+3 are
-    walked together by label; all three windows fit while n + 3k is a
-    label.  A zero denominator or F = 0 counts as a mismatch.  Returns
-    the number of cells compared and the (k, n) of each mismatch.
+    from ``_orders``, each over a table as deep as its own orders read.
+    For each k, the lattice column's prefix, the T column and the
+    molecule column at level 3k+3 are walked together by label; all
+    three windows fit while n + 3k is a label.  A zero denominator or
+    F = 0 counts as a mismatch.  Returns the number of cells compared
+    and the (k, n) of each mismatch.
     """
     lattice = lbq_transform(seq, k_max)
     T = _t_columns(seq, k_max)
@@ -405,17 +434,24 @@ _BILINEAR_FORMS = {
 _ZERO = Fraction(0)
 
 
-def _residual(scale, pairs):
-    """(a - b) - c for the products a, b, c of the three operand ``pairs``.
+def _residuals(scale, pairs):
+    """The residuals (a - b) - c of the products a, b, c of the three operand column ``pairs``.
 
-    Each operand is an (integer, power) over ``scale``; the three integer
-    products are aligned to the largest power, so the residual is one
-    integer over scale**power.  A zero residual is the shared Fraction(0).
+    Each operand column holds (integer, power) values over ``scale``, all
+    of one power, so the three integer products are aligned to the
+    largest power once per column, and each residual is one integer over
+    scale**power.  The powers differ at low levels.  The residuals run as
+    far as every operand has a cell; a zero residual is the shared
+    Fraction(0).
     """
-    (a, pa), (b, pb), (c, pc) = [(x * y, p + q) for (x, p), (y, q) in pairs]
-    top = max(pa, pb, pc)
-    num = a * scale ** (top - pa) - b * scale ** (top - pb) - c * scale ** (top - pc)
-    return Fraction(num, scale ** top) if num else _ZERO
+    columns = [column for pair in pairs for column in pair]
+    if not all(columns):
+        return []
+    powers = [x[0][1] + y[0][1] for x, y in pairs]
+    top = max(powers)
+    (sa, sb, sc), den = [scale ** (top - p) for p in powers], scale ** top
+    nums = (a * b * sa - c * d * sb - e * f * sc for (a, _), (b, _), (c, _), (d, _), (e, _), (f, _) in zip(*columns))
+    return [Fraction(num, den) if num else _ZERO for num in nums]
 
 
 def check_bilinear(seq, k_max):
@@ -435,8 +471,7 @@ def check_bilinear(seq, k_max):
     residuals = {name: {} for name in _BILINEAR_FORMS}
     for name, form in _BILINEAR_FORMS.items():
         for k in range(1, k_max + 1):
-            cells = zip(seq.labels(), *(zip(x, y) for x, y in form(F, G, k)))
-            residuals[name].update(((k, n), _residual(diffs.scale, pairs)) for n, *pairs in cells)
+            residuals[name].update(((k, n), r) for n, r in zip(seq.labels(), _residuals(diffs.scale, form(F, G, k))))
     checked = sum(map(len, residuals.values()))
     # F_0 = 0 is structural; only positive levels signal degeneracy
     zero_f = [(level, n) for level, fs in F.items() if level > 0

@@ -73,8 +73,11 @@ def generate(spec):
 
     The limit is None when it is not representable in the active mode
     (any transcendental limit under RATIONAL, or one beyond the float64
-    range).  Float64 ``archimedes_pi`` holds labels -1022 to 1023; a
-    label beyond is a :class:`NonFiniteError`.
+    range).  ``archimedes_pi`` starts at label 1 or above: at a label
+    n <= 0, 2^n sin(pi / 2^n) is 0 and every value is rounding noise, so
+    such a start is a :class:`SpecError`.  In float64 a label above 1023
+    or below -1022, where 2^n or pi / 2^n leaves the float range, is a
+    :class:`NonFiniteError` that names it; that check comes first.
     """
     mode = spec.mode
     labels = range(spec.start_label, spec.start_label + spec.count)
@@ -90,8 +93,10 @@ def generate(spec):
                 try:
                     values.append(two**n * functions.sin(pi / two**n))
                 except (OverflowError, ValueError, ZeroDivisionError):  # float 2**n or pi / 2**n
-                    raise NonFiniteError(f"archimedes_pi label {n} is beyond the float64 range, "
-                                         "which holds labels -1022 to 1023") from None
+                    raise NonFiniteError(f"archimedes_pi label {n} is beyond the float64 range") from None
+            if spec.start_label < 1:
+                raise SpecError(f"archimedes_pi from start label {spec.start_label}: at labels <= 0, "
+                                "2^n sin(pi/2^n) is 0 and every value is rounding noise")
             return Sequence(spec.start_label, tuple(values), mode), pi
 
     with mode.context():

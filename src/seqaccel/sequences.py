@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EmptyInputError, IngestError, NonFiniteError, WindowError
-from .modes import FLOAT64, value_text
+from .modes import FLOAT64, BigFloat, value_text
 
 
 @dataclass(frozen=True)
@@ -16,9 +16,10 @@ class Sequence:
     range raises :class:`WindowError` rather than extrapolating.  Every
     value must be finite in the mode (:class:`NonFiniteError` otherwise),
     and a value that is not of the mode's ``value_type`` (float, mpf or
-    Fraction) is stored converted by the mode, so that every engine sees
-    the mode's own numbers and exact mode's arithmetic stays exact.  A
-    value the mode cannot read, such as ``"abc"``, is an
+    Fraction) is stored converted by the mode, as is every bigfloat value,
+    since an mpf may carry more bits than the mode's precision.  So every
+    engine sees the mode's own numbers, and exact mode's arithmetic stays
+    exact.  A value the mode cannot read, such as ``"abc"``, is an
     :class:`IngestError`; a string it can read is converted like any
     other value, so a direct build equals :meth:`from_iterable`.
     """
@@ -32,6 +33,8 @@ class Sequence:
             raise EmptyInputError("sequence must contain at least one element")
         mode = self.mode
         kind, convert, is_finite = mode.value_type, mode.convert, mode.is_finite
+        if isinstance(mode, BigFloat):
+            kind = None  # each mpf is rounded once to the precision
         values = []
         for n, x in enumerate(self.values, self.start_label):
             try:

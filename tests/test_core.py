@@ -174,6 +174,18 @@ class TestSequence:
         s = Sequence(0, (big, 2 * big), mode)
         assert s.values == (big, 2 * big)
 
+    def test_bigfloat_rounds_a_wider_mpf_once(self):
+        # mpf values made at 300 bits keep 300-bit mantissas unless the
+        # sequence rounds them to its own precision
+        with mpmath.workprec(300):
+            wide = [mpmath.mpf(1) / 3 * (1 + mpmath.ldexp(1, -k)) for k in range(1, 200, 7)]
+        assert max(x._mpf_[3] for x in wide) > 64
+        for build in (Sequence, lambda n, v, m: Sequence.from_iterable(v, n, m)):
+            s = build(0, tuple(wide), BigFloat(64))
+            assert max(v._mpf_[3] for v in s.values) <= 64
+            with mpmath.workprec(64):
+                assert [v._mpf_ for v in s.values] == [mpmath.mpf(x)._mpf_ for x in wide]
+
     def test_rational_stores_ints_as_fractions(self):
         s = Sequence(0, (0, 1, 3, 10), RATIONAL)
         assert all(type(v) is Fraction for v in s.values)

@@ -155,22 +155,57 @@ def zero_minor_corpus(rng, count=60):
 
 
 def count_fallbacks(monkeypatch):
-    """A list that grows by one for each leading block that ``leading_minors`` takes as its own ``bareiss_det``.
+    """A list that grows by one for each cell the oracle takes as its own ``bareiss_det``.
 
-    The oracle's per-cell determinants call ``bareiss_det`` through their
-    own import, so they are not counted.
+    A label-column route calls it only where condensation would divide
+    by zero; the per-cell determinants call it for every cell, so a test
+    counts around a route call alone.
     """
     calls = []
-    bareiss_det = determinants.bareiss_det
-    monkeypatch.setattr(determinants, "bareiss_det", lambda rows: calls.append(len(rows)) or bareiss_det(rows))
+    bareiss_det = oracle.bareiss_det
+    monkeypatch.setattr(oracle, "bareiss_det", lambda rows: calls.append(len(rows)) or bareiss_det(rows))
     return calls
+
+
+# every kind of determinant the routes read, as (shift, head)
+KINDS = ((0, None), (1, None), (2, None), (3, None), (4, None), (1, "labels"), (2, "ones"))
+
+
+class TestOrders:
+    def test_every_cell_is_the_determinant_of_its_block(self, rng, monkeypatch):
+        # each order is condensed from the two orders below it; every cell
+        # must be the determinant of its own block, also where a divisor is
+        # zero, and each column must be the prefix of labels whose window fits
+        fallback = count_fallbacks(monkeypatch)
+        corpus = list(zero_minor_corpus(rng))
+        for _ in range(20):
+            length, start = rng.randint(1, 24), rng.randint(-3, 3)
+            coefficients = [rng.randint(-3, 3) for _ in range(rng.randint(1, 5))]
+            corpus.append(seq_of([sum(c * n**i for i, c in enumerate(coefficients)) for n in range(length)], start))
+            values = [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(length)]
+            cut = rng.randint(1, length)
+            corpus.append(seq_of(values[:cut] + [values[cut - 1]] * (length - cut), start))  # a constant tail
+        for seq in corpus:
+            tops = {kind: rng.randint(-1, 9) for kind in rng.sample(KINDS, rng.randint(1, len(KINDS)))}
+            diffs, orders = oracle._orders(seq, tops)
+            assert orders.keys() == tops.keys()
+            for (shift, head), top in tops.items():
+                assert len(orders[shift, head]) == top + 2
+                for k, column in enumerate(orders[shift, head], -1):
+                    labels = [n for n in seq.labels() if k < 1 or oracle._fits(seq, diffs, k, n, shift, head)]
+                    assert labels == list(seq.labels())[:len(labels)]
+                    assert column == [
+                        (k + 1, 0) if k < 1 else
+                        (determinants.bareiss_det(oracle._block(seq, diffs, k, n, shift, head)), k - (head is not None))
+                        for n in labels]
+        assert fallback  # the corpus runs the zero-divisor fallback
 
 
 class TestOracleTransform:
     def test_every_cell_is_the_per_cell_ratio(self, rng, monkeypatch):
-        # the table comes from the leading minors of one elimination per
-        # label; each cell must be the ratio t_determinant takes alone, and
-        # a cell where that raises must be BREAKDOWN
+        # the table comes from condensed label columns; each cell must be
+        # the ratio t_determinant takes alone, and a cell where that raises
+        # must be BREAKDOWN
         fallback = count_fallbacks(monkeypatch)
         fallback_cells = 0
         for seq in zero_minor_corpus(rng):
@@ -190,7 +225,7 @@ class TestOracleTransform:
                     continue
                 assert entry.ok and type(entry.value) is Fraction
                 assert entry.value == want
-        assert fallback_cells > 0  # the corpus runs the zero-minor fallback
+        assert fallback_cells > 0  # the corpus runs the zero-divisor fallback
 
 
 def closed_forms(seq, max_level):
@@ -250,9 +285,9 @@ def per_cell_routes(seq, k_max):
 
 class TestMoleculeSolution:
     def test_every_cell_is_the_per_cell_closed_form(self, rng, monkeypatch):
-        # every Psi and Phi at a label comes from the leading minors of one
-        # block per (shift, head); each must be the determinant psi_det or
-        # phi_det takes alone, with the same keys in the same order
+        # every Psi and Phi comes from a condensed label column per
+        # (shift, head); each must be the determinant psi_det or phi_det
+        # takes alone, with the same keys in the same order
         calls = count_fallbacks(monkeypatch)
         fallback_cells = 0
         corpus = list(zero_minor_corpus(rng)) + [
@@ -264,7 +299,7 @@ class TestMoleculeSolution:
             want = closed_forms(seq, 3 * len(seq))
             assert list(mol.F) == list(mol.G) == list(want)
             assert [(mol.F[key], mol.G[key]) for key in want] == list(want.values())
-        assert fallback_cells > 0  # the corpus runs the zero-minor fallback
+        assert fallback_cells > 0  # the corpus runs the zero-divisor fallback
 
     def test_each_max_level_reads_the_cells_of_the_deepest(self, rng):
         # the difference table is only as deep as the requested levels read,
@@ -396,11 +431,16 @@ class TestBilinear:
     def test_residuals_are_those_of_the_molecule_fractions(self, rng, monkeypatch, perturb):
         # the residuals are taken on integers over powers of the scale; they
         # must equal the residuals of molecule_solution's Fractions, also
-        # when every determinant is off by one and the residuals are nonzero
-        bareiss_det, leading_minors = oracle.bareiss_det, oracle.leading_minors
-        monkeypatch.setattr(oracle, "bareiss_det", lambda rows: bareiss_det(rows) + perturb)
-        monkeypatch.setattr(oracle, "leading_minors",
-                            lambda rows: [m + perturb for m in leading_minors(rows)])
+        # when every determinant of order >= 1 is off by one and the
+        # residuals are nonzero
+        orders = oracle._orders
+
+        def perturbed(*args):
+            diffs, columns = orders(*args)
+            return diffs, {kind: cs[:2] + [[(d + perturb, p) for d, p in c] for c in cs[2:]]
+                           for kind, cs in columns.items()}
+
+        monkeypatch.setattr(oracle, "_orders", perturbed)
         forms = {
             "fg_fg_ff": lambda F, G, k, n: (
                 F[k, n] * G[k, n + 1] - F[k, n + 1] * G[k, n] - F[k + 1, n] * F[k - 1, n + 1]),
@@ -430,11 +470,15 @@ class TestBilinear:
         assert (nonzero > 0) == bool(perturb)
 
     def test_residual_aligns_unequal_powers(self):
-        # operands are (integer, power of the scale); the identities' three
-        # products share one power, so only a direct call shows the alignment
-        pairs = (((3, 0), (1, 0)), ((1, 1), (2, 0)), ((1, 0), (1, 2)))
-        assert oracle._residual(10, pairs) == 3 - Fraction(2, 10) - Fraction(1, 100)
-        assert oracle._residual(10, (((1, 1), (1, 0)), ((1, 0), (1, 1)), ((0, 0), (5, 3)))) is oracle._ZERO
+        # operands are columns of (integer, power of the scale), one power per
+        # column; the three products' powers differ only at low levels, so a
+        # direct call shows the alignment, once per column for every cell
+        pairs = (([(3, 0), (1, 0)], [(1, 0), (1, 0)]), ([(1, 1), (5, 1)], [(2, 0), (2, 0)]),
+                 ([(1, 0), (0, 0)], [(1, 2), (5, 2)]))
+        assert oracle._residuals(10, pairs) == [3 - Fraction(2, 10) - Fraction(1, 100), 0]
+        assert oracle._residuals(10, (([(1, 1)], [(1, 0)]), ([(1, 0)], [(1, 1)]), ([(0, 0)], [(5, 3)]))) == [0]
+        assert oracle._residuals(10, (([(1, 1)], [(1, 0)]), ([(1, 0)], [(1, 1)]), ([], [(5, 3)]))) == []
+        assert oracle._residuals(10, pairs)[1] is oracle._ZERO
 
     def test_degenerate_input_flags_zero_f(self):
         seq = seq_of([2] * 10)

@@ -35,6 +35,15 @@ class TestGenerate:
         with pytest.raises(ModeUnsupportedError):
             generate(GeneratorSpec("archimedes_pi", 5, 1, RATIONAL))
 
+    @pytest.mark.parametrize("mode", [FLOAT64, BigFloat(64), BigFloat(256)], ids=lambda m: m.name)
+    @pytest.mark.parametrize("start", [0, -1, -1022])
+    def test_archimedes_start_at_or_below_zero_is_a_spec_error(self, mode, start):
+        # 2^n sin(pi / 2^n) is 0 at every label n <= 0: the values would be rounding noise
+        with pytest.raises(SpecError, match=rf"^archimedes_pi from start label {start}: "):
+            generate(GeneratorSpec("archimedes_pi", 3, start, mode))
+        seq, _ = generate(GeneratorSpec("archimedes_pi", 3, 1, mode))
+        assert seq.at(1) == 2
+
     def test_alt_harmonic(self):
         seq, limit = generate(GeneratorSpec("alt_harmonic", 4, 1, RATIONAL))
         assert seq.at(2) == Fraction(1, 2)
