@@ -11,12 +11,15 @@ float or mpf is a dyadic rational) and S is scaled by the least common
 denominator D of its values, so each table of forward differences it
 builds holds integers.  A table is only as deep as the determinants it
 serves read (``_difference_table``).  Every determinant row is a slice
-of a table, and every determinant is an integer over a known power of
-D (the number of difference rows).  The work stays in integers until a
-public value is formed, and each public value is one Fraction: a T
-ratio is num / (den * D), G/F and each nonzero bilinear residual are
-one integer over a power of D, and a zero residual is the shared
-Fraction(0).
+of a table, and every determinant is an integer over a power of D: its
+number of difference rows (``_power``), which depends on its order and
+kind, never on its label.  So a label column is a list of ints with one
+power.  The work stays in integers until a public value is formed, and
+each public value is one Fraction: a T ratio, and the molecule ratio
+G/F that ``verify_routes`` compares, is num / (den * D), an F or G is
+one integer over its column's power of D, each nonzero bilinear
+residual is one integer over a power of D, and a zero residual is the
+shared Fraction(0).
 
 The routes have one label-column builder, ``_orders``.  Given the
 highest order wanted of each kind of determinant, (shift, head), it
@@ -26,31 +29,32 @@ Sylvester's identity (Dodgson 1866, Bareiss 1968), one exact integer
 division per cell; where the divisor is zero, that one cell is its own
 ``bareiss_det``.  The kinds share the columns of the determinants
 without a head row, one family per parity of the shift.
-``_t_columns`` asks it for the numerator and denominator of T;
-``oracle_transform`` and ``verify_routes`` both read T from it.  The
+``_t_columns`` reads the numerator and denominator of T from it;
+``oracle_transform`` and ``verify_routes`` both read T that way.  The
 molecule (and with it ``check_bilinear``) asks it for Psi_1, Psi_2, ...
 of each D^shift S it reads, and Phi_1, Phi_2, ... of D S, as deep as the
-highest order the requested levels read.  F and G stay closed-form
-determinants, so ``check_bilinear`` checks identities the molecule did
-not use.  ``psi_det``, ``phi_det``, ``t_denominator`` and
-``t_determinant`` take each cell by its own ``bareiss_det``, an
+highest order the requested levels read.  ``verify_routes`` makes one
+call for T's kinds and the molecule's, so both read one table.  F and G
+stay closed-form determinants, so ``check_bilinear`` checks identities
+the molecule did not use.  ``psi_det``, ``phi_det``, ``t_denominator``
+and ``t_determinant`` take each cell by its own ``bareiss_det``, an
 independent reference for the columns.  Every determinant of order 1
 or more checks that its columns lie in the sequence, also one that
 reads no difference row.
 
-Like the engines' tables, the routes are label columns: one list per
-order or level, from the start label on, as far as the window fits.  A
-window only shrinks as the label grows, so every column is a prefix of
-the labels, and its next label n + 1 is the column read from its second
-cell.  ``check_bilinear`` and ``verify_routes`` zip the columns they
-compare; only ``molecule_solution``'s public F and G are keyed by
-(level, label).
+Like the engines' tables, the routes are label columns: one list of
+ints per order or level, with one power of D, from the start label on,
+as far as the window fits.  A window only shrinks as the label grows,
+so every column is a prefix of the labels, and its next label n + 1 is
+the column read from its second cell.  ``check_bilinear`` and
+``verify_routes`` zip the columns they compare; only
+``molecule_solution``'s public F and G are keyed by (level, label).
 
 Each public result is rounded to the sequence's mode once, at the end,
 so a float64 T_k^(n) is the correctly rounded transform of its inputs.
 Exact mode returns the Fractions themselves.  ``verify_routes`` checks
-the lattice against both routes, each on the condensed label columns;
-agreement is an end-to-end correctness check of all three.
+the lattice against both routes, on the condensed label columns of one
+table; agreement is an end-to-end correctness check of all three.
 """
 
 from __future__ import annotations
@@ -106,13 +110,23 @@ def _rounded(mode, x):
     return x if mode.is_exact else mode.convert(x)
 
 
+def _power(k, head):
+    """The power of the scale under an order-k determinant of kind (shift, head): its number of difference rows.
+
+    Below its ``head`` row, if any, every row is a difference row; an
+    order below 1 has none.  The power depends only on the order and the
+    kind, never on the label, so a label column has one power.
+    """
+    return max(k - (head is not None), 0)
+
+
 def _last_order(k, shift, head):
     """The highest difference order an order-k determinant reads, or 0 (S itself) when it reads none.
 
     Below its ``head`` row, if any, its rows are D^shift S, D^(shift+2) S, ....
     """
-    scaled = k - (head is not None)
-    return shift + 2 * scaled - 2 if scaled > 0 else 0
+    rows = _power(k, head)
+    return shift + 2 * rows - 2 if rows else 0
 
 
 def _fits(seq, diffs, k, n, shift, head):
@@ -140,21 +154,19 @@ def _block(seq, diffs, k, n, shift, head):
 
 
 def _hankel_det(seq, diffs, k, n, shift=0, head=None):
-    """k x k determinant of ``_block`` at label n, as (integer, power).
+    """k x k determinant of ``_block`` at label n, an integer over scale**_power(k, head).
 
-    The rows are ints; the determinant is the integer over scale**power,
-    the power being the number of difference rows.  Conventions: k = -1
-    gives 0, k = 0 gives 1.  A window outside the sequence raises
-    WindowError.
+    Conventions: k = -1 gives 0, k = 0 gives 1.  A window outside the
+    sequence raises WindowError.
     """
     if k <= 0:
         if k < -1:
             raise WindowError(f"determinant order {k} is below -1")
-        return k + 1, 0
+        return k + 1
     if not _fits(seq, diffs, k, n, shift, head):
         raise WindowError(f"labels {n}..{n + k - 1} of the order-{k} determinant over D^{shift} S "
                           f"lie outside the sequence")
-    return bareiss_det(_block(seq, diffs, k, n, shift, head)), k - (head is not None)
+    return bareiss_det(_block(seq, diffs, k, n, shift, head))
 
 
 def _single(seq, k, n, shift=0, head=None):
@@ -163,18 +175,10 @@ def _single(seq, k, n, shift=0, head=None):
     return diffs, _hankel_det(seq, diffs, k, n, shift, head)
 
 
-def _exact(diffs, det):
-    """The Fraction of an (integer, power) determinant."""
-    value, power = det
-    return Fraction(value, diffs.scale ** power)
-
-
-def _quotient(diffs, num, den):
-    """num / den as one Fraction, for (integer, power) values with den nonzero."""
-    (a, p), (b, q) = num, den
-    if q >= p:
-        return Fraction(a * diffs.scale ** (q - p), b)
-    return Fraction(a, b * diffs.scale ** (p - q))
+def _exact(seq, k, n, shift=0, head=None):
+    """The Fraction of ``_single``'s determinant: its integer over scale**_power(k, head)."""
+    diffs, det = _single(seq, k, n, shift, head)
+    return Fraction(det, diffs.scale ** _power(k, head))
 
 
 def psi_det(v, k, n):
@@ -182,42 +186,50 @@ def psi_det(v, k, n):
 
     Conventions: k = -1 gives 0, k = 0 gives 1.
     """
-    return _rounded(v.mode, _exact(*_single(v, k, n)))
+    return _rounded(v.mode, _exact(v, k, n))
 
 
 def phi_det(v, k, n):
     """Like psi_det but the first row holds the column labels n..n+k-1."""
-    return _rounded(v.mode, _exact(*_single(v, k, n, head="labels")))
+    return _rounded(v.mode, _exact(v, k, n, head="labels"))
 
 
 def t_denominator(seq, k, n):
     """(k+1) x (k+1) determinant with a row of ones over D^2 S, ..., D^(2k) S."""
     if k < 0:
         raise WindowError("transform order k must be nonnegative")
-    return _rounded(seq.mode, _exact(*_single(seq, k + 1, n, 2, "ones")))
+    return _rounded(seq.mode, _exact(seq, k + 1, n, 2, "ones"))
 
 
 def t_determinant(seq, k, n):
-    """Transform value T_k^(n) as the ratio of the two (k+1)x(k+1) determinants."""
+    """Transform value T_k^(n) as the ratio of the two (k+1)x(k+1) determinants.
+
+    The numerator is over scale**(k+1) and the denominator over
+    scale**k, so T is num / (den * scale).
+    """
     if k < 0:
         raise WindowError("transform order k must be nonnegative")
     diffs, den = _single(seq, k + 1, n, 2, "ones")
-    if den[0] == 0:
+    if den == 0:
         raise SingularError(f"zero denominator determinant at (k={k}, n={n})")
-    return _rounded(seq.mode, _quotient(diffs, _hankel_det(seq, diffs, k + 1, n), den))
+    return _rounded(seq.mode, Fraction(_hankel_det(seq, diffs, k + 1, n), den * diffs.scale))
 
 
-def _t_columns(seq, k_max):
-    """The exact label columns T_0, ..., T_k_max; None is a zero denominator.
+def _t_tops(k_max):
+    """The kinds that T_0, ..., T_k_max read, as ``_orders`` tops: the numerator and the denominator."""
+    return {(0, None): k_max + 1, (2, "ones"): k_max + 1}
 
-    The numerator of T_k^(n) is the order-(k+1) Psi of S, and its
-    denominator the order-(k+1) determinant with a row of ones over
-    D^2 S, ..., D^(2k) S; ``_orders`` gives the label columns of both.
-    Both windows fit while n + 3k is a label, so column k of each is
-    as long, and the two are zipped.
+
+def _t_columns(diffs, orders):
+    """The exact label columns T_0, T_1, ... from the orders of ``_t_tops``; None is a zero denominator.
+
+    The numerator of T_k^(n) is the order-(k+1) Psi of S, over
+    scale**(k+1), and its denominator the order-(k+1) determinant with a
+    row of ones over D^2 S, ..., D^(2k) S, over scale**k; so T_k^(n) is
+    num / (den * scale).  Both windows fit while n + 3k is a label, so
+    column k of each is as long, and the two are zipped.
     """
-    diffs, orders = _orders(seq, {(0, None): k_max + 1, (2, "ones"): k_max + 1})
-    return [[_quotient(diffs, num, den) if den[0] else None for num, den in zip(nums, dens)]
+    return [[Fraction(num, den * diffs.scale) if den else None for num, den in zip(nums, dens)]
             for nums, dens in zip(orders[0, None][2:], orders[2, "ones"][2:])]
 
 
@@ -239,7 +251,7 @@ def oracle_transform(seq, k_max):
     if k_max < 0:
         raise WindowError("max_order must be nonnegative")
     columns = [[_cell(seq.mode, x) for x in column]
-               for column in _t_columns(seq, k_max)]
+               for column in _t_columns(*_orders(seq, _t_tops(k_max)))]
     return TransformTable.from_columns({k: (c, len(c)) for k, c in enumerate(columns)}, seq)
 
 
@@ -291,10 +303,13 @@ def _orders(seq, tops):
 
     ``tops`` maps (shift, head) to the highest order wanted of that
     kind.  Returns (diffs, orders), where orders[shift, head][i] is the
-    label column of the order-(i - 1) determinant: its values from the
-    start label on, as far as its window fits, each as (integer, power).
-    A window only shrinks as the label grows, so each column is a prefix
-    of the labels.
+    label column of the order-(i - 1) determinant: a list of ints, its
+    values from the start label on, as far as its window fits.  Every
+    cell of the order-j column is over scale**_power(j, head).  A window
+    only shrinks as the label grows, so each column is a prefix of the
+    labels.  The kinds share columns (the ones column is order 0 of
+    every kind and order 1 of a head "ones" kind), so no reader may
+    change one.
 
     Each order is condensed from the two orders below it (``_condensed``).
     H[s][j], the order-j column with rows D^s S, D^(s+2) S, ..., comes
@@ -309,7 +324,7 @@ def _orders(seq, tops):
         top -= head is not None  # a head row's order j reads H[shift] up to order j - 1
         for i in range(top):
             need[shift + 2 * i] = max(need.get(shift + 2 * i, 0), top - i)
-    ones = [1] * len(seq)
+    zeros, ones = [0] * len(seq), [1] * len(seq)
     H = {}
     for s in sorted(need, reverse=True):
         H[s] = [ones, diffs.rows[s] if s < len(diffs.rows) else []]
@@ -323,45 +338,43 @@ def _orders(seq, tops):
             columns = [ones, list(seq.labels()) if head == "labels" else ones]
             for j in range(2, top + 1):
                 columns.append(_condensed(seq, diffs, j, shift, head, columns[j - 1], H[shift][j - 1], H[shift][j - 2]))
-        # the power of order j is its number of difference rows
-        orders[shift, head] = ([[(0, 0)] * len(seq), [(1, 0)] * len(seq)] + [
-            [(d, power) for d in column]
-            for power, column in enumerate(columns[1:top + 1], 1 - (head is not None))])[:top + 2]
+        orders[shift, head] = ([zeros] + columns)[:top + 2]
     return diffs, orders
 
 
-def _molecule(seq, levels):
-    """The difference table and the label columns of F and G at the ``levels``, as (diffs, F, G).
+def _molecule(seq, levels, tops=()):
+    """The label columns of F and G at the ``levels``, and the orders they read, as (diffs, orders, F, G).
 
-    F and G are dicts {level: column}.  A column holds the level's values
-    from the start label on, as far as both the F and the G window fit,
-    each as (integer, power); each level's cells are a prefix of the
-    labels.  The Psi and Phi that the levels read come from ``_orders``,
-    each (shift, head) as deep as the highest order the levels read.
-    Level 2 is the seed level: G_2/F_2 = Phi_1(D S)/Psi_0(D^2 S) = n is
-    the lattice's seed U_2^n = n, defined at every label of S, so Phi_1,
-    which reads only its label row, is read at the last label too, where
-    D S has no cell.
+    F and G are dicts {level: (column, power)}.  A column is a list of
+    ints, the level's values from the start label on, as far as both the
+    F and the G window fit, each over scale**power; each level's cells
+    are a prefix of the labels.  The Psi and Phi that the levels read
+    come from one ``_orders`` call, each (shift, head) as deep as the
+    highest order the levels read.  ``tops`` names more kinds for the
+    same call, which ``orders`` then holds too (``verify_routes`` adds
+    T's kinds, so T and the molecule share one table).  Level 2 is the
+    seed level: G_2/F_2 = Phi_1(D S)/Psi_0(D^2 S) = n is the lattice's
+    seed U_2^n = n, defined at every label of S, so Phi_1, which reads
+    only its label row, is read at the last label too, where D S has no
+    cell.
     """
-    tops = {}
+    tops = dict(tops)
     for level in levels:
         k, r = divmod(level, 3)
         for shift, head, offset in _MOLECULE[r]:
             tops[shift, head] = max(tops.get((shift, head), -1), k + offset)
     diffs, orders = _orders(seq, tops)
-    for (shift, _), columns in orders.items():
-        if shift >= len(seq):
-            # a Psi or Phi of D^shift S needs D^shift S to exist, even Phi_1,
-            # which reads only its label row
-            for column in columns[2:]:
-                column.clear()
     F, G = {}, {}
     for level in levels:
         k, r = divmod(level, 3)
-        f, g = (orders[shift, head][k + offset + 1] for shift, head, offset in _MOLECULE[r])
+        # a Psi or Phi of D^shift S needs D^shift S to exist, even Phi_1,
+        # which reads only its label row; a missing one is read as an empty
+        # column, since the kinds share their columns (see ``_orders``)
+        (f, p), (g, q) = ((orders[shift, head][k + offset + 1] if shift < len(seq) or k + offset < 1 else [],
+                           _power(k + offset, head)) for shift, head, offset in _MOLECULE[r])
         size = min(len(f), len(g))
-        F[level], G[level] = f[:size], [(-x, p) for x, p in g[:size]] if r == 1 else g[:size]
-    return diffs, F, G
+        F[level], G[level] = (f[:size], p), ([-x for x in g[:size]] if r == 1 else g[:size], q)
+    return diffs, orders, F, G
 
 
 def molecule_solution(seq, max_level):
@@ -373,10 +386,12 @@ def molecule_solution(seq, max_level):
     label of S, the last one included.
     """
     mol = MoleculeSolution()
-    diffs, F, G = _molecule(seq, range(max_level + 1))
-    for level, fs in F.items():
-        for n, f, g in zip(seq.labels(), fs, G[level]):
-            f, g = _cell(seq.mode, _exact(diffs, f)), _cell(seq.mode, _exact(diffs, g))
+    diffs, _, F, G = _molecule(seq, range(max_level + 1))
+    for level, (fs, p) in F.items():
+        gs, q = G[level]
+        df, dg = diffs.scale ** p, diffs.scale ** q
+        for n, f, g in zip(seq.labels(), fs, gs):
+            f, g = _cell(seq.mode, Fraction(f, df)), _cell(seq.mode, Fraction(g, dg))
             if f is not None and g is not None:
                 mol.F[level, n], mol.G[level, n] = f, g
     return mol
@@ -387,23 +402,26 @@ def verify_routes(seq, k_max):
 
     The lattice value must equal the exact determinant ratio and the
     exact molecule ratio G/F at level 3k+3.  Both are label columns
-    from ``_orders``, each over a table as deep as its own orders read.
-    For each k, the lattice column's prefix, the T column and the
-    molecule column at level 3k+3 are walked together by label; all
-    three windows fit while n + 3k is a label.  A zero denominator or
-    F = 0 counts as a mismatch.  Returns the number of cells compared
-    and the (k, n) of each mismatch.
+    from one ``_orders`` call over one table: ``_molecule`` builds T's
+    kinds beside its own.  At level 3k+3, G = Psi_{k+1}(S) is over
+    scale**(k+1) and F = Psi_k(D^3 S) over scale**k, so G/F is
+    g / (f * scale), like T.  For each k, the lattice column's prefix,
+    the T column and the molecule column at level 3k+3 are walked
+    together by label; all three windows fit while n + 3k is a label.
+    A zero denominator or F = 0 counts as a mismatch.  Returns the
+    number of cells compared and the (k, n) of each mismatch.
     """
     lattice = lbq_transform(seq, k_max)
-    T = _t_columns(seq, k_max)
-    diffs, F, G = _molecule(seq, range(6, 3 * k_max + 4, 3))
+    diffs, orders, F, G = _molecule(seq, range(6, 3 * k_max + 4, 3), _t_tops(k_max))
+    T = _t_columns(diffs, orders)
     cells, mismatches = 0, []
     for k in range(1, k_max + 1):
-        for n, value, t, f, g in zip(seq.labels(), lattice.columns[k][0], T[k], F[3 * k + 3], G[3 * k + 3]):
+        (fs, _), (gs, _) = F[3 * k + 3], G[3 * k + 3]
+        for n, value, t, f, g in zip(seq.labels(), lattice.columns[k][0], T[k], fs, gs):
             if value is None:
                 continue
             cells += 1
-            if not (f[0] != 0 and value == t == _quotient(diffs, g, f)):
+            if not (f != 0 and value == t == Fraction(g, f * diffs.scale)):
                 mismatches.append((k, n))
     return cells, mismatches
 
@@ -419,38 +437,42 @@ class BilinearReport:
         return all(r == 0 for eq in self.residuals.values() for r in eq.values())
 
 
+def _next(operand):
+    """A (column, power) operand read at n + 1: its column from the second cell."""
+    column, power = operand
+    return column[1:], power
+
+
 _BILINEAR_FORMS = {
-    # each maps the F and G label columns and a level k to the operand
-    # column pairs of the products a, b, c of the identity a - b = c at
-    # (k, n); a column read from its second cell, [1:], is the column at n + 1
+    # each maps the F and G operands {level: (column, power)} and a level k
+    # to the operand pairs of the products a, b, c of the identity a - b = c
+    # at (k, n); an operand read at n + 1 is its ``_next``
     "fg_fg_ff": lambda F, G, k: (
-        (F[k], G[k][1:]), (F[k][1:], G[k]), (F[k + 1], F[k - 1][1:])),
+        (F[k], _next(G[k])), (_next(F[k]), G[k]), (F[k + 1], _next(F[k - 1]))),
     "fg_cross": lambda F, G, k: (
-        (F[k + 2], G[k - 1][1:]), (F[k - 1][1:], G[k + 2]), (F[k + 1][1:], F[k])),
+        (F[k + 2], _next(G[k - 1])), (_next(F[k - 1]), G[k + 2]), (_next(F[k + 1]), F[k])),
     "ff_ff_ff": lambda F, G, k: (
-        (F[k], F[k + 2][1:]), (F[k][1:], F[k + 2]), (F[k + 3], F[k - 1][1:])),
+        (F[k], _next(F[k + 2])), (_next(F[k]), F[k + 2]), (F[k + 3], _next(F[k - 1]))),
 }
 
 _ZERO = Fraction(0)
 
 
 def _residuals(scale, pairs):
-    """The residuals (a - b) - c of the products a, b, c of the three operand column ``pairs``.
+    """The residuals (a - b) - c of the products a, b, c of the three operand ``pairs``.
 
-    Each operand column holds (integer, power) values over ``scale``, all
-    of one power, so the three integer products are aligned to the
-    largest power once per column, and each residual is one integer over
-    scale**power.  The powers differ at low levels.  The residuals run as
-    far as every operand has a cell; a zero residual is the shared
-    Fraction(0).
+    Each operand is a (column, power): a column of ints, each over
+    scale**power.  The three integer products are aligned to the largest
+    power once per identity and level, from the operands' powers, so
+    each residual is one integer over scale**power.  The powers differ
+    at low levels.  The residuals run as far as every operand has a
+    cell; a zero residual is the shared Fraction(0).
     """
-    columns = [column for pair in pairs for column in pair]
-    if not all(columns):
-        return []
-    powers = [x[0][1] + y[0][1] for x, y in pairs]
+    powers = [p + q for (_, p), (_, q) in pairs]
     top = max(powers)
     (sa, sb, sc), den = [scale ** (top - p) for p in powers], scale ** top
-    nums = (a * b * sa - c * d * sb - e * f * sc for (a, _), (b, _), (c, _), (d, _), (e, _), (f, _) in zip(*columns))
+    columns = [column for pair in pairs for column, _ in pair]
+    nums = (a * b * sa - c * d * sb - e * f * sc for a, b, c, d, e, f in zip(*columns))
     return [Fraction(num, den) if num else _ZERO for num in nums]
 
 
@@ -459,23 +481,23 @@ def check_bilinear(seq, k_max):
 
     Exact mode only: the identities hold exactly, and a residual of
     rounded F and G would measure the rounding.  The residuals are
-    taken on the integer molecule's label columns, F and G each an
-    integer over a power of the scale, so only a nonzero residual
+    taken on the integer molecule's label columns, F and G each a column
+    of integers over one power of the scale, so only a nonzero residual
     becomes a Fraction.  At each level k an identity's operands are the
     F and G columns of nearby levels, read at n or at n + 1; its cells
     are a zip over those columns, as far as every operand has a cell.
     """
     if not seq.mode.is_exact:
         raise ModeUnsupportedError(f"check_bilinear needs exact arithmetic, not {seq.mode.name}")
-    diffs, F, G = _molecule(seq, range(k_max + 4))
+    diffs, _, F, G = _molecule(seq, range(k_max + 4))
     residuals = {name: {} for name in _BILINEAR_FORMS}
     for name, form in _BILINEAR_FORMS.items():
         for k in range(1, k_max + 1):
             residuals[name].update(((k, n), r) for n, r in zip(seq.labels(), _residuals(diffs.scale, form(F, G, k))))
     checked = sum(map(len, residuals.values()))
     # F_0 = 0 is structural; only positive levels signal degeneracy
-    zero_f = [(level, n) for level, fs in F.items() if level > 0
-              for n, (f, _) in zip(seq.labels(), fs) if f == 0]
+    zero_f = [(level, n) for level, (fs, _) in F.items() if level > 0
+              for n, f in zip(seq.labels(), fs) if f == 0]
     return BilinearReport(residuals, checked, zero_f)
 
 

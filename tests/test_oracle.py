@@ -175,7 +175,8 @@ class TestOrders:
     def test_every_cell_is_the_determinant_of_its_block(self, rng, monkeypatch):
         # each order is condensed from the two orders below it; every cell
         # must be the determinant of its own block, also where a divisor is
-        # zero, and each column must be the prefix of labels whose window fits
+        # zero, and each column must be the prefix of labels whose window fits;
+        # a column's one power is the number of difference rows of its blocks
         fallback = count_fallbacks(monkeypatch)
         corpus = list(zero_minor_corpus(rng))
         for _ in range(20):
@@ -194,10 +195,10 @@ class TestOrders:
                 for k, column in enumerate(orders[shift, head], -1):
                     labels = [n for n in seq.labels() if k < 1 or oracle._fits(seq, diffs, k, n, shift, head)]
                     assert labels == list(seq.labels())[:len(labels)]
-                    assert column == [
-                        (k + 1, 0) if k < 1 else
-                        (determinants.bareiss_det(oracle._block(seq, diffs, k, n, shift, head)), k - (head is not None))
-                        for n in labels]
+                    blocks = [oracle._block(seq, diffs, k, n, shift, head) for n in labels] if k > 0 else []
+                    assert column == (list(map(determinants.bareiss_det, blocks)) if k > 0 else [k + 1] * len(labels))
+                    assert all(len(block) - (head is not None) == oracle._power(k, head) for block in blocks)
+                    assert k > 0 or oracle._power(k, head) == 0
         assert fallback  # the corpus runs the zero-divisor fallback
 
 
@@ -375,9 +376,10 @@ class TestVerifyRoutes:
         molecule = oracle._molecule
 
         def perturbed(*args):
-            diffs, F, G = molecule(*args)
-            G[9] = [(g + 1, power) for g, power in G[9]]
-            return diffs, F, G
+            diffs, orders, F, G = molecule(*args)
+            column, power = G[9]
+            G[9] = [g + 1 for g in column], power
+            return diffs, orders, F, G
 
         monkeypatch.setattr(oracle, "_molecule", perturbed)
         for seq in sequences:
@@ -386,6 +388,21 @@ class TestVerifyRoutes:
             cells, mismatches = verify_routes(seq, 3)
             assert cells == len(compared)
             assert mismatches == [(k, n) for k, n in compared if k == 2] != []
+
+    def test_shared_orders_keep_their_ones_on_short_sequences(self, rng):
+        # T and the molecule read one _orders call whose kinds share columns:
+        # the ones column is order 0 of every kind and order 1 of the
+        # denominator's (2, "ones").  Where D^shift S is missing, the molecule
+        # reads an empty column; no kind may lose its ones column to that, and
+        # the routes must stay the per-cell ones
+        corpus = [random_rational_sequence(rng, length, i % 3) for length in range(1, 5) for i in range(6)]
+        corpus += [seq for seq in zero_minor_corpus(rng) if len(seq) <= 4]
+        for seq in corpus:
+            k_max = (len(seq) + 2) // 3
+            _, orders, _, _ = oracle._molecule(seq, range(3 * k_max + 4), oracle._t_tops(k_max))
+            assert all(columns[1] == [1] * len(seq) for columns in orders.values())
+            assert orders[2, "ones"][2] == [1] * len(seq)
+            assert verify_routes(seq, k_max) == per_cell_routes(seq, k_max)
 
 
 class TestTableDepth:
@@ -398,7 +415,8 @@ class TestTableDepth:
     def test_each_table_is_as_deep_as_the_orders_it_serves(self, monkeypatch, call, arg, rows):
         # the molecule's levels 0..6 read difference orders up to 3, T_1
         # up to 2 and T_2 up to 4; a table of rows D^0..D^d has d + 1 rows,
-        # and none may be the whole table of 60 rows
+        # and none may be the whole table of 60 rows.  Each call builds one
+        # table: verify_routes reads T and the molecule from the same one
         seq, _ = generate(GeneratorSpec("alt_harmonic", 60, 1, RATIONAL))
         built = []
         difference_table = oracle._difference_table
@@ -410,7 +428,8 @@ class TestTableDepth:
 
         monkeypatch.setattr(oracle, "_difference_table", recording)
         call(seq, arg)
-        assert built and max(built) == rows
+        assert len(built) == 1
+        assert max(built) == rows
 
 
 class TestBilinear:
@@ -437,7 +456,7 @@ class TestBilinear:
 
         def perturbed(*args):
             diffs, columns = orders(*args)
-            return diffs, {kind: cs[:2] + [[(d + perturb, p) for d, p in c] for c in cs[2:]]
+            return diffs, {kind: cs[:2] + [[d + perturb for d in c] for c in cs[2:]]
                            for kind, cs in columns.items()}
 
         monkeypatch.setattr(oracle, "_orders", perturbed)
@@ -470,14 +489,13 @@ class TestBilinear:
         assert (nonzero > 0) == bool(perturb)
 
     def test_residual_aligns_unequal_powers(self):
-        # operands are columns of (integer, power of the scale), one power per
+        # operands are (column of integers, power of the scale), one power per
         # column; the three products' powers differ only at low levels, so a
         # direct call shows the alignment, once per column for every cell
-        pairs = (([(3, 0), (1, 0)], [(1, 0), (1, 0)]), ([(1, 1), (5, 1)], [(2, 0), (2, 0)]),
-                 ([(1, 0), (0, 0)], [(1, 2), (5, 2)]))
+        pairs = ((([3, 1], 0), ([1, 1], 0)), (([1, 5], 1), ([2, 2], 0)), (([1, 0], 0), ([1, 5], 2)))
         assert oracle._residuals(10, pairs) == [3 - Fraction(2, 10) - Fraction(1, 100), 0]
-        assert oracle._residuals(10, (([(1, 1)], [(1, 0)]), ([(1, 0)], [(1, 1)]), ([(0, 0)], [(5, 3)]))) == [0]
-        assert oracle._residuals(10, (([(1, 1)], [(1, 0)]), ([(1, 0)], [(1, 1)]), ([], [(5, 3)]))) == []
+        assert oracle._residuals(10, ((([1], 1), ([1], 0)), (([1], 0), ([1], 1)), (([0], 0), ([5], 3)))) == [0]
+        assert oracle._residuals(10, ((([1], 1), ([1], 0)), (([1], 0), ([1], 1)), (([], 0), ([5], 3)))) == []
         assert oracle._residuals(10, pairs)[1] is oracle._ZERO
 
     def test_degenerate_input_flags_zero_f(self):
