@@ -11,9 +11,7 @@ from mpmath.libmp import to_rational
 
 def integer_ratio(value):
     """(numerator, denominator) of a scalar, with a positive denominator."""
-    if isinstance(value, (Fraction, int)):
-        return value.numerator, value.denominator
-    if isinstance(value, float):
+    if isinstance(value, (Fraction, int, float)):
         return value.as_integer_ratio()
     if isinstance(value, mpmath.mpf):
         p, q = to_rational(value._mpf_)

@@ -16,9 +16,16 @@ cell breaks down too.  In float64 a cell also breaks down when its
 factor product underflows to zero or its result is not finite; mpmath
 exponents are unbounded, so bigfloat needs no such check.
 
-Bigfloat columns run as raw ``_mpf_`` tuples (:func:`mpf_differences`,
-:func:`mpf_rhombus`) on the kernel's own tuple arithmetic, each
-operation rounded to nearest at the mode's precision.  :func:`_normalize`,
+There are three kernels, one per kind of number:
+
+* float64 columns run as floats (:func:`differences`, :func:`rhombus`);
+* bigfloat columns run as raw ``_mpf_`` tuples (:func:`mpf_differences`,
+  :func:`mpf_rhombus`);
+* exact columns run as reduced ``(p, q)`` integer pairs, q > 0
+  (:func:`pair_differences`, :func:`pair_rhombus`).
+
+The tuple kernel has its own arithmetic, each operation rounded to
+nearest at the mode's precision.  :func:`_normalize`,
 :func:`_add` and :func:`_reciprocal` keep the integer algorithms of
 mpmath.libmp's ``normalize``, ``mpf_add``, ``mpf_mul`` and
 ``mpf_rdiv_int`` at ``round_nearest``, every rounding step included, so
@@ -27,9 +34,20 @@ each result is the tuple the mpf operators give under
 rounding mode never need: the checks for special values, the dispatch
 on the rounding mode and mpmath's pure-Python bit count, for which
 ``int.bit_length`` stands.  No mpf object is built per operation.
-:func:`fill` converts at its edges: it unwraps the seed columns and the
-threshold once and wraps only the columns it keeps back into mpf, so no
-caller sees a tuple and the ambient mpmath precision plays no part.
+
+The pair kernel reduces each result as Fraction does (:func:`_pair_add`,
+:func:`_pair_lattice_cell`): a sum takes the gcd of the denominators
+first and one more gcd only when that exceeds 1, and a product is
+cross-cancelled with two gcds.  A reduced pair is unique, so each cell
+is the pair of the Fraction the rule gives, and no Fraction is built
+per operation.  (One gcd of the unreduced products per cell is cheaper
+on small entries, but its products grow, and it is slower on long
+sequences.)
+
+:func:`fill` converts at its edges: it unwraps the seed columns (and in
+bigfloat the threshold) once and wraps only the columns it keeps back
+into mpf values or Fractions, so no caller sees a tuple or a pair, and
+the ambient mpmath precision plays no part.
 
 In bigfloat the guard's outcome is mostly read from the exponents the
 values already carry.  With mag(v) = exp + bc for a nonzero mpf, so that
@@ -49,13 +67,15 @@ accelerate, that is a small part of the table.
 
 from __future__ import annotations
 
-from math import isfinite
+from fractions import Fraction
+from functools import partial
+from math import gcd, isfinite
 
 import mpmath
 from mpmath.libmp import fzero, mpf_abs, mpf_gt, mpf_lt, mpf_mul, round_nearest
 
 from .errors import SpecError, WindowError
-from .modes import BigFloat, Float64, value_text
+from .modes import BigFloat, value_text
 
 
 def _normalize(sign, man, exp, prec):
@@ -120,16 +140,14 @@ def _reciprocal(t, prec, negate=0):
     return _normalize(sign ^ negate, quot << 1 | (rem > 0), -exp - extra - 1, prec)
 
 
-def differences(col, mode, threshold):
-    """Forward differences of ``col``, ``None`` where a factor breaks down.
+def differences(col, threshold):
+    """Forward differences of a float64 column, ``None`` where a factor breaks down.
 
-    ``col`` holds floats (float64) or Fractions (exact mode), and
-    ``threshold`` is in the mode, as :func:`fill` converts it.  A factor
-    d = b - a breaks down when it is zero or, in float64, when
-    |d| < t·max(|a|, |b|) for t = ``threshold``.  Exact mode's threshold
-    is always zero, which leaves only the zero test.
+    A factor d = b - a breaks down when it is zero or when
+    |d| < t·max(|a|, |b|) for t = ``threshold``, a float as :func:`fill`
+    converts it; a zero threshold leaves only the zero test.
     """
-    if mode.is_exact or not threshold:
+    if not threshold:
         return [None if a is None or b is None else (b - a) or None
                 for a, b in zip(col, col[1:])]
     # each element is an operand of two differences: take its magnitude once
@@ -190,30 +208,24 @@ def mpf_differences(col, prec, threshold):
     return out
 
 
-def rhombus(carry, factors, mode):
-    """New column by the rule the factors name: ``c + 1/d`` from one, ``c - 1/(p·d)`` from two.
+def rhombus(carry, factors):
+    """New float64 column by the rule the factors name: ``c + 1/d`` from one, ``c - 1/(p·d)`` from two.
 
     Cell i takes c = carry[i+1] and p, d from cell i of the ``factors``,
     columns from :func:`differences`.  The new column is as long as the
     shortest of ``carry[1:]`` and the factors.  The product is formed in
-    the same pass as the reciprocal and the sum, as in :func:`mpf_rhombus`.
+    the same pass as the reciprocal and the sum, as in :func:`mpf_rhombus`
+    and :func:`pair_rhombus`.  A cell whose factor product underflows to
+    zero, or whose result is not finite, breaks down.
     """
-    float64 = isinstance(mode, Float64)
     if len(factors) == 1:
         # a single factor from differences is never zero
-        if float64:
-            return [None if c is None or d is None or not isfinite(r := c + 1 / d) else r
-                    for c, d in zip(carry[1:], factors[0])]
-        return [None if c is None or d is None else c + 1 / d
+        return [None if c is None or d is None or not isfinite(r := c + 1 / d) else r
                 for c, d in zip(carry[1:], factors[0])]
     top, mid = factors
-    if float64:
-        # a float64 product of nonzero factors can underflow to zero
-        return [None if c is None or p is None or d is None or not (q := p * d)
-                or not isfinite(r := c - 1 / q) else r
-                for c, p, d in zip(carry[1:], top, mid)]
-    # exact mode: a product of nonzero factors is nonzero
-    return [None if c is None or p is None or d is None else c - 1 / (p * d)
+    # a float64 product of nonzero factors can underflow to zero
+    return [None if c is None or p is None or d is None or not (q := p * d)
+            or not isfinite(r := c - 1 / q) else r
             for c, p, d in zip(carry[1:], top, mid)]
 
 
@@ -236,10 +248,77 @@ def mpf_rhombus(carry, factors, prec):
             for c, p, d in zip(carry[1:], top, mid)]
 
 
+def _pair_add(na, da, nb, db):
+    """na/da + nb/db as a reduced pair, for reduced pairs with positive denominators.
+
+    This is how Fraction adds (Knuth, TAOCP vol. 2, §4.5.1): the gcd of
+    the denominators comes first, and the sum over their lcm takes one
+    more gcd only when that gcd exceeds 1.  A zero sum is (0, 1).
+    """
+    g = gcd(da, db)
+    if g == 1:
+        return na * db + nb * da, da * db
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return t, s * db
+    return t // g2, s * (db // g2)
+
+
+def _pair_lattice_cell(c, p, d):
+    """c - 1/(p·d) of reduced pairs, p and d nonzero, as a reduced pair.
+
+    The product is cross-cancelled with two gcds, as Fraction multiplies,
+    so its reciprocal is reduced once the sign is moved to the numerator.
+    """
+    pn, pq = p
+    dn, dq = d
+    g1, g2 = gcd(pn, dq), gcd(dn, pq)
+    num, den = (pq // g2) * (dq // g1), (pn // g1) * (dn // g2)
+    if den > 0:
+        return _pair_add(c[0], c[1], -num, den)
+    return _pair_add(c[0], c[1], num, -den)
+
+
+def pair_differences(col):
+    """:func:`differences` of an exact column of reduced ``(p, q)`` pairs, q > 0.
+
+    Exact mode's threshold is always zero, so a factor breaks down only
+    when it is zero.
+    """
+    return [None if a is None or b is None or not (d := _pair_add(b[0], b[1], -a[0], a[1]))[0]
+            else d for a, b in zip(col, col[1:])]
+
+
+def pair_rhombus(carry, factors):
+    """:func:`rhombus` of exact columns of reduced ``(p, q)`` pairs, each cell reduced.
+
+    ``factors`` are columns from :func:`pair_differences`, one (epsilon)
+    or two (lattice).  Each cell is the reduced pair of the Fraction the
+    rule gives, but no object is built per operation.  A product of
+    nonzero factors is nonzero, so no cell needs a further check.
+    """
+    if len(factors) == 1:
+        # 1/d of a reduced pair is the swapped pair, its sign moved to the numerator
+        return [None if c is None or d is None
+                else _pair_add(c[0], c[1], d[1], d[0]) if d[0] > 0
+                else _pair_add(c[0], c[1], -d[1], -d[0])
+                for c, d in zip(carry[1:], factors[0])]
+    top, mid = factors
+    return [None if c is None or p is None or d is None else _pair_lattice_cell(c, p, d)
+            for c, p, d in zip(carry[1:], top, mid)]
+
+
 def _mpf_column(col):
     """A column of ``_mpf_`` tuples as mpf values, ``None`` kept."""
     make_mpf = mpmath.mp.make_mpf
     return [None if v is None else make_mpf(v) for v in col]
+
+
+def _fraction_column(col):
+    """A column of reduced ``(p, q)`` pairs as Fractions, ``None`` kept."""
+    return [None if v is None else Fraction(*v) for v in col]
 
 
 def fill(seq, seeds, max_order, threshold, keep):
@@ -252,18 +331,24 @@ def fill(seq, seeds, max_order, threshold, keep):
     epsilon rule (:func:`rhombus`).  Only the w live columns and the
     differences of all but the oldest are held; each column is
     differenced once.
+    The mode picks the kernel: floats in float64, ``_mpf_`` tuples in
+    bigfloat and reduced ``(p, q)`` pairs in exact mode.  The seeds are
+    converted to the kernel's numbers once, and only the kept columns
+    are converted back, so the loop builds no mpf or Fraction.
     A seed column's nominal length is len(seq), column m's (m > w) is
     len(seq) - (m - w) (0 when that is negative), and the cells past its
     live prefix, which ends in a VALID cell or is empty, are BREAKDOWN.
-    ``threshold`` None means the mode's default; a negative one, or a
-    nonzero one in exact mode (where only a zero factor breaks down), is
-    a SpecError.
+    ``threshold`` None means the mode's default; a NaN or negative one,
+    or a nonzero one in exact mode (where only a zero factor breaks
+    down), is a SpecError.
     """
     if max_order < 0:
         raise WindowError("max_order must be nonnegative")
     mode = seq.mode
     if threshold is None:
         threshold = mode.default_breakdown_threshold
+    elif threshold != threshold:
+        raise SpecError(f"breakdown threshold {value_text(threshold)} is not a number")
     elif threshold < 0:
         raise SpecError(f"breakdown threshold {value_text(threshold)} is negative")
     elif mode.is_exact and threshold != 0:
@@ -272,23 +357,27 @@ def fill(seq, seeds, max_order, threshold, keep):
     threshold = mode.convert(threshold)
     width, size = len(seeds), len(seq)
     columns = {m: (c, size) for m, c in enumerate(seeds, 1) if keep(m)}
-    bigfloat = isinstance(mode, BigFloat)
-    if bigfloat:
+    if isinstance(mode, BigFloat):
         # the kernel runs on _mpf_ tuples: the seeds and the threshold are
         # unwrapped here once, and only the kept columns are wrapped again
-        diff, step, arith = mpf_differences, mpf_rhombus, mode.precision_bits
-        threshold = threshold._mpf_
+        prec = mode.precision_bits
+        diff = partial(mpf_differences, prec=prec, threshold=threshold._mpf_)
+        step, wrap = partial(mpf_rhombus, prec=prec), _mpf_column
         live = [[v._mpf_ for v in c] for c in seeds]
+    elif mode.is_exact:
+        # the kernel runs on reduced (p, q) pairs, unwrapped and wrapped alike
+        diff, step, wrap = pair_differences, pair_rhombus, _fraction_column
+        live = [[v.as_integer_ratio() for v in c] for c in seeds]
     else:
-        diff, step, arith = differences, rhombus, mode
+        diff, step, wrap = partial(differences, threshold=threshold), rhombus, None
         live = list(seeds)
-    factors = [diff(c, arith, threshold) for c in reversed(live[1:-1])]
+    factors = [diff(c) for c in reversed(live[1:-1])]
     for m in range(width + 1, width * (max_order + 1) + 1):
-        factors = [diff(live[-1], arith, threshold)] + factors[:width - 2]
-        new = step(live[0], factors, arith)
+        factors = [diff(live[-1])] + factors[:width - 2]
+        new = step(live[0], factors)
         while new and new[-1] is None:
             new.pop()
         if keep(m):
-            columns[m] = (_mpf_column(new) if bigfloat else new, max(size - m + width, 0))
+            columns[m] = (new if wrap is None else wrap(new), max(size - m + width, 0))
         live = live[1:] + [new]
     return columns

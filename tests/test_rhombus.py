@@ -40,6 +40,8 @@ from seqaccel.rhombus import (
     fill,
     mpf_differences,
     mpf_rhombus,
+    pair_differences,
+    pair_rhombus,
     rhombus,
 )
 from seqaccel.tables import BREAKDOWN_ENTRY
@@ -92,6 +94,37 @@ def plain_epsilon(values, start, j_max, scalar=Fraction, threshold=0):
 def same(a, b):
     """Equal type and value; floats must have equal bits (so 0.0 is not -0.0)."""
     return type(a) is type(b) and (a.hex() == b.hex() if isinstance(a, float) else a == b)
+
+
+def pairs(col):
+    """A column of Fractions as the reduced (p, q) pairs the exact kernel runs on."""
+    return [None if v is None else v.as_integer_ratio() for v in col]
+
+
+def fraction_differences(col):
+    """Forward differences of a Fraction column, None for a zero one."""
+    return [None if a is None or b is None else (b - a) or None for a, b in zip(col, col[1:])]
+
+
+def fraction_rhombus(carry, factors):
+    """The rule on Fraction columns: c + 1/d from one factor, c - 1/(p·d) from two."""
+    if len(factors) == 1:
+        return [None if c is None or d is None else c + 1 / d
+                for c, d in zip(carry[1:], factors[0])]
+    top, mid = factors
+    return [None if c is None or p is None or d is None else c - 1 / (p * d)
+            for c, p, d in zip(carry[1:], top, mid)]
+
+
+def fraction_columns(seeds, max_order):
+    """Columns 1 .. w (max_order + 1) of the driver, from the w ``seeds``
+    by the Fraction kernel, every cell kept: column m is the rule on
+    column m - w with the differences of columns m-1 .. m-w+1."""
+    width, cols = len(seeds), list(seeds)
+    while len(cols) < width * (max_order + 1):
+        cols.append(fraction_rhombus(cols[-width],
+                                     [fraction_differences(c) for c in cols[:-width:-1]]))
+    return cols
 
 
 def assert_matches(table, cells):
@@ -174,6 +207,53 @@ class TestTableShape:
         assert_engines_match_plain(seq, 3, Fraction, 0)
 
 
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+pair_cells = st.one_of(st.none(), small_rationals,
+                       st.fractions(min_value=-10**9, max_value=10**9, max_denominator=10**6))
+
+
+class TestPairKernel:
+    """The exact kernel on reduced (p, q) pairs against the Fraction kernel."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cols=st.integers(1, 10).flatmap(
+        lambda size: st.lists(st.lists(pair_cells, min_size=size, max_size=size),
+                              min_size=3, max_size=3)))
+    def test_each_cell_is_the_reduced_pair_of_the_fraction_cell(self, cols):
+        carry, upper, lower = cols
+        top, mid = fraction_differences(upper), fraction_differences(lower)
+        assert pair_differences(pairs(upper)) == pairs(top)
+        for factors in ([mid], [top, mid]):
+            got = pair_rhombus(pairs(carry), [pairs(f) for f in factors])
+            assert got == pairs(fraction_rhombus(carry, factors))
+            assert all(type(x) is int for cell in got if cell is not None for x in cell)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        head=st.lists(small_rationals, min_size=1, max_size=8),
+        tail=small_rationals,
+        repeat=st.integers(0, 5),
+        start=st.integers(-2, 3),
+        max_order=st.integers(0, 5),
+    )
+    def test_engines_equal_the_fraction_kernel(self, head, tail, repeat, start, max_order):
+        # small entries and constant tails give zero differences, and the
+        # breakdown they cause propagates
+        seq = Sequence.from_iterable(head + [tail] * repeat, start, RATIONAL)
+        zeros, labels, values = ([Fraction(0)] * len(seq),
+                                 [Fraction(n) for n in seq.labels()], list(seq.values))
+        lattice = fraction_columns((zeros, labels, values), max_order)
+        eps = fraction_columns((zeros, values), max_order)
+        for table, columns in (
+            (build_lattice(seq, max_order), dict(enumerate(lattice, 1))),
+            (lbq_transform(seq, max_order), dict(enumerate(lattice[2::3]))),
+            (epsilon_transform(seq, max_order), dict(enumerate(eps[1::2]))),
+        ):
+            assert_matches(table, {(k, start + i): v for k, col in columns.items()
+                                   for i, v in enumerate(col)})
+            assert all(type(e.value) is Fraction for e in table.entries.values() if e.ok)
+
+
 class TestFloatGuard:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -205,6 +285,20 @@ def test_negative_threshold_rejected(build):
         build(Sequence.from_iterable([1, 2, 4, 7], 0, FLOAT64), 1, -1e-12)
 
 
+@pytest.mark.parametrize("mode, threshold, text", [
+    (FLOAT64, float("nan"), "nan"),
+    (BigFloat(128), float("nan"), "nan"),
+    (BigFloat(128), mpmath.mpf("nan"), r"mpf\('nan'\)"),
+    (RATIONAL, float("nan"), "nan"),
+], ids=["float64", "bigfloat-float", "bigfloat-mpf", "rational"])
+@pytest.mark.parametrize("build", [lbq_transform, epsilon_transform, build_lattice])
+def test_nan_threshold_rejected(build, mode, threshold, text):
+    # NaN compares false with every value, so it would switch the guard off
+    seq = Sequence.from_iterable([1, 2, 4, 7], 0, mode)
+    with pytest.raises(SpecError, match=f"threshold {text} is not a number"):
+        build(seq, 1, threshold)
+
+
 @pytest.mark.parametrize("build", [lbq_transform, epsilon_transform, build_lattice])
 def test_nonzero_threshold_rejected_in_exact_mode(build):
     # exact mode breaks down only on a zero factor, so a threshold would be ignored
@@ -228,10 +322,10 @@ class TestFloat64Breakdown:
         assert any(e.status is Status.BREAKDOWN for e in table.entries.values())
 
     def test_product_underflow_breaks_down(self):
-        assert rhombus([0.0, 1.0], ([1e-200], [1e-200]), FLOAT64) == [None]
+        assert rhombus([0.0, 1.0], ([1e-200], [1e-200])) == [None]
 
     def test_reciprocal_overflow_breaks_down(self):
-        assert rhombus([0.0, 1.0], ([1e-310],), FLOAT64) == [None]
+        assert rhombus([0.0, 1.0], ([1e-310],)) == [None]
 
     def test_bigfloat_has_no_exponent_bound(self):
         mode = BigFloat(128)
@@ -269,8 +363,11 @@ def test_the_number_of_factors_names_the_rule(kernel, width, rule):
             return [None if v is None else v._mpf_ for v in col]
         got = mpf_rhombus(tuples(carry), [tuples(f) for f in factors], RULE_BITS)
         assert got == tuples(want)
+    elif kernel == "rational":
+        got = pair_rhombus(pairs(carry), [pairs(f) for f in factors])
+        assert got == pairs(want)
     else:
-        got = rhombus(carry, factors, FLOAT64 if kernel == "float64" else RATIONAL)
+        got = rhombus(carry, factors)
         assert len(got) == len(want) and all(g is w or same(g, w) for g, w in zip(got, want))
 
 
