@@ -16,9 +16,11 @@ expected lines.
 The corpus:
   * the paper's three tables (pi, ln 2, zeta(2)) in float64, bigfloat256
     and rational mode (pi has no rational mode), from the engines and
-    from the determinant oracle;
+    from the determinant oracle, and from the engines in float64 and
+    bigfloat256 at breakdown threshold 0;
   * a geometric-plus-correction sequence at 64, 128 and 256 bits, for
-    every breakdown threshold and scale below, from 1e-400 to 1e300;
+    every breakdown threshold and scale below, from 1e-400 to 1e300,
+    and in float64 for every threshold at the scales within its range;
   * at 1200 bits, where the default threshold is far below any float:
     the paper's ln 2 table, and the geometric sequence at scales 1e-400
     and 1 for every breakdown threshold;
@@ -73,6 +75,7 @@ from seqaccel.seqgen import random_rational_sequence
 PAPER = (("archimedes_pi", 13, 4), ("alt_harmonic", 18, 5), ("zeta2", 26, 7))
 THRESHOLDS = (("default", None), ("1e-30", 1e-30), ("0", 0), ("2^-40", 2.0**-40), ("1e-3", 1e-3))
 SCALES = ("1e-400", "1e-100", "1", "1e100", "1e300")
+FLOAT64_SCALES = SCALES[1:]  # 1e-400 is below the float64 range
 ENGINES = (lbq_transform, epsilon_transform, build_lattice)
 GENERATOR_MODES = (FLOAT64, BigFloat(64), BigFloat(256), BigFloat(1200), RATIONAL)
 GENERATORS = (("archimedes_pi", 1, {}), ("alt_harmonic", 1, {}), ("zeta2", 1, {}),
@@ -115,19 +118,22 @@ def exact_digest(seq, k_max):
     return h.hexdigest()
 
 
-def paper_case(family, count, k, mode, oracle=False):
+def paper_case(family, count, k, mode, oracle=False, threshold=None):
     """The case of one of the paper's tables in ``mode``, from the engines or the oracle."""
     seq, _ = generate(GeneratorSpec(family, count, 1, mode))
     name = f"paper {family} {mode.name}"
     if oracle:
         return f"oracle {name}", seq, k, None, (oracle_transform,)
+    if threshold is not None:
+        return f"{name} threshold {threshold}", seq, k, threshold, ENGINES
     return name, seq, k, None, ENGINES
 
 
 def grid_cases(mode, scales):
     """The geometric-plus-correction cases of ``mode`` at each scale and threshold."""
     for scale in scales:
-        with mode.context():
+        # at the mode's precision: 53 bits for float64, whatever mpmath's ambient one
+        with mpmath.workprec(53 if mode is FLOAT64 else mode.precision_bits):
             s = mpmath.mpf(scale)
             values = [s * (1 + mpmath.mpf(0.5) ** n + mpmath.mpf(-0.3) ** n) for n in range(24)]
         seq = Sequence(1, tuple(values), mode)
@@ -141,8 +147,12 @@ def cases():
              if not (mode is RATIONAL and case[0] == "archimedes_pi")]
     for case, mode in paper:
         yield paper_case(*case, mode)
+    for mode in (FLOAT64, BigFloat(256)):
+        for case in PAPER:
+            yield paper_case(*case, mode, threshold=0)
     for bits in (64, 128, 256):
         yield from grid_cases(BigFloat(bits), SCALES)
+    yield from grid_cases(FLOAT64, FLOAT64_SCALES)
     yield paper_case(*PAPER[1], BigFloat(1200))
     yield from grid_cases(BigFloat(1200), ("1e-400", "1"))
     for start in (1, 7, 16):

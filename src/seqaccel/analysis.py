@@ -69,7 +69,7 @@ def estimate_rho(seq, limit=None, delta=0.05):
         )
     tail = usable[-max(1, len(usable) // 3):]
     rep = sorted(tail)[len(tail) // 2]
-    spread = float(max(tail) - min(tail))
+    spread = max(tail) - min(tail)  # in the mode: a Fraction may lie beyond the float range
     limit_used = None if proxy else limit
     if proxy and spread > 0.5:
         cls = Classification.INDETERMINATE

@@ -223,8 +223,16 @@ def cmd_classify(args):
         print(f"classification: {report.describe()}")
         print(f"limit used: {'(proxy: last element)' if report.limit_used is None else report.limit_used}")
     shown = [r for r in report.rho_estimates if r is not None][-8:]
-    print("trailing rho estimates: " + ", ".join(f"{float(r):+.6f}" for r in shown))
+    print("trailing rho estimates: " + ", ".join(map(_rho_text, shown)))
     return 0
+
+
+def _rho_text(r):
+    """r to six signed places; one beyond the float range is +inf or -inf, as float() makes an mpf."""
+    try:
+        return f"{float(r):+.6f}"
+    except OverflowError:  # a Fraction beyond the float range
+        return "+inf" if r > 0 else "-inf"
 
 
 def cmd_verify(args):

@@ -123,6 +123,8 @@ class Rational:
     default_breakdown_threshold = 0
 
     def convert(self, x):
+        if type(x) is Fraction:  # as it is, as float(x) returns a float
+            return x
         try:
             return Fraction(x)
         except (ValueError, OverflowError):  # Fraction refuses a NaN or an infinite float

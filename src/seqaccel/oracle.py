@@ -51,8 +51,9 @@ the column read from its second cell.  ``check_bilinear`` and
 ``molecule_solution``'s public F and G are keyed by (level, label).
 
 Each public result is rounded to the sequence's mode once, at the end,
-so a float64 T_k^(n) is the correctly rounded transform of its inputs.
-Exact mode returns the Fractions themselves.  ``verify_routes`` checks
+by ``mode.convert``, so a float64 T_k^(n) is the correctly rounded
+transform of its inputs.  Every mode takes that one call: in exact mode
+it returns the Fraction as it is.  ``verify_routes`` checks
 the lattice against both routes, on the condensed label columns of one
 table; agreement is an end-to-end correctness check of all three.
 """
@@ -100,14 +101,6 @@ def _difference_table(seq, tops):
         prev = rows[-1]
         rows.append([b - a for a, b in zip(prev, prev[1:])])
     return _Differences(rows, scale)
-
-
-def _rounded(mode, x):
-    """The exact value x rounded once to ``mode``; exact mode keeps it as it is.
-
-    A float64 value beyond the float range raises NonFiniteError.
-    """
-    return x if mode.is_exact else mode.convert(x)
 
 
 def _power(k, head):
@@ -186,19 +179,19 @@ def psi_det(v, k, n):
 
     Conventions: k = -1 gives 0, k = 0 gives 1.
     """
-    return _rounded(v.mode, _exact(v, k, n))
+    return v.mode.convert(_exact(v, k, n))
 
 
 def phi_det(v, k, n):
     """Like psi_det but the first row holds the column labels n..n+k-1."""
-    return _rounded(v.mode, _exact(v, k, n, head="labels"))
+    return v.mode.convert(_exact(v, k, n, head="labels"))
 
 
 def t_denominator(seq, k, n):
     """(k+1) x (k+1) determinant with a row of ones over D^2 S, ..., D^(2k) S."""
     if k < 0:
         raise WindowError("transform order k must be nonnegative")
-    return _rounded(seq.mode, _exact(seq, k + 1, n, 2, "ones"))
+    return seq.mode.convert(_exact(seq, k + 1, n, 2, "ones"))
 
 
 def t_determinant(seq, k, n):
@@ -212,7 +205,7 @@ def t_determinant(seq, k, n):
     diffs, den = _single(seq, k + 1, n, 2, "ones")
     if den == 0:
         raise SingularError(f"zero denominator determinant at (k={k}, n={n})")
-    return _rounded(seq.mode, Fraction(_hankel_det(seq, diffs, k + 1, n), den * diffs.scale))
+    return seq.mode.convert(Fraction(_hankel_det(seq, diffs, k + 1, n), den * diffs.scale))
 
 
 def _t_tops(k_max):
@@ -238,7 +231,7 @@ def _cell(mode, x):
     if x is None:
         return None
     try:
-        return _rounded(mode, x)
+        return mode.convert(x)
     except NonFiniteError:
         return None
 

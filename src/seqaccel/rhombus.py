@@ -11,7 +11,9 @@ one adds its reciprocal.  Columns are plain lists indexed from the first
 label, and ``None`` marks a BREAKDOWN cell.  A factor d = b - a breaks
 down when it is zero (exact mode) or negligibly small against its
 operands (float modes): |d| < t·max(|a|, |b|) for the breakdown
-threshold t.  Every cell that depends on a BREAKDOWN
+threshold t.  Each float kernel has this one guard for every t: at
+t = 0 no nonzero |d| is below 0·max(|a|, |b|), so only the zero test
+is left, with no separate path.  Every cell that depends on a BREAKDOWN
 cell breaks down too.  In float64 a cell also breaks down when its
 factor product underflows to zero or its result is not finite; mpmath
 exponents are unbounded, so bigfloat needs no such check.
@@ -145,11 +147,10 @@ def differences(col, threshold):
 
     A factor d = b - a breaks down when it is zero or when
     |d| < t·max(|a|, |b|) for t = ``threshold``, a float as :func:`fill`
-    converts it; a zero threshold leaves only the zero test.
+    converts it.  This one guard serves every threshold: at t = 0 no
+    |d| is below 0·max(|a|, |b|), so only the zero test breaks a factor
+    down.
     """
-    if not threshold:
-        return [None if a is None or b is None else (b - a) or None
-                for a, b in zip(col, col[1:])]
     # each element is an operand of two differences: take its magnitude once
     mags = [None if v is None else abs(v) for v in col]
     return [None if a is None or b is None or not (d := b - a)
@@ -172,14 +173,13 @@ def mpf_differences(col, prec, threshold):
     * gap >= 1 proves |d| >= t·M: the factor is kept;
     * gap <= -2 proves |d| < t·M: the factor breaks down.
 
-    Only gap -1 or 0, or a zero a or b, takes the full comparison; a zero
-    threshold leaves only the zero test.
+    Only gap -1 or 0, or a zero a or b, takes the full comparison.  A
+    zero threshold runs the same guard: its mantissa is 0, so it has no
+    magnitude, every nonzero factor takes the full comparison, and none
+    is below 0·M, so only the zero test breaks a factor down.
     """
-    if threshold == fzero:
-        return [None if a is None or b is None or not (d := _add(b, a, prec, 1))[1]
-                else d for a, b in zip(col, col[1:])]
-    # mag(v) of each element once, None for a zero or BREAKDOWN element; an
-    # infinite or NaN threshold (mantissa 0) has no magnitude, so every cell is compared
+    # mag(v) of each element once, None for a zero or BREAKDOWN element; a zero
+    # or infinite threshold (mantissa 0) has no magnitude, so every cell is compared
     _, tman, texp, tbc = threshold
     tmag = texp + tbc
     mags = ([None if v is None or not v[1] else v[2] + v[3] for v in col]
@@ -340,7 +340,8 @@ def fill(seq, seeds, max_order, threshold, keep):
     live prefix, which ends in a VALID cell or is empty, are BREAKDOWN.
     ``threshold`` None means the mode's default; a NaN or negative one,
     or a nonzero one in exact mode (where only a zero factor breaks
-    down), is a SpecError.
+    down), is a SpecError.  A zero threshold in a float mode runs the
+    kernel's one guard like any other.
     """
     if max_order < 0:
         raise WindowError("max_order must be nonnegative")

@@ -100,14 +100,14 @@ def generate(spec):
             return Sequence(spec.start_label, tuple(values), mode), pi
 
     with mode.context():
-        # prime the running sum with the terms below start_label
+        # the running sum adds every term from the family's first label, in
+        # order, and keeps the sums from start_label on
         total = mode.convert(0)
-        for j in range(first_label(spec.family), spec.start_label):
-            total = total + _term(spec, j, mode)
         values = []
-        for n in labels:
+        for n in range(first_label(spec.family), labels.stop):
             total = total + _term(spec, n, mode)
-            values.append(total)
+            if n >= spec.start_label:
+                values.append(total)
         limit = _known_limit(spec, mode)
     return Sequence(spec.start_label, tuple(values), mode), limit
 

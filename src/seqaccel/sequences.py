@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EmptyInputError, IngestError, NonFiniteError, WindowError
-from .modes import FLOAT64, BigFloat, value_text
+from .modes import FLOAT64, value_text
 
 
 @dataclass(frozen=True)
@@ -14,10 +14,10 @@ class Sequence:
 
     Lookup by label is exact: asking for an element outside the stored
     range raises :class:`WindowError` rather than extrapolating.  Every
-    value must be finite in the mode (:class:`NonFiniteError` otherwise),
-    and a value that is not of the mode's ``value_type`` (float, mpf or
-    Fraction) is stored converted by the mode, as is every bigfloat value,
-    since an mpf may carry more bits than the mode's precision.  So every
+    value must be finite in the mode (:class:`NonFiniteError` otherwise).
+    Every value passes through ``mode.convert``, which returns a float in
+    float64 and a Fraction in exact mode as it is, and rounds an mpf,
+    which may carry more bits, once to the bigfloat precision.  So every
     engine sees the mode's own numbers, and exact mode's arithmetic stays
     exact.  A value the mode cannot read, such as ``"abc"``, is an
     :class:`IngestError`; a string it can read is converted like any
@@ -32,13 +32,11 @@ class Sequence:
         if len(self.values) == 0:
             raise EmptyInputError("sequence must contain at least one element")
         mode = self.mode
-        kind, convert, is_finite = mode.value_type, mode.convert, mode.is_finite
-        if isinstance(mode, BigFloat):
-            kind = None  # each mpf is rounded once to the precision
+        convert, is_finite = mode.convert, mode.is_finite
         values = []
         for n, x in enumerate(self.values, self.start_label):
             try:
-                v = x if type(x) is kind else convert(x)
+                v = convert(x)
                 finite = is_finite(v)
             except NonFiniteError:  # beyond the mode's range, or NaN or infinite in exact mode
                 finite = False

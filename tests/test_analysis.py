@@ -78,6 +78,15 @@ class TestEstimateRho:
         with pytest.raises(SpecError, match="delta"):
             estimate_rho(seq, limit, delta)
 
+    def test_ratio_beyond_the_float_range(self):
+        # the remainder ratio 1/1e-400 lies beyond the float range; the spread
+        # of the tail is taken in the mode, so rational reads it as bigfloat does
+        values = [6, 5, 4, 3, 2, Fraction("1e-400"), 1, 7, 0]
+        report = estimate_rho(seq_of(values, mode=RATIONAL), None)
+        assert report.classification is Classification.INDETERMINATE
+        assert report.rho_estimates[-1] == 10**400
+        assert estimate_rho(seq_of(values, mode=BigFloat(128)), None).classification is report.classification
+
     def test_zero_delta_is_accepted(self):
         seq, limit = generate(GeneratorSpec("zeta2", 60, 1))
         assert estimate_rho(seq, limit, 0).classification is Classification.LINEAR

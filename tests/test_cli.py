@@ -264,6 +264,23 @@ class TestClassify:
         assert code == 1 and out == ""
         assert err == f"error: delta must be a finite number >= 0, got {float(delta)}\n"
 
+    @pytest.mark.parametrize("values, shown", [
+        ("1e-400 1 2 3 0", "+inf, +2.000000"),
+        ("-1e-400 1 2 3 0", "-inf, +2.000000"),
+        ("6 5 4 3 2 1e-400 1 7 0", "+0.833333, +0.800000, +0.750000, +0.666667, +0.000000, +inf"),
+    ])
+    def test_rational_ratio_beyond_the_float_range_prints_as_in_bigfloat(self, capsys, tmp_path,
+                                                                        values, shown):
+        p = tmp_path / "ratios.txt"
+        p.write_text(values.replace(" ", "\n") + "\n")
+        outputs = []
+        for mode in ("rational", "bigfloat"):
+            code, out, _ = run(capsys, "classify", "--mode", mode, "--input", str(p))
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert f"trailing rho estimates: {shown}\n" in outputs[0]
+
     def test_classify_alternating(self, capsys):
         code, out, _ = run(
             capsys, "classify", "--family", "alt_harmonic", "--count", "40",

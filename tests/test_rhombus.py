@@ -162,7 +162,7 @@ dyadic_cases = st.tuples(
 ).map(lambda t: ([m * 2.0 ** t[1] for m in t[0]], 2.0 ** -t[2]))
 float_cases = st.tuples(
     st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=14),
-    st.sampled_from([1e-12, 1e-3]),
+    st.sampled_from([0.0, 1e-12, 1e-3]),  # at 0.0 the guard leaves only the zero test
 )
 # a slowly moving sequence: each step is a few threshold units of its size
 near_threshold_cases = st.tuples(
