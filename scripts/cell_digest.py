@@ -44,10 +44,21 @@ The corpus:
     float64, bigfloat at 64, 256 and 1200 bits and rational mode, a
     ``None`` limit and a ``ModeUnsupportedError`` recorded as such, and
     ``archimedes_pi`` from the start labels -1022 (a ``SpecError`` in
-    the float modes, recorded as such) and 1021, count 3.
+    the float modes, recorded as such) and 1021, count 3;
+  * ``seqaccel transform`` (lbq, epsilon and oracle) and ``seqaccel
+    compare``, run in-process through ``cli.main`` on the paper's three
+    tables in float64, bigfloat at 128 and 256 bits and rational mode
+    (pi ends in an error there, and compare takes a decimal limit),
+    each in markdown, csv and tsv, at the paper's decimal places and
+    at ``--digits 30``; and the lbq and epsilon ``transform`` and
+    ``compare`` of float64 ``alt_harmonic`` and ``zeta2`` at N=200,
+    K=50 in the three formats.  Each line covers the argv, exit status
+    and stdout of its runs.
 """
 
+import contextlib
 import hashlib
+import io
 import random
 from fractions import Fraction
 
@@ -69,6 +80,7 @@ from seqaccel import (
     lbq_transform,
     molecule_solution,
 )
+from seqaccel.cli import main as cli_main
 from seqaccel.oracle import oracle_transform, verify_routes
 from seqaccel.seqgen import random_rational_sequence
 
@@ -78,6 +90,19 @@ SCALES = ("1e-400", "1e-100", "1", "1e100", "1e300")
 FLOAT64_SCALES = SCALES[1:]  # 1e-400 is below the float64 range
 ENGINES = (lbq_transform, epsilon_transform, build_lattice)
 GENERATOR_MODES = (FLOAT64, BigFloat(64), BigFloat(256), BigFloat(1200), RATIONAL)
+# the decimal places of each column T_0..T_k of the paper's tables, as scripts/reproduce_tables.py prints them
+PAPER_PLACES = {"archimedes_pi": (5, 10, 10, 10, 10), "alt_harmonic": (5, 5, 5, 10, 10, 10),
+                "zeta2": (5,) * 8}
+CLI_COMMANDS = {"transform lbq": ("transform", "--algorithm", "lbq"),
+                "transform epsilon": ("transform", "--algorithm", "epsilon"),
+                "transform oracle": ("transform", "--algorithm", "oracle"), "compare": ("compare",)}
+# each mode's --mode argument and options
+CLI_MODES = {"float64": ("float64",), "bigfloat 128": ("bigfloat", "--precision-bits", "128"),
+             "bigfloat 256": ("bigfloat", "--precision-bits", "256"), "rational": ("rational",)}
+OUTPUT_FORMATS = ("markdown", "csv", "tsv")
+# the limit given to compare in rational mode, whose generators know no irrational limit
+DECIMAL_LIMITS = {"archimedes_pi": "3.14159265358979323846", "alt_harmonic": "0.69314718055994530942",
+                  "zeta2": "1.64493406684822643647"}
 GENERATORS = (("archimedes_pi", 1, {}), ("alt_harmonic", 1, {}), ("zeta2", 1, {}),
               ("geometric", 0, {"z": Fraction(-2, 3)}), ("exp_series", 0, {"z": Fraction(7, 5)}),
               ("zeta", 1, {"s": 3}))
@@ -218,6 +243,39 @@ def generator_digests():
     return out
 
 
+def cli_digest(runs):
+    """SHA-256 of the argv, exit status and stdout of each ``cli.main`` run of ``runs``, in hex."""
+    h = hashlib.sha256()
+    for argv in runs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli_main(list(argv))
+        h.update(f"{argv}\n{code}\n{out.getvalue()}\n".encode())
+    return h.hexdigest()
+
+
+def cli_cases():
+    """(name, runs) of each CLI case of the corpus, a run being one argv."""
+    for family, count, k in PAPER:
+        for command, command_args in CLI_COMMANDS.items():
+            # compare prints an lbq and an eps column for each order
+            columns = 2 if command == "compare" else 1
+            places = [p for p in PAPER_PLACES[family] for _ in range(columns)]
+            digits = (("--col-digits", ",".join(map(str, places))), ("--digits", "30"))
+            for mode, mode_args in CLI_MODES.items():
+                argv = (*command_args, "--family", family, "--count", str(count), "--k-max", str(k),
+                        "--mode", *mode_args)
+                if command == "compare" and mode == "rational":
+                    argv += ("--limit", DECIMAL_LIMITS[family])
+                yield (f"cli {command} {family} {mode}",
+                       [(*argv, "--output-format", fmt, *d) for fmt in OUTPUT_FORMATS for d in digits])
+    for family in ("alt_harmonic", "zeta2"):
+        for command in ("transform lbq", "transform epsilon", "compare"):
+            argv = (*CLI_COMMANDS[command], "--family", family, "--count", "200", "--k-max", "50")
+            yield (f"cli {command} {family} 200 50 float64",
+                   [(*argv, "--output-format", fmt) for fmt in OUTPUT_FORMATS])
+
+
 def digests():
     """{case name: digest} over the corpus, in corpus order."""
     out = {name: digest(seq, k, threshold, builds) for name, seq, k, threshold, builds in cases()}
@@ -225,6 +283,7 @@ def digests():
     seq, _ = generate(GeneratorSpec("alt_harmonic", 60, 1, RATIONAL))
     out["routes alt_harmonic 60 19 rational"] = routes_digest(seq, 19)
     out.update(generator_digests())
+    out.update((name, cli_digest(runs)) for name, runs in cli_cases())
     return out
 
 

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
-from .errors import SpecError, WindowError
+from .errors import NonFiniteError, SpecError, WindowError
 
 
 class Classification(enum.Enum):
@@ -44,7 +45,9 @@ def estimate_rho(seq, limit=None, delta=0.05):
     * magnitude at least 1+delta -> DIVERGENT
     * otherwise                 -> LINEAR (sign reported separately)
 
-    ``delta`` must be a finite number >= 0.
+    ``delta`` must be a finite number >= 0.  A remainder beyond the
+    mode's range (a float64 difference of two finite values may
+    overflow) is a :class:`NonFiniteError` that names its label.
     """
     if not 0 <= delta < float("inf"):
         raise SpecError(f"delta must be a finite number >= 0, got {delta}")
@@ -54,6 +57,9 @@ def estimate_rho(seq, limit=None, delta=0.05):
     if proxy:
         limit = seq.values[-1]
     remainders = [v - limit for v in seq.values]
+    for n, r in zip(seq.labels(), remainders):
+        if not seq.mode.is_finite(r):
+            raise NonFiniteError(f"the remainder S_{n} - S is beyond the {seq.mode.name} range")
     ratios = []
     for r0, r1 in zip(remainders, remainders[1:]):
         if r0 == 0:
@@ -84,8 +90,25 @@ def estimate_rho(seq, limit=None, delta=0.05):
     return ConvergenceReport(ratios, rep, cls, rep < 0, limit_used, delta)
 
 
-def error_table(table, limit):
-    """Map (k, n) -> |T_k^(n) - S|, rounded at the table's mode precision,
-    with status markers passed through."""
+def error_columns(table, limit):
+    """``{k: (prefix, length)}`` of the errors |T_k^(n) - S| of ``table``'s
+    columns, rounded at its mode's precision: each live value's error in
+    its place, ``None`` where the cell broke down, and the same lengths.
+
+    An error beyond the mode's range (a float64 difference of two finite
+    values may overflow) is a :class:`NonFiniteError` that names its cell.
+    """
     with table.mode.context():
-        return table.cells(lambda value: abs(value - limit))
+        columns = {k: ([None if v is None else abs(v - limit) for v in prefix], length)
+                   for k, (prefix, length) in table.columns.items()}
+    for k, (errors, _) in columns.items():
+        if math.inf in errors:
+            n = table.start_label + errors.index(math.inf)
+            raise NonFiniteError(f"the error |T_{k}^({n}) - S| is beyond the {table.mode.name} range")
+    return columns
+
+
+def error_table(table, limit):
+    """Map (k, n) -> |T_k^(n) - S| of :func:`error_columns`, in ``table.entries``
+    order, with ``Status.BREAKDOWN`` for each BREAKDOWN cell."""
+    return replace(table, columns=error_columns(table, limit)).cells(lambda e: e)

@@ -16,7 +16,6 @@ from .errors import SeqAccelError, SpecError
 from .formatting import format_exact, format_fixed
 from .lbq import lbq_transform
 from .modes import RATIONAL, mode_from_name
-from .tables import Status
 
 
 def _add_mode_args(p):
@@ -151,18 +150,17 @@ def _column_digits(args, ncols):
     return digits
 
 
-def _emit_grid(args, header, labels, cells):
-    """Print one row per label n: n, then ``cells[(j, n)]`` for each value
-    column j of ``header[1:]``.  A cell is a value, printed by ``format_fixed``
-    to its column's places, ``Status.BREAKDOWN``, printed ``BRK``, or
-    missing, printed blank."""
-    def text(cell, places):
-        return ("" if cell is None else "BRK" if cell is Status.BREAKDOWN
-                else format_fixed(cell, places))
-
+def _emit_grid(args, header, labels, columns):
+    """Print one row per label n: n, then one cell of each ``(prefix, length)``
+    column of ``columns``, in the order of ``header[1:]``.  A live value is
+    printed by ``format_fixed`` to its column's places, a ``None`` in the
+    prefix and each cell from the prefix's end to ``length`` as ``BRK``,
+    and each cell past ``length`` blank."""
     digits = _column_digits(args, len(header) - 1)
-    rows = [[str(n)] + [text(cells.get((j, n)), places) for j, places in enumerate(digits)]
-            for n in labels]
+    texts = [["BRK" if v is None else format_fixed(v, places) for v in prefix]
+             + ["BRK"] * (length - len(prefix)) + [""] * (len(labels) - length)
+             for (prefix, length), places in zip(columns, digits)]
+    rows = [[str(n), *cells] for n, *cells in zip(labels, *texts)]
     _emit(_render_table(header, rows, args.output_format), args.out)
 
 
@@ -192,9 +190,8 @@ def cmd_transform(args):
     mode = _get_mode(args)
     seq, _ = _load_sequence(args, mode)
     table = transform_table(seq, args.algorithm, args.k_max, _get_threshold(args, mode))
-    cells = table.cells(lambda value: value)
     header = ["n"] + [f"T{k}" for k in range(args.k_max + 1)]
-    _emit_grid(args, header, table.rows(), cells)
+    _emit_grid(args, header, seq.labels(), [table.columns[k] for k in range(args.k_max + 1)])
     return 0
 
 
@@ -206,12 +203,11 @@ def cmd_compare(args):
     threshold = _get_threshold(args, mode)
     tables = (lbq_transform(seq, args.k_max, threshold),
               epsilon_transform(seq, args.k_max, threshold))
-    errors = [analysis.error_table(table, limit) for table in tables]
-    # column 2k is the lattice's |T_k - S|, column 2k + 1 epsilon's
-    cells = {(2 * k + i, n): e for i, errs in enumerate(errors) for (k, n), e in errs.items()}
+    errors = [analysis.error_columns(table, limit) for table in tables]
     header = ["n"] + [f"{name}_T{k}_err" for k in range(args.k_max + 1)
                       for name in ("lbq", "eps")]
-    _emit_grid(args, header, tables[0].rows(), cells)
+    _emit_grid(args, header, seq.labels(),
+               [errs[k] for k in range(args.k_max + 1) for errs in errors])
     return 0
 
 

@@ -18,9 +18,10 @@ cell is read; every BREAKDOWN cell reads as the one shared
 status, so reading it is a slot read.  Iterating ``values()`` or
 ``items()`` builds the VALID entries of one column at a time in bulk,
 through C-level ``map``s over the slot descriptors, so no Python code
-runs per VALID cell.  Readers of every cell's value, such as the error
-table and the CLI, take :meth:`TransformTable.cells`, which reads the
-columns without an entry per cell.
+runs per VALID cell.  A reader of every cell's value by its (k, n) key,
+such as the error table, takes :meth:`TransformTable.cells`, which reads
+the columns without an entry per cell; the CLI prints the columns
+themselves.
 """
 
 from __future__ import annotations
@@ -198,9 +199,6 @@ class TransformTable:
         """Entry at (k, n); out-of-range indices yield UNAVAILABLE."""
         cell = self._cell(k, n)
         return UNAVAILABLE_ENTRY if cell is None else _read(*cell)
-
-    def rows(self):
-        return range(self.start_label, self.end_label + 1)
 
     def column(self, k):
         """Valid (n, value) pairs of column k, in label order."""

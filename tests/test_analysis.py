@@ -10,6 +10,7 @@ from seqaccel import (
     BigFloat,
     Classification,
     GeneratorSpec,
+    NonFiniteError,
     Sequence,
     SpecError,
     Status,
@@ -87,6 +88,12 @@ class TestEstimateRho:
         assert report.rho_estimates[-1] == 10**400
         assert estimate_rho(seq_of(values, mode=BigFloat(128)), None).classification is report.classification
 
+    def test_remainder_beyond_the_float_range(self):
+        # each remainder S_n + 1e308 overflows; inf / inf would be a NaN ratio
+        seq = seq_of([1.0, 1e308, 1.5e308, 1.7e308, 1.75e308], start=1)
+        with pytest.raises(NonFiniteError, match=r"S_2 - S is beyond the float64 range"):
+            estimate_rho(seq, -1e308)
+
     def test_zero_delta_is_accepted(self):
         seq, limit = generate(GeneratorSpec("zeta2", 60, 1))
         assert estimate_rho(seq, limit, 0).classification is Classification.LINEAR
@@ -144,6 +151,13 @@ class TestErrorTable:
             else:
                 assert got._mpf_ == want[key]._mpf_, key
         assert max(v._mpf_[3] for v in errs.values() if not isinstance(v, Status)) > 200
+
+    def test_error_beyond_the_float_range(self):
+        # |T_k^(n) - S| overflows where T_k^(n) is near 1.7e308 and S = -1.7e308
+        seq = seq_of([1.0, 1.7e308, 1.6e308, 1.65e308, 1.62e308], start=3)
+        for transform in (lbq_transform, epsilon_transform):
+            with pytest.raises(NonFiniteError, match=r"\|T_0\^\(4\) - S\| is beyond the float64 range"):
+                error_table(transform(seq, 1), -1.7e308)
 
     def test_reference_cell(self):
         seq, limit = generate(GeneratorSpec("archimedes_pi", 13, 1, BigFloat(128)))

@@ -485,6 +485,21 @@ class TestErrors:
         assert code == 1
         assert err.startswith("error: ") and "1e400" in err
 
+    @pytest.mark.parametrize("argv, values, message", [
+        (("classify", "--limit", "-1e308"), "1e308 1.5e308 1.7e308 1.75e308 1.76e308",
+         "the remainder S_0 - S"),
+        (("compare", "--limit", "-1.7e308", "--k-max", "1"),
+         "1.7e308 1.6e308 1.65e308 1.62e308 1.64e308 1.63e308", "the error |T_0^(0) - S|"),
+    ], ids=["classify", "compare"])
+    def test_float64_difference_beyond_the_range_is_a_clean_error(self, capsys, tmp_path,
+                                                                  argv, values, message):
+        # S_n - S overflows: classify would print NaN ratios, compare fail to format inf
+        p = tmp_path / "big.txt"
+        p.write_text("\n".join(values.split()) + "\n")
+        code, out, err = run(capsys, *argv, "--input", str(p))
+        assert (code, out) == (1, "")
+        assert err == f"error: {message} is beyond the float64 range\n"
+
     @pytest.mark.parametrize("command", ["generate", "transform", "classify", "compare"])
     def test_float64_exp_limit_beyond_the_range_is_unknown(self, capsys, command):
         code, out, err = run(capsys, command, "--family", "exp_series", "--z", "710", "--count", "8")
