@@ -25,7 +25,10 @@ The corpus:
     the paper's ln 2 table, and the geometric sequence at scales 1e-400
     and 1 for every breakdown threshold;
   * the float64 ``alt_harmonic`` N=1000, K=50 tables of the benchmark
-    from the start labels 1, 7 and 16;
+    from the start labels 1, 7 and 16, and its bigfloat256 N=300, K=30
+    tables from the same labels;
+  * at 64 bits, S_n = 2**(64+n) for even n and 1/2 for odd n, whose
+    every first difference rounds up to a power of two;
   * rational sequences that end in a constant tail;
   * the ``oracle_transform`` table of ``alt_harmonic`` at N=60, K=19 in
     rational and float64 mode;
@@ -183,6 +186,12 @@ def cases():
     for start in (1, 7, 16):
         seq, _ = generate(GeneratorSpec("alt_harmonic", 1000, start))
         yield f"f64_linear start {start}", seq, 50, None, ENGINES
+    for start in (1, 7, 16):
+        seq, _ = generate(GeneratorSpec("alt_harmonic", 300, start, BigFloat(256)))
+        yield f"bigfloat_paper start {start}", seq, 30, None, ENGINES
+    # 2**(64+n) - 1/2 needs 65 + n bits, all ones: rounded to 64 bits it carries
+    values = [Fraction(1, 2) if n % 2 else 2 ** (64 + n) for n in range(12)]
+    yield "carry bigfloat64", Sequence.from_iterable(values, 0, BigFloat(64)), 5, None, ENGINES
     rng = random.Random(20110711)
     for i in range(8):
         head = [Fraction(rng.randint(-50, 50), rng.randint(1, 20)) for _ in range(rng.randint(1, 6))]

@@ -23,7 +23,7 @@ from fractions import Fraction
 import mpmath
 from mpmath.libmp import from_rational, mpf_pos, round_nearest
 
-from .errors import NonFiniteError
+from .errors import NonFiniteError, SpecError
 
 
 def _parse_number(text):
@@ -74,6 +74,11 @@ class Float64:
         return nullcontext()
 
 
+# far above the 1,200 bits the tests and the digest corpus use; a value of
+# 1e11 bits would ask the first conversion for gigabytes
+MAX_PRECISION_BITS = 2**20
+
+
 @dataclass(frozen=True)
 class BigFloat:
     precision_bits: int = 128
@@ -81,6 +86,9 @@ class BigFloat:
     def __post_init__(self):
         if self.precision_bits < 64:
             raise ValueError("BigFloat precision must be at least 64 bits")
+        if self.precision_bits > MAX_PRECISION_BITS:
+            raise SpecError(f"BigFloat precision {self.precision_bits} bits is above the "
+                            f"maximum of {MAX_PRECISION_BITS} bits")
 
     @property
     def name(self):

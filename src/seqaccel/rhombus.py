@@ -31,11 +31,19 @@ nearest at the mode's precision.  :func:`_normalize`,
 :func:`_add` and :func:`_reciprocal` keep the integer algorithms of
 mpmath.libmp's ``normalize``, ``mpf_add``, ``mpf_mul`` and
 ``mpf_rdiv_int`` at ``round_nearest``, every rounding step included, so
-each result is the tuple the mpf operators give under
-``mode.context()``.  They leave out only what finite operands at one
-rounding mode never need: the checks for special values, the dispatch
-on the rounding mode and mpmath's pure-Python bit count, for which
-``int.bit_length`` stands.  No mpf object is built per operation.
+each result has the value the mpf operators give under
+``mode.context()``, with an exact bit count bc <= prec.  They leave out
+what finite operands at one rounding mode never need: the checks for
+special values, the dispatch on the rounding mode and mpmath's
+pure-Python bit count, for which ``int.bit_length`` stands.  They also
+leave out ``normalize``'s stripping of a mantissa's trailing zeros, so a
+kernel tuple is not always canonical: same value, exact bc, canonical at
+the edge.  A trailing zero changes no value, and with bc exact, exp + bc,
+the guard's exponent rule, the reciprocal's quotient and sticky bit and
+the libmp comparisons come out as on the canonical tuple.
+:func:`_mpf_column` strips the zeros once, from each cell :func:`fill`
+keeps, so every mpf outside the kernel is canonical.  No mpf object is
+built per operation.
 
 The pair kernel reduces each result as Fraction does (:func:`_pair_add`,
 :func:`_pair_lattice_cell`): a sum takes the gcd of the denominators
@@ -81,31 +89,41 @@ from .modes import BigFloat, value_text
 
 
 def _normalize(sign, man, exp, prec):
-    """(-1)**sign·man·2**exp, ``man`` >= 0, as an ``_mpf_`` tuple rounded to nearest at ``prec`` bits.
+    """(-1)**sign·man·2**exp, ``man`` >= 0, rounded to nearest at ``prec`` bits, as a kernel tuple.
 
-    This is mpmath's ``normalize`` at ``round_nearest``: a mantissa wider
-    than ``prec`` is rounded half to even, the trailing zeros are stripped,
-    so the mantissa is odd, and a zero mantissa gives ``fzero``.
+    This is the rounding of mpmath's ``normalize`` at ``round_nearest``: a
+    mantissa wider than ``prec`` is rounded half to even, and a zero
+    mantissa gives ``fzero``.  Unlike ``normalize`` it keeps the
+    mantissa's trailing zeros: the tuple has the value mpmath gives and an
+    exact ``bc`` <= ``prec``, and :func:`_mpf_column` makes it canonical
+    at the edge.  A rounding that carries to 2**prec is stored as
+    2**(prec-1) one exponent up, so ``bc`` stays within ``prec``.
     """
     if not man:
         return fzero
-    n = man.bit_length() - prec
-    if n > 0:
-        t = man >> (n - 1)  # the kept bits and the half bit below them
-        if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
-            man = (t >> 1) + 1
-        else:
-            man = t >> 1
-        exp += n
-    if not man & 1:
-        zeros = (man & -man).bit_length() - 1
-        man >>= zeros
-        exp += zeros
-    return sign, man, exp, man.bit_length()
+    bc = man.bit_length()
+    n = bc - prec
+    if n <= 0:
+        return sign, man, exp, bc
+    t = man >> (n - 1)  # the kept bits and the half bit below them
+    if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
+        man = (t >> 1) + 1
+        if man >> prec:  # carried to 2**prec
+            return sign, man >> 1, exp + n + 1, prec
+        return sign, man, exp + n, prec
+    return sign, t >> 1, exp + n, prec
 
 
 def _add(s, t, prec, negate=0):
-    """s + t, or s - t with ``negate``, of finite ``_mpf_`` tuples, rounded as ``mpf_add`` rounds."""
+    """s + t, or s - t with ``negate``, of finite ``_mpf_`` tuples, rounded as ``mpf_add`` rounds.
+
+    The result has the value of ``mpf_add``'s, with an exact ``bc``, but
+    may keep trailing zeros (:func:`_normalize`).  Its shortcut for a t
+    far below s gives the correctly rounded sum whenever s fits in
+    ``prec`` bits, as every kernel tuple does, so which operand's
+    exponent is the larger does not change the value even when the
+    operands are not canonical.
+    """
     ssign, sman, sexp, sbc = s
     tsign, tman, texp, tbc = t
     tsign ^= negate
@@ -134,7 +152,10 @@ def _reciprocal(t, prec, negate=0):
     """1/t, or -1/t with ``negate``, of a nonzero ``_mpf_`` tuple, rounded as ``mpf_rdiv_int`` rounds.
 
     The quotient carries 5 bits past ``prec`` and one sticky bit, set for
-    any remainder, below them.
+    any remainder, below them.  Trailing zeros in t's mantissa scale the
+    dividend and the remainder alike, so the quotient and the sticky bit,
+    and the value of the result, are those of canonical t; like
+    :func:`_normalize`'s, the result need not be canonical.
     """
     sign, man, exp, bc = t
     extra = prec + bc + 5
@@ -158,25 +179,39 @@ def differences(col, threshold):
             for a, b, ma, mb in zip(col, col[1:], mags, mags[1:])]
 
 
+def _below(d, a, b, threshold, prec):
+    """|d| < t·max(|a|, |b|) for ``_mpf_`` tuples, compared on mpmath.libmp's functions at ``prec`` bits.
+
+    ``mpf_abs`` at a precision returns a canonical tuple, so the operands
+    may be kernel tuples with trailing zeros.
+    """
+    abs_a, abs_b = mpf_abs(a, prec, round_nearest), mpf_abs(b, prec, round_nearest)
+    bound = mpf_mul(threshold, abs_b if mpf_gt(abs_b, abs_a) else abs_a, prec, round_nearest)
+    return mpf_lt(mpf_abs(d, prec, round_nearest), bound)
+
+
 def mpf_differences(col, prec, threshold):
-    """:func:`differences` of a bigfloat column of ``_mpf_`` tuples.
+    """:func:`differences` of a bigfloat column of kernel ``_mpf_`` tuples.
 
     ``threshold`` is an ``_mpf_`` tuple too, and every operation rounds
-    to nearest at ``prec`` bits.  A factor d = b - a breaks down when it
-    is zero or when |d| < t·max(|a|, |b|), and the outcome is read from
-    exponents wherever they settle it.  A nonzero mpf v has the magnitude
-    mag(v) = exp + bc, so 2**(mag(v)-1) <= |v| < 2**mag(v), and with
-    mag(M) = max(mag(a), mag(b)) the rounded product t·M lies in
+    to nearest at ``prec`` bits.  Each difference has the value mpmath
+    gives and an exact ``bc``, and is made canonical only at
+    :func:`fill`'s edge.  A factor d = b - a breaks down when it is zero
+    or when |d| < t·max(|a|, |b|), and the outcome is read from exponents
+    wherever they settle it.  A nonzero mpf v has the magnitude mag(v) =
+    exp + bc, canonical or not, so 2**(mag(v)-1) <= |v| < 2**mag(v), and
+    with mag(M) = max(mag(a), mag(b)) the rounded product t·M lies in
     [2**(mag(t)+mag(M)-2), 2**(mag(t)+mag(M))] in any rounding mode.  So
     for gap = mag(d) - mag(t) - mag(M):
 
     * gap >= 1 proves |d| >= t·M: the factor is kept;
     * gap <= -2 proves |d| < t·M: the factor breaks down.
 
-    Only gap -1 or 0, or a zero a or b, takes the full comparison.  A
-    zero threshold runs the same guard: its mantissa is 0, so it has no
-    magnitude, every nonzero factor takes the full comparison, and none
-    is below 0·M, so only the zero test breaks a factor down.
+    Only gap -1 or 0, or a zero a or b, takes the full comparison
+    (:func:`_below`).  A zero threshold runs the same guard: its mantissa
+    is 0, so it has no magnitude, every nonzero factor takes the full
+    comparison, and none is below 0·M, so only the zero test breaks a
+    factor down.
     """
     # mag(v) of each element once, None for a zero or BREAKDOWN element; a zero
     # or infinite threshold (mantissa 0) has no magnitude, so every cell is compared
@@ -184,28 +219,12 @@ def mpf_differences(col, prec, threshold):
     tmag = texp + tbc
     mags = ([None if v is None or not v[1] else v[2] + v[3] for v in col]
             if tman else [None] * len(col))
-    out = []
-    for a, b, ma, mb in zip(col, col[1:], mags, mags[1:]):
-        if a is None or b is None:
-            out.append(None)
-            continue
-        d = _add(b, a, prec, 1)
-        _, man, exp, bc = d
-        if not man:
-            out.append(None)
-            continue
-        if ma is not None and mb is not None:
-            gap = exp + bc - tmag - (ma if ma >= mb else mb)
-            if gap >= 1:
-                out.append(d)
-                continue
-            if gap <= -2:
-                out.append(None)
-                continue
-        abs_a, abs_b = mpf_abs(a, prec, round_nearest), mpf_abs(b, prec, round_nearest)
-        bound = mpf_mul(threshold, abs_b if mpf_gt(abs_b, abs_a) else abs_a, prec, round_nearest)
-        out.append(None if mpf_lt(mpf_abs(d, prec, round_nearest), bound) else d)
-    return out
+    return [None if a is None or b is None or not (d := _add(b, a, prec, 1))[1]
+            or (gap <= -2 if ma is not None and mb is not None
+                and not -2 < (gap := d[2] + d[3] - tmag - (ma if ma >= mb else mb)) < 1
+                else _below(d, a, b, threshold, prec))
+            else d
+            for a, b, ma, mb in zip(col, col[1:], mags, mags[1:])]
 
 
 def rhombus(carry, factors):
@@ -230,12 +249,13 @@ def rhombus(carry, factors):
 
 
 def mpf_rhombus(carry, factors, prec):
-    """:func:`rhombus` of bigfloat ``_mpf_`` tuple columns, rounded to nearest at ``prec`` bits.
+    """:func:`rhombus` of bigfloat kernel ``_mpf_`` tuple columns, rounded to nearest at ``prec`` bits.
 
     ``factors`` are columns from :func:`mpf_differences`, one (epsilon) or
-    two (lattice) as for :func:`rhombus`.  A product of nonzero factors is
-    nonzero and mpmath exponents are unbounded, so no cell needs a
-    further check.
+    two (lattice) as for :func:`rhombus`.  Each cell has the value mpmath
+    gives and an exact ``bc``, and is made canonical only at
+    :func:`fill`'s edge.  A product of nonzero factors is nonzero and
+    mpmath exponents are unbounded, so no cell needs a further check.
     """
     if len(factors) == 1:
         return [None if c is None or d is None else _add(c, _reciprocal(d, prec), prec)
@@ -310,10 +330,21 @@ def pair_rhombus(carry, factors):
             for c, p, d in zip(carry[1:], top, mid)]
 
 
+def _canonical(v):
+    """A kernel ``_mpf_`` tuple as mpmath builds it: its mantissa's trailing zeros stripped."""
+    sign, man, exp, bc = v
+    zeros = (man & -man).bit_length() - 1  # -1 for a zero mantissa
+    return v if zeros <= 0 else (sign, man >> zeros, exp + zeros, bc - zeros)
+
+
 def _mpf_column(col):
-    """A column of ``_mpf_`` tuples as mpf values, ``None`` kept."""
+    """A column of kernel ``_mpf_`` tuples as canonical mpf values, ``None`` kept.
+
+    The kernel keeps its mantissas' trailing zeros; each kept cell sheds
+    them here, so an mpf outside the kernel holds the tuple mpmath builds.
+    """
     make_mpf = mpmath.mp.make_mpf
-    return [None if v is None else make_mpf(v) for v in col]
+    return [None if v is None else make_mpf(_canonical(v)) for v in col]
 
 
 def _fraction_column(col):

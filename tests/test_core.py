@@ -21,6 +21,7 @@ from seqaccel import (
     IngestError,
     NonFiniteError,
     Sequence,
+    SpecError,
     Status,
     TransformEntry,
     WindowError,
@@ -51,6 +52,16 @@ class TestModes:
     def test_bigfloat_minimum_precision(self):
         with pytest.raises(ValueError):
             BigFloat(32)
+
+    def test_bigfloat_maximum_precision(self):
+        # rejected before any value is converted, so nothing is allocated
+        assert BigFloat(2**20).precision_bits == 2**20
+        for bits in (2**20 + 1, 100_000_000_000):
+            with pytest.raises(SpecError, match=f"precision {bits} bits is above the maximum "
+                                                f"of {2**20} bits"):
+                BigFloat(bits)
+            with pytest.raises(SpecError):
+                mode_from_name("bigfloat", bits)
 
     def test_rational_parse_is_exact(self):
         assert RATIONAL.parse("0.1") == Fraction(1, 10)

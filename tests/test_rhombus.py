@@ -35,6 +35,7 @@ from seqaccel import (
 )
 from seqaccel.rhombus import (
     _add,
+    _mpf_column,
     _normalize,
     _reciprocal,
     fill,
@@ -336,6 +337,48 @@ class TestFloat64Breakdown:
         assert mpmath.isfinite(cell) and cell < -mpmath.mpf(10) ** 399
 
 
+def canonical(v):
+    """The canonical ``_mpf_`` tuple of v's value: its mantissa's trailing zeros stripped."""
+    sign, man, exp, _ = v
+    return from_man_exp(-man if sign else man, exp)
+
+
+def pad(v, zeros, prec):
+    """v with up to ``zeros`` trailing zeros appended to its mantissa, as
+    many as keep it within ``prec`` bits, as the kernel may hold it; a
+    power of two padded to ``prec`` bits is the form a rounding that
+    carries to 2**prec leaves."""
+    sign, man, exp, bc = v
+    zeros = min(zeros, prec - bc) if man else 0
+    return v if zeros <= 0 else (sign, man << zeros, exp - zeros, bc + zeros)
+
+
+def is_kernel_tuple(got, want, prec):
+    """``got`` has the value of the canonical ``want``, int entries and an
+    exact bit count of at most ``prec``: the kernel's contract, which
+    makes a tuple canonical only at fill's edge."""
+    _, man, _, bc = got
+    return (same_tuple(canonical(got), want) and all(type(x) is int for x in got)
+            and bc == man.bit_length() <= prec)
+
+
+# at 64 bits each first difference 2**(64+n) - 1/2 rounds up to a power of two
+CARRY_VALUES = [Fraction(1, 2) if n % 2 else 2 ** (64 + n) for n in range(12)]
+
+
+@pytest.mark.parametrize("build", [lbq_transform, epsilon_transform, build_lattice])
+@pytest.mark.parametrize("seq, max_order", [
+    (Sequence.from_iterable(CARRY_VALUES, 0, BigFloat(64)), 5),
+    (generate(GeneratorSpec("alt_harmonic", 60, 1, BigFloat(256)))[0], 19),
+    (generate(GeneratorSpec("zeta2", 30, 1, BigFloat(1200)))[0], 9),
+], ids=["carry 64", "alt_harmonic 256", "zeta2 1200"])
+def test_bigfloat_cells_hold_canonical_mpf(build, seq, max_order):
+    # the kernel's tuples may keep trailing zeros; fill strips them from each kept cell
+    values = [e.value._mpf_ for e in build(seq, max_order).entries.values() if e.ok]
+    assert len(values) > len(seq)
+    assert all(same_tuple(v, canonical(v)) for v in values)
+
+
 RULE_BITS = 64
 # a carry value c and factor values p, d in each kernel's numbers
 RULE_VALUES = {
@@ -359,10 +402,14 @@ def test_the_number_of_factors_names_the_rule(kernel, width, rule):
         r = rule(c, p, d)
     want = [None, r, None, r] if width == 1 else [None, None, None, r]
     if kernel == "mpf":
-        def tuples(col):
-            return [None if v is None else v._mpf_ for v in col]
-        got = mpf_rhombus(tuples(carry), [tuples(f) for f in factors], RULE_BITS)
-        assert got == tuples(want)
+        def tuples(col, zeros=0):
+            return [None if v is None else pad(v._mpf_, zeros, RULE_BITS) for v in col]
+        # the kernel's own tuples may carry trailing zeros, up to RULE_BITS bits
+        for zeros in (0, RULE_BITS):
+            got = mpf_rhombus(tuples(carry, zeros), [tuples(f, zeros) for f in factors], RULE_BITS)
+            assert [g is None for g in got] == [w is None for w in want]
+            assert all(w is None or is_kernel_tuple(g, w._mpf_, RULE_BITS)
+                       for g, w in zip(got, want))
     elif kernel == "rational":
         got = pair_rhombus(pairs(carry), [pairs(f) for f in factors])
         assert got == pairs(want)
@@ -427,23 +474,35 @@ class TestBigfloatGuard:
 
     # the band edges: gap 0 with |d| < t·M breaks down, gap -1 with |d| >= t·M
     # is kept, and |d| = t·M exactly is kept (the guard's < is strict)
-    @example(case=(64, mpf_of(0, 29, -15), [mpf_of(0, 29, -5), mpf_of(0, 29, -5) + mpf_of(0, 1, -11)]))
-    @example(case=(64, mpf_of(0, 1, -11), [mpf_of(0, 1, -1), mpf_of(0, 1, -1) + mpf_of(0, 3, -13)]))
-    @example(case=(64, mpf_of(0, 1, -10), [mpmath.mpf(1), 1 - mpf_of(0, 1, -10)]))
+    @example(case=(64, mpf_of(0, 29, -15), [mpf_of(0, 29, -5), mpf_of(0, 29, -5) + mpf_of(0, 1, -11)]),
+             zeros=[])
+    @example(case=(64, mpf_of(0, 1, -11), [mpf_of(0, 1, -1), mpf_of(0, 1, -1) + mpf_of(0, 3, -13)]),
+             zeros=[])
+    @example(case=(64, mpf_of(0, 1, -10), [mpmath.mpf(1), 1 - mpf_of(0, 1, -10)]), zeros=[])
+    # the same band edges with every operand as the kernel may hold it, a
+    # power of two in the form a carry leaves
+    @example(case=(64, mpf_of(0, 29, -15), [mpf_of(0, 29, -5), mpf_of(0, 29, -5) + mpf_of(0, 1, -11)]),
+             zeros=[64, 64])
+    @example(case=(64, mpf_of(0, 1, -11), [mpf_of(0, 1, -1), mpf_of(0, 1, -1) + mpf_of(0, 3, -13)]),
+             zeros=[64, 7])
+    @example(case=(64, mpf_of(0, 1, -10), [mpmath.mpf(1), 1 - mpf_of(0, 1, -10)]), zeros=[64, 64])
     @settings(max_examples=400, deadline=None)
-    @given(case=guard_columns())
-    def test_exponent_rule_equals_the_plain_guard(self, case):
+    @given(case=guard_columns(), zeros=st.lists(st.integers(0, 1200), max_size=7))
+    def test_exponent_rule_equals_the_plain_guard(self, case, zeros):
         bits, threshold, col = case
+        # element i carries up to zeros[i] trailing zeros, as the kernel may hold it
+        tuples = [None if v is None else pad(v._mpf_, z, bits)
+                  for v, z in zip(col, zeros + [0] * len(col))]
         # the kernel takes its precision as an argument, whatever the ambient one
-        got = mpf_differences([None if v is None else v._mpf_ for v in col], bits,
-                              threshold._mpf_)
+        got = mpf_differences(tuples, bits, threshold._mpf_)
         with mpmath.workprec(bits):
             want = []
             for a, b in zip(col, col[1:]):
                 d = None if a is None or b is None else b - a
                 want.append(None if d is None or not d
                             or abs(d) < threshold * max(abs(a), abs(b)) else d)
-        assert got == [None if v is None else v._mpf_ for v in want]
+        assert [g is None for g in got] == [w is None for w in want]
+        assert all(w is None or is_kernel_tuple(g, w._mpf_, bits) for g, w in zip(got, want))
 
 
 @st.composite
@@ -466,7 +525,8 @@ def operand_pairs(draw):
     """(prec, s, t): t placed against s at an exponent offset of 0, a few
     bits or 100 and more, at a magnitude gap on either side of prec + 4
     (where mpf_add perturbs s by a sticky bit instead of adding t), as ±s
-    (exact cancellation) or half a unit below s's last bit (a tie)."""
+    (exact cancellation) or half a unit below s's last bit (a tie).  When
+    both fit in prec bits, either may then take trailing zeros (:func:`pad`)."""
     prec = draw(st.sampled_from([53, 64, 256, 1200]))
     s, t = draw(mpf_tuples(prec)), draw(mpf_tuples(prec))
     if s[1] and t[1]:
@@ -483,6 +543,12 @@ def operand_pairs(draw):
             t = (draw(st.integers(0, 1)),) + s[1:]
         elif place == "tie":
             t = (draw(st.integers(0, 1)), 1, s[2] - 1, 1)
+    if s[3] <= prec and t[3] <= prec:
+        # operands within prec bits, as every kernel tuple is, may carry
+        # trailing zeros: none, some, or up to prec bits (a power of two so
+        # padded is the form a carry leaves)
+        s, t = (pad(v, draw(st.sampled_from([0, prec, draw(st.integers(1, prec))])), prec)
+                for v in (s, t))
     return prec, s, t
 
 
@@ -492,7 +558,8 @@ def same_tuple(got, want):
 
 
 class TestTupleArithmetic:
-    """The kernel's helpers against mpmath.libmp at round_nearest, tuple for tuple."""
+    """The kernel's helpers against mpmath.libmp at round_nearest: the same
+    value, with an exact bit count within the precision."""
 
     @example(case=(53, (0, 2**53 - 3, 1, 53), (0, 1, 0, 1)))  # ties, to even up and down
     @example(case=(53, (0, 1, 0, 1), (0, 2**53 + 1, 0, 54)))  # product tie, down
@@ -512,20 +579,36 @@ class TestTupleArithmetic:
                    (0, 314067762375803014615898561290624247562967, -102, 138)))
     @example(case=(64, (1, 2**65 - 1, 7, 65), fzero))  # all ones round up
     @example(case=(256, (0, 5, -3, 3), (1, 5, -3, 3)))  # exact cancellation
+    # operands with trailing zeros: a power of two in the form a carry
+    # leaves, far above and far below the other operand, and in a tie
+    @example(case=(53, (0, 2**52, -52, 53), (1, 2**52, -252, 53)))
+    @example(case=(53, (0, 3 << 40, -240, 42), (0, 2**52, -52, 53)))
+    @example(case=(53, (0, 2**53 - 3, 1, 53), (0, 2**52, -52, 53)))
     @settings(max_examples=800, deadline=None)
     @given(case=operand_pairs())
     def test_each_helper_rounds_as_mpmath(self, case):
         prec, s, t = case
-        assert same_tuple(_add(s, t, prec), mpf_add(s, t, prec, round_nearest))
-        assert same_tuple(_add(s, t, prec, 1), mpf_sub(s, t, prec, round_nearest))
+        cs, ct = canonical(s), canonical(t)
+        assert is_kernel_tuple(_add(s, t, prec), mpf_add(cs, ct, prec, round_nearest), prec)
+        assert is_kernel_tuple(_add(s, t, prec, 1), mpf_sub(cs, ct, prec, round_nearest), prec)
         # the kernel's product is the exact product rounded by _normalize
-        assert same_tuple(_normalize(s[0] ^ t[0], s[1] * t[1], s[2] + t[2], prec),
-                          mpf_mul(s, t, prec, round_nearest))
-        for v in (s, t):
+        assert is_kernel_tuple(_normalize(s[0] ^ t[0], s[1] * t[1], s[2] + t[2], prec),
+                               mpf_mul(cs, ct, prec, round_nearest), prec)
+        for v, cv in ((s, cs), (t, ct)):
             if v[1]:
-                assert same_tuple(_reciprocal(v, prec), mpf_rdiv_int(1, v, prec, round_nearest))
-                assert same_tuple(_reciprocal(v, prec, 1),
-                                  mpf_rdiv_int(-1, v, prec, round_nearest))
+                assert is_kernel_tuple(_reciprocal(v, prec),
+                                       mpf_rdiv_int(1, cv, prec, round_nearest), prec)
+                assert is_kernel_tuple(_reciprocal(v, prec, 1),
+                                       mpf_rdiv_int(-1, cv, prec, round_nearest), prec)
+
+    def test_normalize_keeps_trailing_zeros_and_the_edge_strips_them(self):
+        # trailing zeros stay until fill's edge; a carry to 2**prec keeps prec bits
+        assert _normalize(1, 12, -5, 64) == (1, 12, -5, 4)
+        assert _normalize(0, 12 << 70, 0, 64) == (0, 3 << 62, 10, 64)
+        assert _normalize(0, 2**65 - 1, 0, 64) == (0, 2**63, 2, 64)
+        kept = _mpf_column([(1, 12, -5, 4), (0, 2**63, 2, 64), (0, 5, 2, 3), fzero, None])
+        assert [None if v is None else v._mpf_ for v in kept] == [
+            (1, 3, -3, 2), (0, 1, 65, 1), (0, 5, 2, 3), fzero, None]
 
 
 def assert_live_prefix_tables(seq, max_order, scalar, threshold=None, engines_in=None):
