@@ -28,7 +28,8 @@ The corpus:
     from the start labels 1, 7 and 16, and its bigfloat256 N=300, K=30
     tables from the same labels;
   * at 64 bits, S_n = 2**(64+n) for even n and 1/2 for odd n, whose
-    every first difference rounds up to a power of two;
+    every first difference rounds up to a power of two, and a sequence
+    whose lattice products p·d in column 5 round up to a power of two;
   * rational sequences that end in a constant tail;
   * the ``oracle_transform`` table of ``alt_harmonic`` at N=60, K=19 in
     rational and float64 mode;
@@ -192,6 +193,13 @@ def cases():
     # 2**(64+n) - 1/2 needs 65 + n bits, all ones: rounded to 64 bits it carries
     values = [Fraction(1, 2) if n % 2 else 2 ** (64 + n) for n in range(12)]
     yield "carry bigfloat64", Sequence.from_iterable(values, 0, BigFloat(64)), 5, None, ENGINES
+    # the differences alternate between 2**(200j-63)·(2**33+1) and about 2**(200j+200),
+    # so in the lattice's column 5 a factor 1/(2**33+1), rounded to 2**64-2**31 at its
+    # scale, meets 2**33+1: their product 2**97-2**31 rounds up to a power of two
+    values = [2 ** (200 * (n // 2)) * (1 + Fraction(2**33 + 1, 2**63) if n % 2 else 1)
+              for n in range(12)]
+    yield ("product carry bigfloat64", Sequence.from_iterable(values, 0, BigFloat(64)), 5, None,
+           ENGINES)
     rng = random.Random(20110711)
     for i in range(8):
         head = [Fraction(rng.randint(-50, 50), rng.randint(1, 20)) for _ in range(rng.randint(1, 6))]

@@ -74,6 +74,7 @@ class Float64:
         return nullcontext()
 
 
+MIN_PRECISION_BITS = 64
 # far above the 1,200 bits the tests and the digest corpus use; a value of
 # 1e11 bits would ask the first conversion for gigabytes
 MAX_PRECISION_BITS = 2**20
@@ -84,8 +85,9 @@ class BigFloat:
     precision_bits: int = 128
 
     def __post_init__(self):
-        if self.precision_bits < 64:
-            raise ValueError("BigFloat precision must be at least 64 bits")
+        if self.precision_bits < MIN_PRECISION_BITS:
+            raise SpecError(f"BigFloat precision {self.precision_bits} bits is below the "
+                            f"minimum of {MIN_PRECISION_BITS} bits")
         if self.precision_bits > MAX_PRECISION_BITS:
             raise SpecError(f"BigFloat precision {self.precision_bits} bits is above the "
                             f"maximum of {MAX_PRECISION_BITS} bits")
@@ -162,5 +164,5 @@ def mode_from_name(name, precision_bits=128):
         return RATIONAL
     if name == "bigfloat":
         return BigFloat(precision_bits)
-    raise ValueError(f"unknown scalar mode {name!r}")
+    raise SpecError(f"unknown scalar mode {name!r}: the modes are float64, bigfloat and rational")
 

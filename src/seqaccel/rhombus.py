@@ -27,23 +27,28 @@ There are three kernels, one per kind of number:
   (:func:`pair_differences`, :func:`pair_rhombus`).
 
 The tuple kernel has its own arithmetic, each operation rounded to
-nearest at the mode's precision.  :func:`_normalize`,
-:func:`_add` and :func:`_reciprocal` keep the integer algorithms of
-mpmath.libmp's ``normalize``, ``mpf_add``, ``mpf_mul`` and
-``mpf_rdiv_int`` at ``round_nearest``, every rounding step included, so
-each result has the value the mpf operators give under
-``mode.context()``, with an exact bit count bc <= prec.  They leave out
-what finite operands at one rounding mode never need: the checks for
-special values, the dispatch on the rounding mode and mpmath's
-pure-Python bit count, for which ``int.bit_length`` stands.  They also
-leave out ``normalize``'s stripping of a mantissa's trailing zeros, so a
-kernel tuple is not always canonical: same value, exact bc, canonical at
-the edge.  A trailing zero changes no value, and with bc exact, exp + bc,
-the guard's exponent rule, the reciprocal's quotient and sticky bit and
-the libmp comparisons come out as on the canonical tuple.
-:func:`_mpf_column` strips the zeros once, from each cell :func:`fill`
-keeps, so every mpf outside the kernel is canonical.  No mpf object is
-built per operation.
+nearest at the mode's precision, with one call per cell and one per
+difference: :func:`_lattice_cell` forms the product p·d, then -1/q, then
+the sum with c, and :func:`_epsilon_cell` forms 1/d, then the sum, each
+step rounded inline; :func:`_add` forms each difference the same way.
+The steps are those of mpmath.libmp's ``mpf_mul``, ``mpf_rdiv_int`` (5
+guard bits and a sticky bit) and ``mpf_add`` at ``round_nearest``, in
+that order, and every rounding is ``normalize``'s.  Only a zero operand
+and ``mpf_add``'s sticky shortcut for one operand far below the other
+leave the inline path: the cells hand them to :func:`_add`, which hands
+them to :func:`_normalize`.  So each result has the value the mpf
+operators give under ``mode.context()``, with an exact bit count
+bc <= prec.  The kernel leaves out what finite operands at one rounding
+mode never need: the checks for special values, the dispatch on the
+rounding mode and mpmath's pure-Python bit count, for which
+``int.bit_length`` stands.  It also leaves out ``normalize``'s stripping
+of a mantissa's trailing zeros, so a kernel tuple is not always
+canonical: same value, exact bc, canonical at the edge.  A trailing zero
+changes no value, and with bc exact, exp + bc, the guard's exponent
+rule, the reciprocal's quotient and sticky bit and the libmp comparisons
+come out as on the canonical tuple.  :func:`_mpf_column` strips the
+zeros once, from each cell :func:`fill` keeps, so every mpf outside the
+kernel is canonical.  No mpf object is built per operation.
 
 The pair kernel reduces each result as Fraction does (:func:`_pair_add`,
 :func:`_pair_lattice_cell`): a sum takes the gcd of the denominators
@@ -97,7 +102,10 @@ def _normalize(sign, man, exp, prec):
     mantissa's trailing zeros: the tuple has the value mpmath gives and an
     exact ``bc`` <= ``prec``, and :func:`_mpf_column` makes it canonical
     at the edge.  A rounding that carries to 2**prec is stored as
-    2**(prec-1) one exponent up, so ``bc`` stays within ``prec``.
+    2**(prec-1) one exponent up, so ``bc`` stays within ``prec``.  Every
+    other step of the kernel rounds inline in the same way; this function
+    serves :func:`_add`'s zero operands and its sticky shortcut, and the
+    tests take it as the reference.
     """
     if not man:
         return fzero
@@ -118,11 +126,15 @@ def _add(s, t, prec, negate=0):
     """s + t, or s - t with ``negate``, of finite ``_mpf_`` tuples, rounded as ``mpf_add`` rounds.
 
     The result has the value of ``mpf_add``'s, with an exact ``bc``, but
-    may keep trailing zeros (:func:`_normalize`).  Its shortcut for a t
-    far below s gives the correctly rounded sum whenever s fits in
-    ``prec`` bits, as every kernel tuple does, so which operand's
-    exponent is the larger does not change the value even when the
-    operands are not canonical.
+    may keep trailing zeros.  The sum is rounded inline, as
+    :func:`_normalize` rounds; a zero operand and the shortcut for a t
+    far below s call :func:`_normalize`.  That shortcut gives the
+    correctly rounded sum whenever s fits in ``prec`` bits, as every
+    kernel tuple does, so which operand's exponent is the larger does not
+    change the value even when the operands are not canonical.  The
+    cells (:func:`_epsilon_cell`, :func:`_lattice_cell`) form their sums
+    the same way, inline, and call this function only for a zero operand
+    or the shortcut.
     """
     ssign, sman, sexp, sbc = s
     tsign, tman, texp, tbc = t
@@ -145,22 +157,135 @@ def _add(s, t, prec, negate=0):
         man -= tman
         if man < 0:
             ssign, man = ssign ^ 1, -man
-    return _normalize(ssign, man, texp, prec)
+    n = man.bit_length() - prec
+    if n <= 0:
+        return (ssign, man, texp, n + prec) if man else fzero
+    r = man >> (n - 1)  # the kept bits and the half bit below them
+    if r & 1 and (r & 2 or man & ((1 << (n - 1)) - 1)):
+        r += 2  # rounded up
+        if r >> prec + 1:  # carried to 2**prec
+            return ssign, r >> 2, texp + n + 1, prec
+    return ssign, r >> 1, texp + n, prec
 
 
-def _reciprocal(t, prec, negate=0):
-    """1/t, or -1/t with ``negate``, of a nonzero ``_mpf_`` tuple, rounded as ``mpf_rdiv_int`` rounds.
+def _epsilon_cell(c, d, prec):
+    """One epsilon cell in one call: c + 1/d of ``_mpf_`` tuples, d nonzero, rounded as mpmath rounds it.
 
-    The quotient carries 5 bits past ``prec`` and one sticky bit, set for
-    any remainder, below them.  Trailing zeros in t's mantissa scale the
-    dividend and the remainder alike, so the quotient and the sticky bit,
-    and the value of the result, are those of canonical t; like
-    :func:`_normalize`'s, the result need not be canonical.
+    The reciprocal is ``mpf_rdiv_int``'s: the quotient carries 5 bits
+    past ``prec`` and a sticky bit, set for any remainder, below them, and
+    is rounded inline, as :func:`_normalize` rounds, to ``prec`` bits.
+    Trailing zeros in d's mantissa scale the dividend and the remainder
+    alike, so the quotient and the sticky bit are those of canonical d.
+    A reciprocal carries to 2**prec only for a d wider than ``prec`` + 1
+    bits, which the kernel never holds; the carry keeps the cell libmp's
+    for any d.  The sum is ``mpf_add``'s, formed and rounded inline as
+    :func:`_add` does it; only a zero c, or c and 1/d so far apart that
+    ``mpf_add`` takes its shortcut, is left to :func:`_add`.
     """
-    sign, man, exp, bc = t
+    sign, man, exp, bc = d
     extra = prec + bc + 5
     quot, rem = divmod(1 << extra, man)
-    return _normalize(sign ^ negate, quot << 1 | (rem > 0), -exp - extra - 1, prec)
+    man = quot << 1 | (rem > 0)
+    n = man.bit_length() - prec  # 7 or 8: the reciprocal is always rounded
+    r = man >> (n - 1)  # the kept bits and the half bit below them
+    exp = n - exp - extra - 1
+    if r & 1 and (r & 2 or man & ((1 << (n - 1)) - 1)):
+        r += 2  # rounded up
+        if r >> prec + 1:  # carried to 2**prec
+            r >>= 1
+            exp += 1
+    man = r >> 1
+    # the sum c + t for t = (sign, man, exp), of prec bits, as _add forms it; a
+    # zero c and mpf_add's shortcut for one operand far below the other go to _add
+    csign, cman, cexp, cbc = c
+    offset = cexp - exp
+    gap = offset + cbc - prec  # mag(c) - mag(t)
+    if not cman or offset > 100 and gap > prec + 4 or offset < -100 and gap < -prec - 4:
+        return _add(c, (sign, man, exp, prec), prec)
+    if offset > 0:
+        cman <<= offset
+    elif offset:
+        man <<= -offset
+        exp = cexp
+    if csign == sign:
+        man += cman
+    else:
+        man -= cman
+        if man < 0:
+            sign, man = csign, -man
+    n = man.bit_length() - prec
+    if n <= 0:
+        return (sign, man, exp, n + prec) if man else fzero
+    r = man >> (n - 1)
+    if r & 1 and (r & 2 or man & ((1 << (n - 1)) - 1)):
+        r += 2  # rounded up
+        if r >> prec + 1:  # carried to 2**prec
+            return sign, r >> 2, exp + n + 1, prec
+    return sign, r >> 1, exp + n, prec
+
+
+def _lattice_cell(c, p, d, prec):
+    """One lattice cell in one call: c - 1/(p·d) of ``_mpf_`` tuples, p, d nonzero, rounded as mpmath rounds it.
+
+    The product q = p·d is rounded as ``mpf_mul`` rounds it, -1/q as
+    ``mpf_rdiv_int`` rounds it and the sum as ``mpf_add`` rounds it, each
+    inline, as :func:`_normalize` rounds and as in :func:`_epsilon_cell`.
+    A product that fits in ``prec`` bits, such as one with a label
+    difference of 1, is exact.  q has at most ``prec`` bits, so -1/q
+    never carries to a power of two.
+    """
+    psign, pman, pexp, _ = p
+    dsign, dman, dexp, _ = d
+    man = pman * dman
+    exp = pexp + dexp
+    bc = man.bit_length()
+    n = bc - prec
+    if n > 0:
+        r = man >> (n - 1)  # the kept bits and the half bit below them
+        if r & 1 and (r & 2 or man & ((1 << (n - 1)) - 1)):
+            r += 2  # rounded up
+            if r >> prec + 1:  # carried to 2**prec
+                r >>= 1
+                n += 1
+        man = r >> 1
+        exp += n
+        bc = prec
+    extra = prec + bc + 5
+    quot, rem = divmod(1 << extra, man)
+    man = quot << 1 | (rem > 0)
+    n = man.bit_length() - prec  # 7 or 8: the reciprocal is always rounded
+    r = man >> (n - 1)
+    if r & 1 and (r & 2 or man & ((1 << (n - 1)) - 1)):
+        r += 2  # rounded up
+    # -1/q: the product's sign, flipped
+    sign, man, exp = psign ^ dsign ^ 1, r >> 1, n - exp - extra - 1
+    # the sum c + t for t = (sign, man, exp), of prec bits, as _add forms it; a
+    # zero c and mpf_add's shortcut for one operand far below the other go to _add
+    csign, cman, cexp, cbc = c
+    offset = cexp - exp
+    gap = offset + cbc - prec  # mag(c) - mag(t)
+    if not cman or offset > 100 and gap > prec + 4 or offset < -100 and gap < -prec - 4:
+        return _add(c, (sign, man, exp, prec), prec)
+    if offset > 0:
+        cman <<= offset
+    elif offset:
+        man <<= -offset
+        exp = cexp
+    if csign == sign:
+        man += cman
+    else:
+        man -= cman
+        if man < 0:
+            sign, man = csign, -man
+    n = man.bit_length() - prec
+    if n <= 0:
+        return (sign, man, exp, n + prec) if man else fzero
+    r = man >> (n - 1)
+    if r & 1 and (r & 2 or man & ((1 << (n - 1)) - 1)):
+        r += 2  # rounded up
+        if r >> prec + 1:  # carried to 2**prec
+            return sign, r >> 2, exp + n + 1, prec
+    return sign, r >> 1, exp + n, prec
 
 
 def differences(col, threshold):
@@ -252,19 +377,18 @@ def mpf_rhombus(carry, factors, prec):
     """:func:`rhombus` of bigfloat kernel ``_mpf_`` tuple columns, rounded to nearest at ``prec`` bits.
 
     ``factors`` are columns from :func:`mpf_differences`, one (epsilon) or
-    two (lattice) as for :func:`rhombus`.  Each cell has the value mpmath
-    gives and an exact ``bc``, and is made canonical only at
+    two (lattice) as for :func:`rhombus`.  Each cell is one call,
+    :func:`_epsilon_cell` or :func:`_lattice_cell`, that rounds every
+    step inline, and has the value
+    mpmath gives and an exact ``bc``; it is made canonical only at
     :func:`fill`'s edge.  A product of nonzero factors is nonzero and
     mpmath exponents are unbounded, so no cell needs a further check.
     """
     if len(factors) == 1:
-        return [None if c is None or d is None else _add(c, _reciprocal(d, prec), prec)
+        return [None if c is None or d is None else _epsilon_cell(c, d, prec)
                 for c, d in zip(carry[1:], factors[0])]
     top, mid = factors
-    # c - 1/q is c + (-1)/q, and q is the product p·d rounded as mpf_mul rounds it
-    return [None if c is None or p is None or d is None
-            else _add(c, _reciprocal(_normalize(p[0] ^ d[0], p[1] * d[1], p[2] + d[2], prec),
-                                     prec, 1), prec)
+    return [None if c is None or p is None or d is None else _lattice_cell(c, p, d, prec)
             for c, p, d in zip(carry[1:], top, mid)]
 
 

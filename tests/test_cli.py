@@ -467,6 +467,16 @@ class TestErrors:
         assert code == 1 and out == ""
         assert err == "error: max_order must be nonnegative\n"
 
+    @pytest.mark.parametrize("bits, message", [
+        ("63", "below the minimum of 64 bits"),
+        ("100000000000", "above the maximum of 1048576 bits"),
+    ], ids=["63", "1e11"])
+    def test_precision_out_of_range_exits_1(self, capsys, bits, message):
+        code, out, err = run(capsys, "transform", "--family", "alt_harmonic", "--count", "10",
+                             "--mode", "bigfloat", "--precision-bits", bits)
+        assert code == 1 and out == ""
+        assert err == f"error: BigFloat precision {bits} bits is {message}\n"
+
     def test_unparseable_file_exits_1(self, capsys, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("hello\n")

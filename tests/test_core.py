@@ -50,8 +50,18 @@ class TestModes:
         assert mode_from_name("bigfloat", 200) == BigFloat(200)
 
     def test_bigfloat_minimum_precision(self):
-        with pytest.raises(ValueError):
-            BigFloat(32)
+        assert BigFloat(64).precision_bits == 64
+        for bits in (32, 63):
+            with pytest.raises(SpecError, match=f"precision {bits} bits is below the minimum "
+                                                "of 64 bits"):
+                BigFloat(bits)
+            with pytest.raises(SpecError):
+                mode_from_name("bigfloat", bits)
+
+    def test_unknown_mode_name(self):
+        with pytest.raises(SpecError, match="unknown scalar mode 'quad': the modes are "
+                                            "float64, bigfloat and rational"):
+            mode_from_name("quad")
 
     def test_bigfloat_maximum_precision(self):
         # rejected before any value is converted, so nothing is allocated

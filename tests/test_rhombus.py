@@ -11,6 +11,7 @@ from mpmath.libmp import (
     fzero,
     mpf_add,
     mpf_mul,
+    mpf_pos,
     mpf_rdiv_int,
     mpf_sub,
     round_nearest,
@@ -35,9 +36,10 @@ from seqaccel import (
 )
 from seqaccel.rhombus import (
     _add,
+    _epsilon_cell,
+    _lattice_cell,
     _mpf_column,
     _normalize,
-    _reciprocal,
     fill,
     mpf_differences,
     mpf_rhombus,
@@ -552,6 +554,38 @@ def operand_pairs(draw):
     return prec, s, t
 
 
+ONE = (0, 1, 0, 1)
+
+
+@st.composite
+def cell_operands(draw):
+    """(prec, ce, cl, p, d): nonzero p and d as :func:`operand_pairs` draws
+    them, and for the epsilon and the lattice cell a carry value within
+    prec bits, as the kernel holds, drawn as :func:`mpf_tuples` draws it
+    and rounded, or placed against the cell's reciprocal r: a few bits or
+    about prec + 4 bits above or below it, or -r (exact cancellation).
+    It may then take trailing zeros (:func:`pad`)."""
+    prec, p, d = draw(operand_pairs())
+    p, d = p if p[1] else ONE, d if d[1] else ONE
+    reciprocals = (
+        mpf_rdiv_int(1, canonical(d), prec, round_nearest),
+        mpf_rdiv_int(-1, mpf_mul(canonical(p), canonical(d), prec, round_nearest), prec,
+                     round_nearest),
+    )
+    carries = []
+    for r in reciprocals:
+        c = mpf_pos(draw(mpf_tuples(prec)), prec, round_nearest)
+        place = draw(st.sampled_from(["any", "gap", "cancel"]))
+        if place == "gap" and c[1]:
+            gap = draw(st.one_of(st.integers(-3, 3), st.integers(prec + 1, prec + 7),
+                                 st.integers(-prec - 7, -prec - 1)))
+            c = (c[0], c[1], r[2] + r[3] - gap - c[3], c[3])
+        elif place == "cancel":
+            c = (r[0] ^ 1,) + r[1:]
+        carries.append(pad(c, draw(st.sampled_from([0, prec, draw(st.integers(1, prec))])), prec))
+    return (prec, *carries, p, d)
+
+
 def same_tuple(got, want):
     """Equal ``_mpf_`` tuples whose entries are all ints, as mpmath's are."""
     return got == want and all(type(x) is int for x in got)
@@ -591,15 +625,39 @@ class TestTupleArithmetic:
         cs, ct = canonical(s), canonical(t)
         assert is_kernel_tuple(_add(s, t, prec), mpf_add(cs, ct, prec, round_nearest), prec)
         assert is_kernel_tuple(_add(s, t, prec, 1), mpf_sub(cs, ct, prec, round_nearest), prec)
-        # the kernel's product is the exact product rounded by _normalize
+        # _normalize rounds an exact product as mpf_mul does (_lattice_cell does so inline)
         assert is_kernel_tuple(_normalize(s[0] ^ t[0], s[1] * t[1], s[2] + t[2], prec),
                                mpf_mul(cs, ct, prec, round_nearest), prec)
+        # each reciprocal, through a cell whose sum adds it to zero: 1/v, and
+        # -1/v as -1/(1·v), whose product is exact for a v within prec bits
         for v, cv in ((s, cs), (t, ct)):
             if v[1]:
-                assert is_kernel_tuple(_reciprocal(v, prec),
+                assert is_kernel_tuple(_epsilon_cell(fzero, v, prec),
                                        mpf_rdiv_int(1, cv, prec, round_nearest), prec)
-                assert is_kernel_tuple(_reciprocal(v, prec, 1),
-                                       mpf_rdiv_int(-1, cv, prec, round_nearest), prec)
+                assert is_kernel_tuple(_lattice_cell(fzero, ONE, v, prec), mpf_rdiv_int(
+                    -1, mpf_mul(ONE, cv, prec, round_nearest), prec, round_nearest), prec)
+
+    # the product (2**33-1)·(2**33+1) = 2**66-1 rounds up to 2**66
+    @example(case=(64, fzero, fzero, (0, 2**33 - 1, 0, 33), (1, 2**33 + 1, -5, 34)))
+    # 1/(2**65+1) is within half an ulp below 2**-65 and rounds up to it: only a
+    # d wider than prec + 1 bits, as the kernel never holds, carries
+    @example(case=(64, (0, 3, -70, 2), fzero, ONE, (0, 2**65 + 1, 0, 66)))
+    # products within prec bits, exact: a label difference of 1, as at level 4
+    @example(case=(64, (0, 5, 0, 3), (1, 7, 0, 3), ONE, (0, 2**64 - 59, -70, 64)))
+    @example(case=(53, (0, 5, 0, 3), (1, 7, 0, 3), (1, 3, 4, 2), (0, 5, -2, 3)))
+    # padded operands: trailing zeros, and the carry form of a power of two
+    @example(case=(64, (0, 5 << 61, -61, 64), (1, 2**63, -63, 64), (0, 2**63, -20, 64),
+                   (1, 3 << 62, -62, 64)))
+    @settings(max_examples=800, deadline=None)
+    @given(case=cell_operands())
+    def test_each_cell_rounds_as_mpmath(self, case):
+        prec, ce, cl, p, d = case
+        cp, cd = canonical(p), canonical(d)
+        assert is_kernel_tuple(_epsilon_cell(ce, d, prec), mpf_add(
+            canonical(ce), mpf_rdiv_int(1, cd, prec, round_nearest), prec, round_nearest), prec)
+        assert is_kernel_tuple(_lattice_cell(cl, p, d, prec), mpf_sub(
+            canonical(cl), mpf_rdiv_int(1, mpf_mul(cp, cd, prec, round_nearest), prec,
+                                        round_nearest), prec, round_nearest), prec)
 
     def test_normalize_keeps_trailing_zeros_and_the_edge_strips_them(self):
         # trailing zeros stay until fill's edge; a carry to 2**prec keeps prec bits
