@@ -7,8 +7,10 @@ Internal columns carry all subscripts of the recursion
 
 only the even-subscript columns are exported, as entry (k, n) =
 eps_{2k}^(n).  The two seed columns go to the rhombus driver shared
-with the lattice engine (:func:`seqaccel.rhombus.fill`), so breakdown
-is marked (``None``) and propagated exactly as there.
+with the lattice engine (:func:`seqaccel.rhombus.fill`), which runs the
+lattice's one rule c - 1/(p·d) with the constant top factor p = -1,
+since c + 1/d = c - 1/((-1)·d), bit for bit in every mode.  So
+breakdown is marked (``None``) and propagated exactly as there.
 """
 
 from __future__ import annotations

@@ -8,6 +8,8 @@ from math import isfinite
 import mpmath
 from mpmath.libmp import to_rational
 
+from .errors import SpecError
+
 
 def integer_ratio(value):
     """(numerator, denominator) of a scalar, with a positive denominator."""
@@ -32,10 +34,11 @@ def format_fixed(value, digits):
     result that rounds to zero has no sign.  A finite float goes through
     Python's ``'f'`` format, which rounds its exact binary value in the
     same way; every other value (Fraction, int, mpf, and a non-finite
-    float, which raises) is rounded from its integer ratio.
+    float, which raises) is rounded from its integer ratio.  Negative
+    ``digits`` are a SpecError.
     """
     if digits < 0:
-        raise ValueError(f"digits must be >= 0, got {digits}")
+        raise SpecError(f"digits must be >= 0, got {digits}")
     if isinstance(value, float) and isfinite(value):
         # one fixed spec: cheaper than a nested f-string spec, and a float
         # subclass's own __format__ plays no part

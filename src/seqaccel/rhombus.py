@@ -1,22 +1,35 @@
 """The rhombus rule shared by the lattice and epsilon engines.
 
-Both engines build each new column from the columns at labels n and n+1:
+Both engines build each new column from the columns at labels n and n+1
+by one rule:
 
-    new[i] = carry[i+1] - 1 / (dtop[i] * dmid[i])    (lattice)
-    new[i] = carry[i+1] + 1 / dcur[i]                (epsilon)
+    new[i] = carry[i+1] - 1 / (top[i] * mid[i])
 
-where d[i] = f[i+1] - f[i] is a difference factor, so the number of
-factors names the rule: two subtract the reciprocal of their product,
-one adds its reciprocal.  Columns are plain lists indexed from the first
-label, and ``None`` marks a BREAKDOWN cell.  A factor d = b - a breaks
-down when it is zero (exact mode) or negligibly small against its
-operands (float modes): |d| < t·max(|a|, |b|) for the breakdown
-threshold t.  Each float kernel has this one guard for every t: at
-t = 0 no nonzero |d| is below 0·max(|a|, |b|), so only the zero test
-is left, with no separate path.  Every cell that depends on a BREAKDOWN
-cell breaks down too.  In float64 a cell also breaks down when its
-factor product underflows to zero or its result is not finite; mpmath
-exponents are unbounded, so bigfloat needs no such check.
+The lattice's two factors are the differences d[i] = f[i+1] - f[i] of its
+two newest columns.  Wynn's epsilon rule, new[i] = carry[i+1] + 1 / d[i],
+is the same rule with the constant -1 as its top factor, since
+c + 1/d = c - 1/((-1)·d): :func:`fill` hands epsilon that constant, and
+each kernel has one step and one cell.  The -1 changes no cell's bits:
+
+* float64: (-1.0)·d = -d exactly, 1/(-d) = -(1/d) under round-to-nearest,
+  and c - (-x) is c + x; the product is never zero, so the underflow
+  test never fires;
+* bigfloat: the product of a 1-bit mantissa and d is exact, because
+  every kernel tuple has at most prec bits, so the reciprocal and the sum
+  are the only roundings, those of c + 1/d;
+* exact: the product's gcds are 1, so the cell makes the one
+  :func:`_pair_add` call that c + 1/d makes.
+
+Columns are plain lists indexed from the first label, and ``None``
+marks a BREAKDOWN cell.  A factor d = b - a breaks down when it is zero
+(exact mode) or negligibly small against its operands (float modes):
+|d| < t·max(|a|, |b|) for the breakdown threshold t.  Each float kernel
+has this one guard for every t: at t = 0 no nonzero |d| is below
+0·max(|a|, |b|), so only the zero test is left, with no separate path.
+Every cell that depends on a BREAKDOWN cell breaks down too.  In float64
+a cell also breaks down when its factor product underflows to zero or
+its result is not finite; mpmath exponents are unbounded, so bigfloat
+needs no such check.
 
 There are three kernels, one per kind of number:
 
@@ -29,8 +42,8 @@ There are three kernels, one per kind of number:
 The tuple kernel has its own arithmetic, each operation rounded to
 nearest at the mode's precision, with one call per cell and one per
 difference: :func:`_lattice_cell` forms the product p·d, then -1/q, then
-the sum with c, and :func:`_epsilon_cell` forms 1/d, then the sum, each
-step rounded inline; :func:`_add` forms each difference the same way.
+the sum with c, each step rounded inline; :func:`_add` forms each
+difference the same way.
 The steps are those of mpmath.libmp's ``mpf_mul``, ``mpf_rdiv_int`` (5
 guard bits and a sticky bit) and ``mpf_add`` at ``round_nearest``, in
 that order, and every rounding is ``normalize``'s.  Only a zero operand
@@ -84,6 +97,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from itertools import repeat
 from math import gcd, isfinite
 
 import mpmath
@@ -132,9 +146,8 @@ def _add(s, t, prec, negate=0):
     correctly rounded sum whenever s fits in ``prec`` bits, as every
     kernel tuple does, so which operand's exponent is the larger does not
     change the value even when the operands are not canonical.  The
-    cells (:func:`_epsilon_cell`, :func:`_lattice_cell`) form their sums
-    the same way, inline, and call this function only for a zero operand
-    or the shortcut.
+    cell (:func:`_lattice_cell`) forms its sum the same way, inline, and
+    calls this function only for a zero operand or the shortcut.
     """
     ssign, sman, sexp, sbc = s
     tsign, tman, texp, tbc = t
@@ -168,71 +181,21 @@ def _add(s, t, prec, negate=0):
     return ssign, r >> 1, texp + n, prec
 
 
-def _epsilon_cell(c, d, prec):
-    """One epsilon cell in one call: c + 1/d of ``_mpf_`` tuples, d nonzero, rounded as mpmath rounds it.
-
-    The reciprocal is ``mpf_rdiv_int``'s: the quotient carries 5 bits
-    past ``prec`` and a sticky bit, set for any remainder, below them, and
-    is rounded inline, as :func:`_normalize` rounds, to ``prec`` bits.
-    Trailing zeros in d's mantissa scale the dividend and the remainder
-    alike, so the quotient and the sticky bit are those of canonical d.
-    A reciprocal carries to 2**prec only for a d wider than ``prec`` + 1
-    bits, which the kernel never holds; the carry keeps the cell libmp's
-    for any d.  The sum is ``mpf_add``'s, formed and rounded inline as
-    :func:`_add` does it; only a zero c, or c and 1/d so far apart that
-    ``mpf_add`` takes its shortcut, is left to :func:`_add`.
-    """
-    sign, man, exp, bc = d
-    extra = prec + bc + 5
-    quot, rem = divmod(1 << extra, man)
-    man = quot << 1 | (rem > 0)
-    n = man.bit_length() - prec  # 7 or 8: the reciprocal is always rounded
-    r = man >> (n - 1)  # the kept bits and the half bit below them
-    exp = n - exp - extra - 1
-    if r & 1 and (r & 2 or man & ((1 << (n - 1)) - 1)):
-        r += 2  # rounded up
-        if r >> prec + 1:  # carried to 2**prec
-            r >>= 1
-            exp += 1
-    man = r >> 1
-    # the sum c + t for t = (sign, man, exp), of prec bits, as _add forms it; a
-    # zero c and mpf_add's shortcut for one operand far below the other go to _add
-    csign, cman, cexp, cbc = c
-    offset = cexp - exp
-    gap = offset + cbc - prec  # mag(c) - mag(t)
-    if not cman or offset > 100 and gap > prec + 4 or offset < -100 and gap < -prec - 4:
-        return _add(c, (sign, man, exp, prec), prec)
-    if offset > 0:
-        cman <<= offset
-    elif offset:
-        man <<= -offset
-        exp = cexp
-    if csign == sign:
-        man += cman
-    else:
-        man -= cman
-        if man < 0:
-            sign, man = csign, -man
-    n = man.bit_length() - prec
-    if n <= 0:
-        return (sign, man, exp, n + prec) if man else fzero
-    r = man >> (n - 1)
-    if r & 1 and (r & 2 or man & ((1 << (n - 1)) - 1)):
-        r += 2  # rounded up
-        if r >> prec + 1:  # carried to 2**prec
-            return sign, r >> 2, exp + n + 1, prec
-    return sign, r >> 1, exp + n, prec
-
-
 def _lattice_cell(c, p, d, prec):
-    """One lattice cell in one call: c - 1/(p·d) of ``_mpf_`` tuples, p, d nonzero, rounded as mpmath rounds it.
+    """One cell in one call: c - 1/(p·d) of ``_mpf_`` tuples, p, d nonzero, rounded as mpmath rounds it.
 
     The product q = p·d is rounded as ``mpf_mul`` rounds it, -1/q as
-    ``mpf_rdiv_int`` rounds it and the sum as ``mpf_add`` rounds it, each
-    inline, as :func:`_normalize` rounds and as in :func:`_epsilon_cell`.
-    A product that fits in ``prec`` bits, such as one with a label
-    difference of 1, is exact.  q has at most ``prec`` bits, so -1/q
-    never carries to a power of two.
+    ``mpf_rdiv_int`` rounds it (5 guard bits past ``prec`` and a sticky
+    bit, set for any remainder, below them) and the sum as ``mpf_add``
+    rounds it, each inline, as :func:`_normalize` rounds.  Trailing zeros
+    in q's mantissa scale the dividend and the remainder alike, so the
+    quotient and the sticky bit are those of canonical q.  A product that
+    fits in ``prec`` bits, such as one with a label difference of 1, or
+    epsilon's (-1)·d, is exact.  Rounded, q has at most ``prec`` bits,
+    so -1/q never carries to a power of two (only a q wider than
+    ``prec`` + 1 bits would).  The sum is formed and rounded inline as
+    :func:`_add` does it; only a zero c, or c and -1/q so far apart that
+    ``mpf_add`` takes its shortcut, is left to :func:`_add`.
     """
     psign, pman, pexp, _ = p
     dsign, dman, dexp, _ = d
@@ -352,42 +315,33 @@ def mpf_differences(col, prec, threshold):
             for a, b, ma, mb in zip(col, col[1:], mags, mags[1:])]
 
 
-def rhombus(carry, factors):
-    """New float64 column by the rule the factors name: ``c + 1/d`` from one, ``c - 1/(p·d)`` from two.
+def rhombus(carry, top, mid):
+    """New float64 column by the rule ``c - 1/(p·d)``.
 
-    Cell i takes c = carry[i+1] and p, d from cell i of the ``factors``,
-    columns from :func:`differences`.  The new column is as long as the
-    shortest of ``carry[1:]`` and the factors.  The product is formed in
-    the same pass as the reciprocal and the sum, as in :func:`mpf_rhombus`
-    and :func:`pair_rhombus`.  A cell whose factor product underflows to
-    zero, or whose result is not finite, breaks down.
+    Cell i takes c = carry[i+1], p = top[i] and d = mid[i]: ``mid`` is a
+    column from :func:`differences`, and ``top`` is one too (lattice) or
+    the constant -1.0 (epsilon, :func:`fill`).  The new column is as long
+    as the shortest of ``carry[1:]``, ``top`` and ``mid``.  A cell whose
+    factor product underflows to zero, or whose result is not finite,
+    breaks down.
     """
-    if len(factors) == 1:
-        # a single factor from differences is never zero
-        return [None if c is None or d is None or not isfinite(r := c + 1 / d) else r
-                for c, d in zip(carry[1:], factors[0])]
-    top, mid = factors
     # a float64 product of nonzero factors can underflow to zero
     return [None if c is None or p is None or d is None or not (q := p * d)
             or not isfinite(r := c - 1 / q) else r
             for c, p, d in zip(carry[1:], top, mid)]
 
 
-def mpf_rhombus(carry, factors, prec):
+def mpf_rhombus(carry, top, mid, prec):
     """:func:`rhombus` of bigfloat kernel ``_mpf_`` tuple columns, rounded to nearest at ``prec`` bits.
 
-    ``factors`` are columns from :func:`mpf_differences`, one (epsilon) or
-    two (lattice) as for :func:`rhombus`.  Each cell is one call,
-    :func:`_epsilon_cell` or :func:`_lattice_cell`, that rounds every
-    step inline, and has the value
-    mpmath gives and an exact ``bc``; it is made canonical only at
-    :func:`fill`'s edge.  A product of nonzero factors is nonzero and
-    mpmath exponents are unbounded, so no cell needs a further check.
+    ``mid`` is a column from :func:`mpf_differences`, and ``top`` is one
+    too or the constant -1, ``(1, 1, 0, 1)``, as for :func:`rhombus`.
+    Each cell is one :func:`_lattice_cell` call, which rounds every step
+    inline, and has the value mpmath gives and an exact ``bc``; it is
+    made canonical only at :func:`fill`'s edge.  A product of nonzero
+    factors is nonzero and mpmath exponents are unbounded, so no cell
+    needs a further check.
     """
-    if len(factors) == 1:
-        return [None if c is None or d is None else _epsilon_cell(c, d, prec)
-                for c, d in zip(carry[1:], factors[0])]
-    top, mid = factors
     return [None if c is None or p is None or d is None else _lattice_cell(c, p, d, prec)
             for c, p, d in zip(carry[1:], top, mid)]
 
@@ -435,21 +389,15 @@ def pair_differences(col):
             else d for a, b in zip(col, col[1:])]
 
 
-def pair_rhombus(carry, factors):
+def pair_rhombus(carry, top, mid):
     """:func:`rhombus` of exact columns of reduced ``(p, q)`` pairs, each cell reduced.
 
-    ``factors`` are columns from :func:`pair_differences`, one (epsilon)
-    or two (lattice).  Each cell is the reduced pair of the Fraction the
-    rule gives, but no object is built per operation.  A product of
-    nonzero factors is nonzero, so no cell needs a further check.
+    ``mid`` is a column from :func:`pair_differences`, and ``top`` is one
+    too or the constant -1, ``(-1, 1)``, as for :func:`rhombus`.  Each
+    cell is the reduced pair of the Fraction the rule gives, but no object
+    is built per operation.  A product of nonzero factors is nonzero, so
+    no cell needs a further check.
     """
-    if len(factors) == 1:
-        # 1/d of a reduced pair is the swapped pair, its sign moved to the numerator
-        return [None if c is None or d is None
-                else _pair_add(c[0], c[1], d[1], d[0]) if d[0] > 0
-                else _pair_add(c[0], c[1], -d[1], -d[0])
-                for c, d in zip(carry[1:], factors[0])]
-    top, mid = factors
     return [None if c is None or p is None or d is None else _pair_lattice_cell(c, p, d)
             for c, p, d in zip(carry[1:], top, mid)]
 
@@ -480,14 +428,16 @@ def fill(seq, seeds, max_order, threshold, keep):
     """{m: (live prefix, nominal length)} for the columns m = 1 .. w (max_order + 1) with keep(m).
 
     The w = len(seeds) seed columns are columns 1 .. w, and each later
-    column m is the rhombus of column m-w with the differences of
-    columns m-1, m-2, ..., m-w+1, in that order, so one unit of order
-    takes w columns: three seeds run the lattice rule and two Wynn's
-    epsilon rule (:func:`rhombus`).  Only the w live columns and the
-    differences of all but the oldest are held; each column is
+    column m is the rhombus of column m-w (:func:`rhombus`), so one unit
+    of order takes w columns.  Three seeds run the lattice rule, whose
+    top and mid factors are the differences of columns m-1 and m-2; two
+    run Wynn's epsilon rule, whose top factor is the constant -1 and whose
+    mid is the differences of column m-1.  Only the w live columns and
+    the differences of all but the oldest are held; each column is
     differenced once.
     The mode picks the kernel: floats in float64, ``_mpf_`` tuples in
-    bigfloat and reduced ``(p, q)`` pairs in exact mode.  The seeds are
+    bigfloat and reduced ``(p, q)`` pairs in exact mode, each with its
+    own -1: ``-1.0``, ``(1, 1, 0, 1)`` and ``(-1, 1)``.  The seeds are
     converted to the kernel's numbers once, and only the kept columns
     are converted back, so the loop builds no mpf or Fraction.
     A seed column's nominal length is len(seq), column m's (m > w) is
@@ -518,19 +468,21 @@ def fill(seq, seeds, max_order, threshold, keep):
         # unwrapped here once, and only the kept columns are wrapped again
         prec = mode.precision_bits
         diff = partial(mpf_differences, prec=prec, threshold=threshold._mpf_)
-        step, wrap = partial(mpf_rhombus, prec=prec), _mpf_column
+        step, wrap, minus_one = partial(mpf_rhombus, prec=prec), _mpf_column, (1, 1, 0, 1)
         live = [[v._mpf_ for v in c] for c in seeds]
     elif mode.is_exact:
         # the kernel runs on reduced (p, q) pairs, unwrapped and wrapped alike
-        diff, step, wrap = pair_differences, pair_rhombus, _fraction_column
+        diff, step, wrap, minus_one = pair_differences, pair_rhombus, _fraction_column, (-1, 1)
         live = [[v.as_integer_ratio() for v in c] for c in seeds]
     else:
-        diff, step, wrap = partial(differences, threshold=threshold), rhombus, None
+        diff, step, wrap, minus_one = partial(differences, threshold=threshold), rhombus, None, -1.0
         live = list(seeds)
+    # c + 1/d = c - 1/((-1)·d): epsilon's top factor is the constant -1
+    pinned = [repeat(minus_one)] if width == 2 else []
     factors = [diff(c) for c in reversed(live[1:-1])]
     for m in range(width + 1, width * (max_order + 1) + 1):
         factors = [diff(live[-1])] + factors[:width - 2]
-        new = step(live[0], factors)
+        new = step(live[0], *pinned, *factors)
         while new and new[-1] is None:
             new.pop()
         if keep(m):

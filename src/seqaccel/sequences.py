@@ -84,7 +84,7 @@ def forward_difference(seq, order=1):
     shorter.
     """
     if order < 0:
-        raise ValueError("difference order must be nonnegative")
+        raise WindowError(f"difference order {order} must be nonnegative")
     if order > len(seq) - 1:
         raise WindowError(
             f"difference order {order} exceeds available length {len(seq)}"

@@ -14,6 +14,7 @@ from seqaccel import (
     RATIONAL,
     BigFloat,
     GeneratorSpec,
+    SpecError,
     Status,
     epsilon_transform,
     error_table,
@@ -134,7 +135,7 @@ class TestFormatting:
 
     @pytest.mark.parametrize("value", [1.25, Fraction(1, 3), 7, mpmath.mpf(2)])
     def test_negative_digits_raise(self, value):
-        with pytest.raises(ValueError, match="digits must be >= 0"):
+        with pytest.raises(SpecError, match="digits must be >= 0, got -1"):
             format_fixed(value, -1)
 
     @pytest.mark.parametrize("value, error", [

@@ -264,6 +264,11 @@ class TestForwardDifference:
         with pytest.raises(WindowError):
             forward_difference(seq_of([1, 2]), 2)
 
+    def test_negative_order_rejected(self):
+        # a WindowError like the engines' negative max_order, not a plain ValueError
+        with pytest.raises(WindowError, match="difference order -1 must be nonnegative"):
+            forward_difference(seq_of([1, 2, 4]), -1)
+
     @given(
         values=st.lists(rationals, min_size=6, max_size=10),
         a=st.integers(0, 2),

@@ -1,8 +1,10 @@
 """The rhombus kernel shared by the lattice and epsilon engines."""
 
 import math
+import sys
 from contextlib import nullcontext
 from fractions import Fraction
+from itertools import repeat
 
 import mpmath
 from mpmath.libmp import (
@@ -36,7 +38,6 @@ from seqaccel import (
 )
 from seqaccel.rhombus import (
     _add,
-    _epsilon_cell,
     _lattice_cell,
     _mpf_column,
     _normalize,
@@ -226,8 +227,9 @@ class TestPairKernel:
         carry, upper, lower = cols
         top, mid = fraction_differences(upper), fraction_differences(lower)
         assert pair_differences(pairs(upper)) == pairs(top)
-        for factors in ([mid], [top, mid]):
-            got = pair_rhombus(pairs(carry), [pairs(f) for f in factors])
+        # epsilon's top factor is the constant -1; the reference adds 1/d
+        for factors, p in (([mid], repeat((-1, 1))), ([top, mid], pairs(top))):
+            got = pair_rhombus(pairs(carry), p, pairs(mid))
             assert got == pairs(fraction_rhombus(carry, factors))
             assert all(type(x) is int for cell in got if cell is not None for x in cell)
 
@@ -325,16 +327,38 @@ class TestFloat64Breakdown:
         assert any(e.status is Status.BREAKDOWN for e in table.entries.values())
 
     def test_product_underflow_breaks_down(self):
-        assert rhombus([0.0, 1.0], ([1e-200], [1e-200])) == [None]
+        assert rhombus([0.0, 1.0], [1e-200], [1e-200]) == [None]
 
     def test_reciprocal_overflow_breaks_down(self):
-        assert rhombus([0.0, 1.0], ([1e-310],)) == [None]
+        # epsilon's cell: 1/(-1.0 * 1e-310) overflows
+        assert rhombus([0.0, 1.0], [-1.0], [1e-310]) == [None]
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(c=st.floats(allow_nan=False, allow_infinity=False),
+           d=st.floats(allow_nan=False, allow_infinity=False).filter(bool))
+    @example(c=1.0, d=5e-324)  # a subnormal d: 1/d overflows
+    @example(c=-2.0, d=-1e-310)
+    @example(c=0.0, d=sys.float_info.max)  # 1/d is subnormal
+    @example(c=-0.0, d=-sys.float_info.max)
+    @example(c=sys.float_info.max, d=1 / sys.float_info.max)  # the sum overflows
+    @example(c=-1 / 3.0, d=3.0)  # c = -1/d: the sum is +0.0
+    @example(c=1 / 7.0, d=-7.0)
+    @example(c=-1 / sys.float_info.max, d=sys.float_info.max)
+    def test_epsilon_cell_is_c_plus_reciprocal_at_the_float_edges(self, c, d):
+        # c - 1/((-1.0)·d) is c + 1/d bit for bit, and breaks down exactly
+        # where c + 1/d is not finite
+        (got,) = rhombus([0.0, c], [-1.0], [d])
+        want = c + 1 / d
+        if math.isfinite(want):
+            assert got is not None and got.hex() == want.hex()
+        else:
+            assert got is None
 
     def test_bigfloat_has_no_exponent_bound(self):
         mode = BigFloat(128)
         with mode.context():
             tiny = mpmath.mpf("1e-200")._mpf_
-        (cell,) = mpf_rhombus([fzero, from_int(1)], ([tiny], [tiny]), mode.precision_bits)
+        (cell,) = mpf_rhombus([fzero, from_int(1)], [tiny], [tiny], mode.precision_bits)
         cell = mpmath.mp.make_mpf(cell)
         assert mpmath.isfinite(cell) and cell < -mpmath.mpf(10) ** 399
 
@@ -382,11 +406,11 @@ def test_bigfloat_cells_hold_canonical_mpf(build, seq, max_order):
 
 
 RULE_BITS = 64
-# a carry value c and factor values p, d in each kernel's numbers
+# a carry value c, factor values p, d and epsilon's top factor -1 in each kernel's numbers
 RULE_VALUES = {
-    "float64": (0.7, 0.3, -1.1),
-    "rational": (Fraction(2, 3), Fraction(-5, 7), Fraction(3, 11)),
-    "mpf": (mpmath.mpf(1) / 3, mpmath.mpf(0.3), -mpmath.mpf(11) / 7),
+    "float64": (0.7, 0.3, -1.1, -1.0),
+    "rational": (Fraction(2, 3), Fraction(-5, 7), Fraction(3, 11), Fraction(-1)),
+    "mpf": (mpmath.mpf(1) / 3, mpmath.mpf(0.3), -mpmath.mpf(11) / 7, mpmath.mpf(-1)),
 }
 
 
@@ -396,10 +420,12 @@ RULE_VALUES = {
     (2, lambda c, p, d: c - 1 / (p * d)),
 ], ids=["one_factor_adds", "two_factors_subtract"])
 def test_the_number_of_factors_names_the_rule(kernel, width, rule):
-    c, p, d = RULE_VALUES[kernel]
-    # cell 0 has no c, cell 1 no p, cell 2 no d, cell 3 all three
+    c, p, d, minus_one = RULE_VALUES[kernel]
+    # cell 0 has no c, cell 1 no p, cell 2 no d, cell 3 all three; one factor
+    # runs as c - 1/((-1)·d), on the constant -1 column as top
     carry, top, mid = [c, None, c, c, c], [p, None, p, p], [d, d, None, d]
-    factors = (mid,) if width == 1 else (top, mid)
+    if width == 1:
+        top = [minus_one] * len(mid)
     with mpmath.workprec(RULE_BITS):
         r = rule(c, p, d)
     want = [None, r, None, r] if width == 1 else [None, None, None, r]
@@ -408,15 +434,16 @@ def test_the_number_of_factors_names_the_rule(kernel, width, rule):
             return [None if v is None else pad(v._mpf_, zeros, RULE_BITS) for v in col]
         # the kernel's own tuples may carry trailing zeros, up to RULE_BITS bits
         for zeros in (0, RULE_BITS):
-            got = mpf_rhombus(tuples(carry, zeros), [tuples(f, zeros) for f in factors], RULE_BITS)
+            got = mpf_rhombus(tuples(carry, zeros), tuples(top, zeros), tuples(mid, zeros),
+                              RULE_BITS)
             assert [g is None for g in got] == [w is None for w in want]
             assert all(w is None or is_kernel_tuple(g, w._mpf_, RULE_BITS)
                        for g, w in zip(got, want))
     elif kernel == "rational":
-        got = pair_rhombus(pairs(carry), [pairs(f) for f in factors])
+        got = pair_rhombus(pairs(carry), pairs(top), pairs(mid))
         assert got == pairs(want)
     else:
-        got = rhombus(carry, factors)
+        got = rhombus(carry, top, mid)
         assert len(got) == len(want) and all(g is w or same(g, w) for g, w in zip(got, want))
 
 
@@ -554,7 +581,7 @@ def operand_pairs(draw):
     return prec, s, t
 
 
-ONE = (0, 1, 0, 1)
+ONE, MINUS_ONE = (0, 1, 0, 1), (1, 1, 0, 1)
 
 
 @st.composite
@@ -628,19 +655,23 @@ class TestTupleArithmetic:
         # _normalize rounds an exact product as mpf_mul does (_lattice_cell does so inline)
         assert is_kernel_tuple(_normalize(s[0] ^ t[0], s[1] * t[1], s[2] + t[2], prec),
                                mpf_mul(cs, ct, prec, round_nearest), prec)
-        # each reciprocal, through a cell whose sum adds it to zero: 1/v, and
-        # -1/v as -1/(1·v), whose product is exact for a v within prec bits
+        # each reciprocal, through a cell whose sum adds it to zero: -1/(p·v) for
+        # p = ±1 as libmp's chain gives it, and epsilon's 1/v as -1/((-1)·v), whose
+        # product is exact for a v within prec bits, as every kernel tuple is
         for v, cv in ((s, cs), (t, ct)):
             if v[1]:
-                assert is_kernel_tuple(_epsilon_cell(fzero, v, prec),
-                                       mpf_rdiv_int(1, cv, prec, round_nearest), prec)
-                assert is_kernel_tuple(_lattice_cell(fzero, ONE, v, prec), mpf_rdiv_int(
-                    -1, mpf_mul(ONE, cv, prec, round_nearest), prec, round_nearest), prec)
+                for p in (ONE, MINUS_ONE):
+                    assert is_kernel_tuple(_lattice_cell(fzero, p, v, prec), mpf_rdiv_int(
+                        -1, mpf_mul(p, cv, prec, round_nearest), prec, round_nearest), prec)
+                if v[3] <= prec:
+                    assert is_kernel_tuple(_lattice_cell(fzero, MINUS_ONE, v, prec),
+                                           mpf_rdiv_int(1, cv, prec, round_nearest), prec)
 
     # the product (2**33-1)·(2**33+1) = 2**66-1 rounds up to 2**66
     @example(case=(64, fzero, fzero, (0, 2**33 - 1, 0, 33), (1, 2**33 + 1, -5, 34)))
-    # 1/(2**65+1) is within half an ulp below 2**-65 and rounds up to it: only a
-    # d wider than prec + 1 bits, as the kernel never holds, carries
+    # 1/(2**65+1) is within half an ulp below 2**-65 and would round up to it, a
+    # carry; d is wider than prec + 1 bits, as the kernel never holds, and the
+    # chain rounds the product (-1)·d to -2**65 first
     @example(case=(64, (0, 3, -70, 2), fzero, ONE, (0, 2**65 + 1, 0, 66)))
     # products within prec bits, exact: a label difference of 1, as at level 4
     @example(case=(64, (0, 5, 0, 3), (1, 7, 0, 3), ONE, (0, 2**64 - 59, -70, 64)))
@@ -653,8 +684,15 @@ class TestTupleArithmetic:
     def test_each_cell_rounds_as_mpmath(self, case):
         prec, ce, cl, p, d = case
         cp, cd = canonical(p), canonical(d)
-        assert is_kernel_tuple(_epsilon_cell(ce, d, prec), mpf_add(
-            canonical(ce), mpf_rdiv_int(1, cd, prec, round_nearest), prec, round_nearest), prec)
+        # epsilon's cell c + 1/d is c - 1/((-1)·d): libmp's chain with p = -1, and
+        # c + 1/d itself for a d within prec bits, as every kernel tuple is
+        got = _lattice_cell(ce, MINUS_ONE, d, prec)
+        assert is_kernel_tuple(got, mpf_sub(
+            canonical(ce), mpf_rdiv_int(1, mpf_mul(MINUS_ONE, cd, prec, round_nearest), prec,
+                                        round_nearest), prec, round_nearest), prec)
+        if d[3] <= prec:
+            assert is_kernel_tuple(got, mpf_add(canonical(ce), mpf_rdiv_int(
+                1, cd, prec, round_nearest), prec, round_nearest), prec)
         assert is_kernel_tuple(_lattice_cell(cl, p, d, prec), mpf_sub(
             canonical(cl), mpf_rdiv_int(1, mpf_mul(cp, cd, prec, round_nearest), prec,
                                         round_nearest), prec, round_nearest), prec)
