@@ -92,15 +92,15 @@ def estimate_rho(seq, limit=None, delta=0.05):
 
 def error_columns(table, limit):
     """``{k: (prefix, length)}`` of the errors |T_k^(n) - S| of ``table``'s
-    columns, rounded at its mode's precision: each live value's error in
-    its place, ``None`` where the cell broke down, and the same lengths.
+    columns, each rounded as its cell's mode rounds (a bigfloat cell
+    carries its precision): each live value's error in its place,
+    ``None`` where the cell broke down, and the same lengths.
 
     An error beyond the mode's range (a float64 difference of two finite
     values may overflow) is a :class:`NonFiniteError` that names its cell.
     """
-    with table.mode.context():
-        columns = {k: ([None if v is None else abs(v - limit) for v in prefix], length)
-                   for k, (prefix, length) in table.columns.items()}
+    columns = {k: ([None if v is None else abs(v - limit) for v in prefix], length)
+               for k, (prefix, length) in table.columns.items()}
     for k, (errors, _) in columns.items():
         if math.inf in errors:
             n = table.start_label + errors.index(math.inf)

@@ -91,7 +91,7 @@ def _get_mode(args):
 def _get_threshold(args, mode):
     if args.breakdown_threshold is None:
         return None
-    return mode.convert(RATIONAL.parse(args.breakdown_threshold))
+    return mode.parse(args.breakdown_threshold)
 
 
 def _load_sequence(args, mode):
@@ -214,10 +214,9 @@ def cmd_compare(args):
 def cmd_classify(args):
     mode = _get_mode(args)
     seq, limit = _load_sequence(args, mode)
-    with mode.context():  # a bigfloat limit is estimated and printed at the mode's precision
-        report = analysis.estimate_rho(seq, limit, args.delta)
-        print(f"classification: {report.describe()}")
-        print(f"limit used: {'(proxy: last element)' if report.limit_used is None else report.limit_used}")
+    report = analysis.estimate_rho(seq, limit, args.delta)
+    print(f"classification: {report.describe()}")
+    print(f"limit used: {'(proxy: last element)' if report.limit_used is None else report.limit_used}")
     shown = [r for r in report.rho_estimates if r is not None][-8:]
     print("trailing rho estimates: " + ", ".join(map(_rho_text, shown)))
     return 0

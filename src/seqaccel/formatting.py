@@ -5,7 +5,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isfinite
 
-import mpmath
 from mpmath.libmp import to_rational
 
 from .errors import SpecError
@@ -15,7 +14,7 @@ def integer_ratio(value):
     """(numerator, denominator) of a scalar, with a positive denominator."""
     if isinstance(value, (Fraction, int, float)):
         return value.as_integer_ratio()
-    if isinstance(value, mpmath.mpf):
+    if hasattr(value, "_mpf_"):  # an mpf of any mpmath context
         p, q = to_rational(value._mpf_)
         return int(p), int(q)
     raise TypeError(f"cannot render {type(value).__name__}")

@@ -7,31 +7,59 @@ Three modes are supported:
 * ``RATIONAL`` -- :class:`fractions.Fraction`, exactly closed under
   field operations.
 
-A mode object knows how to coerce, parse and test values, and provides
-a context manager that pins the working precision for the duration of
-a table computation.
+A mode object knows how to coerce, parse and test values.  A bigfloat
+value carries its precision: ``BigFloat(bits)`` has its own mpmath
+context (``mode.mp``), one per precision, and every value the mode makes
+is an instance of that context's ``mpf``, ``mode.value_type``, not of
+``mpmath.mpf``.  So each operation on such values rounds at the mode's
+precision, whatever mpmath's global precision is; an operation that mixes
+contexts takes the context of its left operand.  These values pickle, and
+an unpickled one is the same precision's ``mpf`` again.
 """
 
 from __future__ import annotations
 
+import copyreg
 import math
 import sys
-from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import mpmath
-from mpmath.libmp import from_rational, mpf_pos, round_nearest
+from mpmath.libmp import from_rational, round_nearest
 
-from .errors import NonFiniteError, SpecError
+from .errors import IngestError, NonFiniteError, SpecError
+
+
+@cache
+def _context(bits):
+    """The mpmath context whose every operation rounds to nearest at ``bits`` bits, one per precision.
+
+    Every mode of that precision shares it, so its precision is never
+    changed.  Its ``mpf`` class is made for it, so pickle cannot find it
+    by name; the reducer registered here rebuilds a value from its
+    precision and its ``_mpf_`` tuple.
+    """
+    ctx = mpmath.MPContext()
+    ctx.prec = bits
+    copyreg.pickle(ctx.mpf, lambda v: (_unpickle, (bits, v._mpf_)))
+    return ctx
+
+
+def _unpickle(bits, value):
+    return _context(bits).make_mpf(value)
 
 
 def _parse_number(text):
-    """Parse a decimal literal or a p/q fraction string to a Fraction."""
+    """Parse a decimal literal or a p/q fraction string to a Fraction (an IngestError if it is neither)."""
+    text = text.strip()
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"{text.strip()} has a zero denominator") from None
+        raise IngestError(f"{text} has a zero denominator") from None
+    except ValueError:
+        raise IngestError(f"{text!r} is not a number") from None
 
 
 def value_text(x):
@@ -48,12 +76,24 @@ def value_text(x):
     return repr(x)
 
 
+class _Mode:
+    """What the three modes share: one ``parse``."""
+
+    def parse(self, text):
+        """``text``, a decimal or p/q literal, as the exact number it names, converted once."""
+        return self.convert(_parse_number(text))
+
+
 @dataclass(frozen=True)
-class Float64:
+class Float64(_Mode):
     name = "float64"
     is_exact = False
     value_type = float
     default_breakdown_threshold = 1e-12
+
+    @property
+    def mp(self):  # for zeta only: math has none
+        return _context(53)
 
     def convert(self, x):
         try:
@@ -64,15 +104,6 @@ class Float64:
     def is_finite(self, x):
         return math.isfinite(x)
 
-    def parse(self, text):
-        try:
-            return float(_parse_number(text))
-        except OverflowError:
-            raise ValueError(f"{text.strip()} is beyond the float64 range") from None
-
-    def context(self):
-        return nullcontext()
-
 
 MIN_PRECISION_BITS = 64
 # far above the 1,200 bits the tests and the digest corpus use; a value of
@@ -81,7 +112,7 @@ MAX_PRECISION_BITS = 2**20
 
 
 @dataclass(frozen=True)
-class BigFloat:
+class BigFloat(_Mode):
     precision_bits: int = 128
 
     def __post_init__(self):
@@ -97,36 +128,35 @@ class BigFloat:
         return f"bigfloat{self.precision_bits}"
 
     is_exact = False
-    value_type = mpmath.mpf
+
+    @property
+    def mp(self):
+        return _context(self.precision_bits)
+
+    @property
+    def value_type(self):
+        return self.mp.mpf
 
     @property
     def default_breakdown_threshold(self):
         # ~24 bits of headroom above the unit roundoff; a float would be 0.0 from 1,099 bits
-        return mpmath.ldexp(1, 24 - self.precision_bits)
+        return self.mp.ldexp(1, 24 - self.precision_bits)
 
     def convert(self, x):
         if isinstance(x, Fraction):
             # rounded once: mpf(p) / q would round p and then the quotient
-            return mpmath.mp.make_mpf(
+            return self.mp.make_mpf(
                 from_rational(x.numerator, x.denominator, self.precision_bits, round_nearest))
-        if type(x) is mpmath.mpf:  # rounded to the precision, as mpf(x) would in its context
-            return mpmath.mp.make_mpf(mpf_pos(x._mpf_, self.precision_bits, round_nearest))
-        with self.context():
-            return mpmath.mpf(x)
+        # an int, float, str or an mpf of any context, rounded once to the precision
+        return self.mp.mpf(x)
 
     def is_finite(self, x):
         # mpmath's exponent is unbounded: mpf("1e400") is finite here
         return mpmath.isfinite(x)
 
-    def parse(self, text):
-        return self.convert(_parse_number(text))
-
-    def context(self):
-        return mpmath.mp.workprec(self.precision_bits)
-
 
 @dataclass(frozen=True)
-class Rational:
+class Rational(_Mode):
     name = "rational"
     is_exact = True
     value_type = Fraction
@@ -144,12 +174,6 @@ class Rational:
 
     def is_finite(self, x):
         return not isinstance(x, float) or math.isfinite(x)
-
-    def parse(self, text):
-        return _parse_number(text)
-
-    def context(self):
-        return nullcontext()
 
 
 FLOAT64 = Float64()

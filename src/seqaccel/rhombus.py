@@ -50,10 +50,10 @@ that order, and every rounding is ``normalize``'s.  Only a zero operand
 and ``mpf_add``'s sticky shortcut for one operand far below the other
 leave the inline path: the cells hand them to :func:`_add`, which hands
 them to :func:`_normalize`.  So each result has the value the mpf
-operators give under ``mode.context()``, with an exact bit count
-bc <= prec.  The kernel leaves out what finite operands at one rounding
-mode never need: the checks for special values, the dispatch on the
-rounding mode and mpmath's pure-Python bit count, for which
+operators of the mode's context (``mode.mp``) give, with an exact bit
+count bc <= prec.  The kernel leaves out what finite operands at one
+rounding mode never need: the checks for special values, the dispatch on
+the rounding mode and mpmath's pure-Python bit count, for which
 ``int.bit_length`` stands.  It also leaves out ``normalize``'s stripping
 of a mantissa's trailing zeros, so a kernel tuple is not always
 canonical: same value, exact bc, canonical at the edge.  A trailing zero
@@ -74,8 +74,9 @@ sequences.)
 
 :func:`fill` converts at its edges: it unwraps the seed columns (and in
 bigfloat the threshold) once and wraps only the columns it keeps back
-into mpf values or Fractions, so no caller sees a tuple or a pair, and
-the ambient mpmath precision plays no part.
+into the mode's mpf values (its context's ``make_mpf``) or Fractions, so
+no caller sees a tuple or a pair, and the ambient mpmath precision plays
+no part.
 
 In bigfloat the guard's outcome is mostly read from the exponents the
 values already carry.  With mag(v) = exp + bc for a nonzero mpf, so that
@@ -100,7 +101,6 @@ from functools import partial
 from itertools import repeat
 from math import gcd, isfinite
 
-import mpmath
 from mpmath.libmp import fzero, mpf_abs, mpf_gt, mpf_lt, mpf_mul, round_nearest
 
 from .errors import SpecError, WindowError
@@ -409,13 +409,13 @@ def _canonical(v):
     return v if zeros <= 0 else (sign, man >> zeros, exp + zeros, bc - zeros)
 
 
-def _mpf_column(col):
-    """A column of kernel ``_mpf_`` tuples as canonical mpf values, ``None`` kept.
+def _mpf_column(col, make_mpf):
+    """A column of kernel ``_mpf_`` tuples as canonical mpf values, each wrapped by ``make_mpf``
+    (the mode's context's, so each carries its precision), ``None`` kept.
 
     The kernel keeps its mantissas' trailing zeros; each kept cell sheds
     them here, so an mpf outside the kernel holds the tuple mpmath builds.
     """
-    make_mpf = mpmath.mp.make_mpf
     return [None if v is None else make_mpf(_canonical(v)) for v in col]
 
 
@@ -439,7 +439,8 @@ def fill(seq, seeds, max_order, threshold, keep):
     bigfloat and reduced ``(p, q)`` pairs in exact mode, each with its
     own -1: ``-1.0``, ``(1, 1, 0, 1)`` and ``(-1, 1)``.  The seeds are
     converted to the kernel's numbers once, and only the kept columns
-    are converted back, so the loop builds no mpf or Fraction.
+    are converted back, to Fractions or to ``mode.value_type`` by the
+    mode's ``make_mpf``, so the loop builds no mpf or Fraction.
     A seed column's nominal length is len(seq), column m's (m > w) is
     len(seq) - (m - w) (0 when that is negative), and the cells past its
     live prefix, which ends in a VALID cell or is empty, are BREAKDOWN.
@@ -468,7 +469,8 @@ def fill(seq, seeds, max_order, threshold, keep):
         # unwrapped here once, and only the kept columns are wrapped again
         prec = mode.precision_bits
         diff = partial(mpf_differences, prec=prec, threshold=threshold._mpf_)
-        step, wrap, minus_one = partial(mpf_rhombus, prec=prec), _mpf_column, (1, 1, 0, 1)
+        step, minus_one = partial(mpf_rhombus, prec=prec), (1, 1, 0, 1)
+        wrap = partial(_mpf_column, make_mpf=mode.mp.make_mpf)
         live = [[v._mpf_ for v in c] for c in seeds]
     elif mode.is_exact:
         # the kernel runs on reduced (p, q) pairs, unwrapped and wrapped alike

@@ -6,11 +6,11 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
-import mpmath
-
-from .errors import EmptyInputError, IngestError, ModeUnsupportedError, NonFiniteError, SpecError
+from .errors import (EmptyInputError, IngestError, ModeUnsupportedError, NonFiniteError,
+                     SeqAccelError, SpecError)
 from .modes import FLOAT64, RATIONAL
 from .sequences import Sequence
 
@@ -50,34 +50,39 @@ class GeneratorSpec:
             raise SpecError(f"{self.family} starts at label >= {first_label(self.family)}")
 
 
-def _term(spec, n, mode):
-    """n-th term of the underlying series, at partial-sum label n."""
+def _terms(spec, stop):
+    """The exact terms of the underlying series at partial-sum labels first_label .. stop - 1.
+
+    A power series' terms are a running product, z^n / n! = z^(n-1) / (n-1)! · z / n
+    (or z^n = z^(n-1) · z), so each costs O(1) Fraction operations.
+    """
+    labels = range(first_label(spec.family), stop)
     if spec.family == "alt_harmonic":
-        return mode.convert(Fraction((-1) ** (n - 1), n))
+        return (Fraction((-1) ** (n - 1), n) for n in labels)
     if spec.family == "zeta2":
-        return mode.convert(Fraction(1, n * n))
+        return (Fraction(1, n * n) for n in labels)
     if spec.family == "zeta":
-        return mode.convert(Fraction(1, n**spec.s))
+        return (Fraction(1, n**spec.s) for n in labels)
+    z = Fraction(spec.z)
     if spec.family == "geometric":
-        return mode.convert(Fraction(spec.z) ** n)
-    if spec.family == "exp_series":
-        fact = 1
-        for i in range(2, n + 1):
-            fact *= i
-        return mode.convert(Fraction(spec.z) ** n / fact)
-    raise AssertionError(spec.family)
+        return accumulate(labels[1:], lambda t, _: t * z, initial=Fraction(1))
+    return accumulate(labels[1:], lambda t, n: t * z / n, initial=Fraction(1))
 
 
 def generate(spec):
     """Build the sequence prefix plus its analytic limit where known.
 
-    The limit is None when it is not representable in the active mode
-    (any transcendental limit under RATIONAL, or one beyond the float64
-    range).  ``archimedes_pi`` starts at label 1 or above: at a label
-    n <= 0, 2^n sin(pi / 2^n) is 0 and every value is rounding noise, so
-    such a start is a :class:`SpecError`.  In float64 a label above 1023
-    or below -1022, where 2^n or pi / 2^n leaves the float range, is a
-    :class:`NonFiniteError` that names it; that check comes first.
+    Every value and the limit are the mode's own numbers.  A bigfloat one
+    is computed in the mode's mpmath context, at its precision, and a
+    float64 zeta(s) limit in a fixed 53-bit context, whatever mpmath's
+    global precision.  The limit is None when it is not representable in
+    the active mode (any transcendental limit under RATIONAL, or one
+    beyond the float64 range).  ``archimedes_pi`` starts at label 1 or
+    above: at a label n <= 0, 2^n sin(pi / 2^n) is 0 and every value is
+    rounding noise, so such a start is a :class:`SpecError`.  In float64
+    a label above 1023 or below -1022, where 2^n or pi / 2^n leaves the
+    float range, is a :class:`NonFiniteError` that names it; that check
+    comes first.
     """
     mode = spec.mode
     labels = range(spec.start_label, spec.start_label + spec.count)
@@ -85,36 +90,33 @@ def generate(spec):
         if mode.is_exact:
             raise ModeUnsupportedError("archimedes_pi values are irrational")
         functions = _functions(mode)
-        with mode.context():
-            pi = +functions.pi  # unary + rounds mpmath's pi to the working precision
-            two = mode.convert(2)
-            values = []
-            for n in labels:
-                try:
-                    values.append(two**n * functions.sin(pi / two**n))
-                except (OverflowError, ValueError, ZeroDivisionError):  # float 2**n or pi / 2**n
-                    raise NonFiniteError(f"archimedes_pi label {n} is beyond the float64 range") from None
-            if spec.start_label < 1:
-                raise SpecError(f"archimedes_pi from start label {spec.start_label}: at labels <= 0, "
-                                "2^n sin(pi/2^n) is 0 and every value is rounding noise")
-            return Sequence(spec.start_label, tuple(values), mode), pi
-
-    with mode.context():
-        # the running sum adds every term from the family's first label, in
-        # order, and keeps the sums from start_label on
-        total = mode.convert(0)
+        pi = +functions.pi  # unary + rounds mpmath's pi to the context's precision
+        two = mode.convert(2)
         values = []
-        for n in range(first_label(spec.family), labels.stop):
-            total = total + _term(spec, n, mode)
-            if n >= spec.start_label:
-                values.append(total)
-        limit = _known_limit(spec, mode)
-    return Sequence(spec.start_label, tuple(values), mode), limit
+        for n in labels:
+            try:
+                values.append(two**n * functions.sin(pi / two**n))
+            except (OverflowError, ValueError, ZeroDivisionError):  # float 2**n or pi / 2**n
+                raise NonFiniteError(f"archimedes_pi label {n} is beyond the float64 range") from None
+        if spec.start_label < 1:
+            raise SpecError(f"archimedes_pi from start label {spec.start_label}: at labels <= 0, "
+                            "2^n sin(pi/2^n) is 0 and every value is rounding noise")
+        return Sequence(spec.start_label, tuple(values), mode), pi
+
+    # the running sum adds every term from the family's first label, in
+    # order, and keeps the sums from start_label on
+    total = mode.convert(0)
+    values = []
+    for n, term in enumerate(_terms(spec, labels.stop), first_label(spec.family)):
+        total = total + mode.convert(term)
+        if n >= spec.start_label:
+            values.append(total)
+    return Sequence(spec.start_label, tuple(values), mode), _known_limit(spec, mode)
 
 
 def _functions(mode):
-    """The module whose pi, sin, log and exp a float ``mode`` computes with: math or mpmath."""
-    return math if mode.value_type is float else mpmath
+    """What a float ``mode`` computes pi, sin, log and exp with: math, or the mode's mpmath context."""
+    return math if mode.value_type is float else mode.mp
 
 
 def _known_limit(spec, mode):
@@ -135,7 +137,7 @@ def _known_limit(spec, mode):
         pi = +functions.pi
         return pi * pi / 6
     if spec.family == "zeta":
-        return mode.convert(mpmath.zeta(spec.s))
+        return mode.convert(mode.mp.zeta(spec.s))
     try:
         return functions.exp(mode.convert(Fraction(spec.z)))
     except OverflowError:  # e**z beyond the float64 range
@@ -174,7 +176,7 @@ def ingest(path, fmt="lines", mode=FLOAT64, column=None, start_label=None):
                 continue
             try:
                 values.append(mode.parse(stripped))
-            except ValueError as exc:
+            except SeqAccelError as exc:
                 raise IngestError(f"{path}:{i}: cannot parse {stripped!r}") from exc
         if not values:
             raise IngestError(f"{path}: no values found")
@@ -217,7 +219,7 @@ def _ingest_csv(path, text, mode, column, start_label):
             values.append(mode.parse(row[value_idx]))
             if label_idx is not None:
                 labels.append(int(row[label_idx]))
-        except (ValueError, IndexError) as exc:
+        except (SeqAccelError, ValueError, IndexError) as exc:  # int() of the label raises ValueError
             raise IngestError(f"{path}:{i}: cannot parse row {row!r}") from exc
     if labels:
         if labels != list(range(labels[0], labels[0] + len(labels))):
@@ -233,11 +235,12 @@ def _ingest_csv(path, text, mode, column, start_label):
 def _is_number(text):
     """Whether ``text`` is a number literal; ``p/0`` is one, with a zero denominator."""
     try:
-        RATIONAL.parse(text)
+        Fraction(text.strip())
+    except ZeroDivisionError:  # p/0
         return True
     except ValueError:
-        numerator, slash, denominator = text.partition("/")
-        return bool(slash) and _is_int(numerator) and _is_int(denominator)
+        return False
+    return True
 
 
 def _is_int(text):

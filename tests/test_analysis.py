@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from seqaccel import (
@@ -48,6 +49,20 @@ class TestEstimateRho:
         seq, limit = generate(GeneratorSpec("exp_series", 30, 0, BigFloat(256), z=1))
         report = estimate_rho(seq, limit)
         assert report.classification is Classification.HYPERLINEAR
+
+    def test_bigfloat_ratios_are_rounded_at_the_mode_precision(self):
+        # a library call, outside any context: mpmath's ambient precision
+        # stays at 53 bits, and the remainders and ratios keep 256
+        mode = BigFloat(256)
+        seq, limit = generate(GeneratorSpec("alt_harmonic", 30, 1, mode))
+        report = estimate_rho(seq, limit)
+        with mpmath.workprec(256):
+            values, s = [mpmath.mpf(v) for v in seq], mpmath.mpf(limit)
+            remainders = [v - s for v in values]
+            want = [r1 / r0 for r0, r1 in zip(remainders, remainders[1:])]
+        assert [r._mpf_ for r in report.rho_estimates] == [r._mpf_ for r in want]
+        assert all(type(r) is mode.value_type for r in report.rho_estimates)
+        assert max(r._mpf_[3] for r in report.rho_estimates) > 200
 
     def test_alternating_is_linear_with_sign(self):
         seq, limit = generate(GeneratorSpec("alt_harmonic", 30, 1))
@@ -127,8 +142,7 @@ class TestErrorTable:
             for key, entry in table.entries.items():
                 got = errs[key]
                 if entry.status is Status.VALID:
-                    with mode.context():  # the table's errors are rounded at its precision
-                        want = abs(entry.value - limit)
+                    want = abs(entry.value - limit)  # rounded at the value's precision
                     assert type(got) is type(want) and got == want, key
                 else:
                     assert got is entry.status, key
@@ -140,7 +154,7 @@ class TestErrorTable:
         table = lbq_transform(seq, 4)
         assert table.mode == mode
         errs = error_table(table, limit)
-        with mode.context():
+        with mpmath.workprec(mode.precision_bits):
             want = error_table(table, limit)
             assert want == {key: abs(e.value - limit) if e.ok else e.status
                             for key, e in table.entries.items()}

@@ -328,9 +328,8 @@ class TestCompare:
         limit_option = next((a for a in argv if a.startswith("--lim")), None)
         if limit_option is not None:
             limit = spec.mode.parse(argv[argv.index(limit_option) + 1])
-        with spec.mode.context():
-            errors = [error_table(transform(seq, 3), limit)
-                      for transform in (lbq_transform, epsilon_transform)]
+        errors = [error_table(transform(seq, 3), limit)
+                  for transform in (lbq_transform, epsilon_transform)]
         rows = [line.split(",") for line in out.splitlines()[1:]]
         assert [int(row[0]) for row in rows] == list(seq.labels())
         shown = set()

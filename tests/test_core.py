@@ -3,6 +3,8 @@
 import dataclasses
 import gc
 import math
+import pickle
+import re
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -72,6 +74,28 @@ class TestModes:
                 BigFloat(bits)
             with pytest.raises(SpecError):
                 mode_from_name("bigfloat", bits)
+
+    @pytest.mark.parametrize("mode, text, error, message", [
+        (FLOAT64, "1/0", IngestError, "1/0 has a zero denominator"),
+        (FLOAT64, " 1e999 ", NonFiniteError, "~1e999 is beyond the float64 range"),
+        (RATIONAL, "3/0", IngestError, "3/0 has a zero denominator"),
+        (BigFloat(64), "-2/0", IngestError, "-2/0 has a zero denominator"),
+        (FLOAT64, "abc", IngestError, "'abc' is not a number"),
+        (RATIONAL, "abc", IngestError, "'abc' is not a number"),
+        (BigFloat(64), "1/2/3", IngestError, "'1/2/3' is not a number"),
+    ])
+    def test_parse_errors_are_seqaccel_errors(self, mode, text, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            mode.parse(text)
+
+    def test_bigfloat_values_pickle(self):
+        for bits in (64, 256):
+            mode = BigFloat(bits)
+            x = mode.convert(Fraction(1, 3))
+            y = pickle.loads(pickle.dumps(x))
+            assert type(y) is mode.value_type and y._mpf_ == x._mpf_
+            # the unpickled value still rounds at its mode's precision
+            assert (y / 7)._mpf_[3] == bits
 
     def test_rational_parse_is_exact(self):
         assert RATIONAL.parse("0.1") == Fraction(1, 10)
@@ -269,6 +293,18 @@ class TestForwardDifference:
         with pytest.raises(WindowError, match="difference order -1 must be nonnegative"):
             forward_difference(seq_of([1, 2, 4]), -1)
 
+    def test_bigfloat_differences_are_rounded_at_the_mode_precision(self):
+        # mpmath's ambient precision stays at 53 bits; the differences keep 256
+        mode = BigFloat(256)
+        seq, _ = generate(GeneratorSpec("alt_harmonic", 30, 1, mode))
+        with mpmath.workprec(256):
+            want = [mpmath.mpf(v) for v in seq]
+            for _ in range(3):
+                want = [b - a for a, b in zip(want, want[1:])]
+        got = forward_difference(seq, 3)
+        assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
+        assert all(type(v) is mode.value_type for v in got)
+
     @given(
         values=st.lists(rationals, min_size=6, max_size=10),
         a=st.integers(0, 2),
@@ -414,6 +450,21 @@ class TestTransformTable:
         table = lbq_transform(seq, 30)
         assert sum(e.ok for e in table.entries.values()) > 1000
         assert live_entries() - before <= 2
+
+    def test_bigfloat_table_pickles(self):
+        # each value comes back as its precision's mpf, with the same tuple
+        mode = BigFloat(256)
+        seq, _ = generate(GeneratorSpec("alt_harmonic", 40, 1, mode))
+        for table in (lbq_transform(seq, 6), epsilon_transform(seq, 6)):
+            copy = pickle.loads(pickle.dumps(table))
+            assert copy.mode == mode and copy.columns.keys() == table.columns.keys()
+            for k, (prefix, length) in table.columns.items():
+                got, got_length = copy.columns[k]
+                assert got_length == length
+                assert [None if v is None else v._mpf_ for v in got] == [
+                    None if v is None else v._mpf_ for v in prefix]
+                assert all(v is None or type(v) is mode.value_type for v in got)
+            assert copy.cells(lambda v: v) == table.cells(lambda v: v)
 
     def test_entry_constructors(self):
         assert TransformEntry.valid(1).ok

@@ -2,12 +2,13 @@
 
 from fractions import Fraction
 
+import mpmath
 import pytest
-
 
 from seqaccel import (
     FLOAT64,
     RATIONAL,
+    BigFloat,
     GeneratorSpec,
     KernelDegeneracyError,
     ModeUnsupportedError,
@@ -554,6 +555,19 @@ class TestFloatModes:
         # G_6^0 is that Psi_2, so the float64 molecule leaves the cell out
         assert (6, 0) not in molecule_solution(seq_of(values, mode=FLOAT64), 6).G
         assert molecule_solution(seq_of(values), 6).G[6, 0] == Fraction(1e300) ** 2
+
+    def test_bigfloat_molecule_ratio_is_rounded_at_the_mode_precision(self):
+        # mpmath's ambient precision stays at 53 bits; G/F keeps 256
+        mode = BigFloat(256)
+        seq, _ = generate(GeneratorSpec("alt_harmonic", 12, 1, mode))
+        mol = molecule_solution(seq, 9)
+        ratios = {key: mol.ratio(*key) for key in mol.F if mol.F[key] != 0}
+        with mpmath.workprec(256):
+            want = {key: mpmath.mpf(mol.G[key]) / mpmath.mpf(mol.F[key]) for key in ratios}
+        assert {key: v._mpf_ for key, v in ratios.items()} == {
+            key: v._mpf_ for key, v in want.items()}
+        assert all(type(v) is mode.value_type for v in ratios.values())
+        assert max(v._mpf_[3] for v in ratios.values()) > 200
 
     def test_check_bilinear_is_exact_only(self):
         seq = seq_of([1.0, 0.5, 0.75, 0.625, 0.6875, 0.65625, 0.671875], mode=FLOAT64)

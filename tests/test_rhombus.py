@@ -356,7 +356,7 @@ class TestFloat64Breakdown:
 
     def test_bigfloat_has_no_exponent_bound(self):
         mode = BigFloat(128)
-        with mode.context():
+        with mpmath.workprec(mode.precision_bits):
             tiny = mpmath.mpf("1e-200")._mpf_
         (cell,) = mpf_rhombus([fzero, from_int(1)], [tiny], [tiny], mode.precision_bits)
         cell = mpmath.mp.make_mpf(cell)
@@ -702,7 +702,8 @@ class TestTupleArithmetic:
         assert _normalize(1, 12, -5, 64) == (1, 12, -5, 4)
         assert _normalize(0, 12 << 70, 0, 64) == (0, 3 << 62, 10, 64)
         assert _normalize(0, 2**65 - 1, 0, 64) == (0, 2**63, 2, 64)
-        kept = _mpf_column([(1, 12, -5, 4), (0, 2**63, 2, 64), (0, 5, 2, 3), fzero, None])
+        kept = _mpf_column([(1, 12, -5, 4), (0, 2**63, 2, 64), (0, 5, 2, 3), fzero, None],
+                           BigFloat(64).mp.make_mpf)
         assert [None if v is None else v._mpf_ for v in kept] == [
             (1, 3, -3, 2), (0, 1, 65, 1), (0, 5, 2, 3), fzero, None]
 
@@ -776,12 +777,13 @@ class TestLivePrefix:
         mode = BigFloat(bits)
         if threshold == "mpf":
             threshold = mode.convert(Fraction(1, 10**20))
-        with mode.context():
+        with mpmath.workprec(mode.precision_bits):
             s = mpmath.mpf(scale)
             values = [s * (1 + mpmath.mpf(0.5) ** n + mpmath.mpf(-0.3) ** n) for n in range(24)]
             seq = Sequence(1, tuple(values), mode)
             for ambient in (bits, 53, 2000):
-                assert_live_prefix_tables(seq, 7, mpmath.mpf, threshold, mpmath.workprec(ambient))
+                assert_live_prefix_tables(seq, 7, mode.value_type, threshold,
+                                          mpmath.workprec(ambient))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -796,13 +798,13 @@ class TestLivePrefix:
                                                                start, max_order):
         # each value is man·2**e for e in [-600, 600], or repeats an earlier value
         mode = BigFloat(bits)
-        with mode.context():
+        with mpmath.workprec(mode.precision_bits):
             values = []
             for man, e, i, repeat in draws:
                 values.append(values[i % len(values)] if repeat and values
                               else mpmath.ldexp(mpmath.mpf(man), e))
             seq = Sequence(start, tuple(values), mode)
-            assert_live_prefix_tables(seq, max_order, mpmath.mpf, threshold,
+            assert_live_prefix_tables(seq, max_order, mode.value_type, threshold,
                                       mpmath.workprec(53))
 
     @pytest.mark.parametrize("seeds_of", [

@@ -120,6 +120,30 @@ class TestGenerate:
         with mpmath.workprec(64):
             assert limit == mpmath.exp(710)
 
+    @pytest.mark.parametrize("prec", [20, 53, 300])
+    def test_float64_zeta_limit_ignores_the_ambient_precision(self, prec):
+        # float64 computes zeta(s) in a fixed 53-bit context, as math has no zeta
+        ambient = mpmath.mp.prec
+        try:
+            mpmath.mp.prec = prec
+            _, limit = generate(GeneratorSpec("zeta", 4, 1, s=3))
+        finally:
+            mpmath.mp.prec = ambient
+        with mpmath.workprec(53):
+            assert limit.hex() == float(mpmath.zeta(3)).hex()
+
+    @pytest.mark.parametrize("family, z", [("exp_series", Fraction(7, 5)), ("exp_series", -3),
+                                           ("exp_series", 0), ("geometric", Fraction(-2, 3)),
+                                           ("geometric", 0)])
+    def test_power_series_terms_are_exact(self, family, z):
+        # each term is a running product, and equals z**n / n! (or z**n) exactly
+        seq, _ = generate(GeneratorSpec(family, 40, 0, RATIONAL, z=z))
+        total, want = Fraction(0), []
+        for n in range(40):
+            total += Fraction(z) ** n / (math.factorial(n) if family == "exp_series" else 1)
+            want.append(total)
+        assert list(seq) == want
+
     @pytest.mark.parametrize("start, count, label", [
         (1024, 2, 1024), (1021, 5, 1024), (-1023, 3, -1023), (-1074, 1, -1074),
         (-1075, 1, -1075), (-1100, 4, -1100),
@@ -159,6 +183,17 @@ class TestPartialSums:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
             Sequence.from_iterable([], 0, RATIONAL)
+
+    def test_bigfloat_sums_are_rounded_at_the_mode_precision(self):
+        # mpmath's ambient precision stays at 53 bits; the sums keep 256
+        mode = BigFloat(256)
+        terms = Sequence.from_iterable(
+            [mode.convert(Fraction((-1) ** (n - 1), n)) for n in range(1, 41)], 1, mode)
+        sums = partial_sums(terms)
+        generated, _ = generate(GeneratorSpec("alt_harmonic", 40, 1, mode))
+        assert [v._mpf_ for v in sums] == [v._mpf_ for v in generated]
+        assert all(type(v) is mode.value_type for v in sums)
+        assert max(v._mpf_[3] for v in sums) > 200
 
 
 class TestIngest:
