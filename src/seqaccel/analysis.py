@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import NonFiniteError, SpecError, WindowError
 
@@ -47,7 +47,10 @@ def estimate_rho(seq, limit=None, delta=0.05):
 
     ``delta`` must be a finite number >= 0.  A remainder beyond the
     mode's range (a float64 difference of two finite values may
-    overflow) is a :class:`NonFiniteError` that names its label.
+    overflow) is a :class:`NonFiniteError` that names its label, and so
+    is a returned ratio beyond it (a float64 remainder divided by a
+    subnormal one may overflow), which names both labels.  In rational
+    and bigfloat mode every ratio is finite.
     """
     if not 0 <= delta < float("inf"):
         raise SpecError(f"delta must be a finite number >= 0, got {delta}")
@@ -60,14 +63,12 @@ def estimate_rho(seq, limit=None, delta=0.05):
     for n, r in zip(seq.labels(), remainders):
         if not seq.mode.is_finite(r):
             raise NonFiniteError(f"the remainder S_{n} - S is beyond the {seq.mode.name} range")
-    ratios = []
-    for r0, r1 in zip(remainders, remainders[1:]):
-        if r0 == 0:
-            ratios.append(None)
-        else:
-            ratios.append(r1 / r0)
+    ratios = [None if r0 == 0 else r1 / r0 for r0, r1 in zip(remainders, remainders[1:])]
     if proxy:
         ratios = ratios[:-2]
+    for n, r in zip(seq.labels(), ratios):
+        if r is not None and not seq.mode.is_finite(r):
+            raise NonFiniteError(f"the ratio (S_{n + 1} - S)/(S_{n} - S) is beyond the {seq.mode.name} range")
     usable = [r for r in ratios if r is not None]
     if not usable:
         return ConvergenceReport(
@@ -110,5 +111,9 @@ def error_columns(table, limit):
 
 def error_table(table, limit):
     """Map (k, n) -> |T_k^(n) - S| of :func:`error_columns`, in ``table.entries``
-    order, with ``Status.BREAKDOWN`` for each BREAKDOWN cell."""
-    return replace(table, columns=error_columns(table, limit)).cells(lambda e: e)
+    order, with ``Status.BREAKDOWN`` for each BREAKDOWN cell.
+
+    Its keys are ``table``'s own key objects, so a later whole-table read
+    of ``table`` makes none.
+    """
+    return table.cells(lambda e: e, error_columns(table, limit))

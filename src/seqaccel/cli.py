@@ -9,6 +9,7 @@ import argparse
 import random
 import re
 import sys
+from functools import cache
 
 from . import analysis, oracle, seqgen
 from .epsilon import epsilon_transform
@@ -51,7 +52,10 @@ def _add_table_args(p):
     _add_output_args(p)
 
 
+@cache
 def build_parser():
+    """The ``seqaccel`` argument parser, built once per process: parsing
+    does not change it, and each ``parse_args`` call makes a fresh namespace."""
     ap = argparse.ArgumentParser(prog="seqaccel",
                                  description="Sequence transformation toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -283,8 +287,7 @@ def _join_negative_numbers(argv):
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(_join_negative_numbers(sys.argv[1:] if argv is None else argv))
+    args = build_parser().parse_args(_join_negative_numbers(sys.argv[1:] if argv is None else argv))
     handlers = {
         "generate": cmd_generate,
         "transform": cmd_transform,

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
-from math import isfinite
+from math import ceil, isfinite, log2
 
 from mpmath.libmp import to_rational
 
@@ -20,6 +21,13 @@ def integer_ratio(value):
     raise TypeError(f"cannot render {type(value).__name__}")
 
 
+def _int_text(n):
+    """The decimal digits of the integer ``n``, at any size: ``str(n)`` refuses
+    an int of more than 4,300 digits (``sys.get_int_max_str_digits``), and
+    ``Decimal`` has no such limit."""
+    return str(Decimal(n))
+
+
 def to_fraction(value):
     if isinstance(value, Fraction):
         return value
@@ -33,8 +41,8 @@ def format_fixed(value, digits):
     result that rounds to zero has no sign.  A finite float goes through
     Python's ``'f'`` format, which rounds its exact binary value in the
     same way; every other value (Fraction, int, mpf, and a non-finite
-    float, which raises) is rounded from its integer ratio.  Negative
-    ``digits`` are a SpecError.
+    float, which raises) is rounded from its integer ratio, and printed
+    at any number of digits.  Negative ``digits`` are a SpecError.
     """
     if digits < 0:
         raise SpecError(f"digits must be >= 0, got {digits}")
@@ -53,21 +61,19 @@ def format_fixed(value, digits):
     floor = abs(floor)
     whole, frac = divmod(floor, scale)
     if digits == 0:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}.{frac:0{digits}d}"
+        return f"{sign}{_int_text(whole)}"
+    return f"{sign}{_int_text(whole)}.{_int_text(frac).zfill(digits)}"
 
 
 def format_exact(value):
-    """Lossless text form: exact decimal if finite, else p/q."""
+    """Lossless text form: exact decimal if finite, else p/q, at any number of digits."""
     f = to_fraction(value)
     den = f.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
-    if den == 1:
+    # den is 2**twos * 5**fives exactly when its odd part is the power of 5
+    # whose bit length it has: no loop of divisions, which at thousands of
+    # digits cost more than the printing
+    twos = (den & -den).bit_length() - 1
+    fives = ceil(((den >> twos).bit_length() - 1) / log2(5))
+    if den == 5**fives << twos:
         return format_fixed(f, max(twos, fives))
-    return f"{f.numerator}/{f.denominator}"
+    return f"{_int_text(f.numerator)}/{_int_text(f.denominator)}"

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cache
 
 import mpmath
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import fzero, normalize, round_nearest
 
 from .errors import IngestError, NonFiniteError, SpecError
 
@@ -49,6 +49,25 @@ def _context(bits):
 
 def _unpickle(bits, value):
     return _context(bits).make_mpf(value)
+
+
+def _from_fraction(p, q, prec):
+    """The mpf tuple of p/q (q > 0) rounded to nearest at ``prec`` bits, as libmp's
+    ``from_rational(p, q, prec, round_nearest)``, at a cost that barely grows with p and q.
+
+    ``from_rational`` normalises both full-size integers before it divides.
+    Here |p| or q is shifted so that the integer quotient has at least
+    prec + 3 bits; one ``divmod`` gives it, a remainder sets its lowest bit
+    (the sticky bit: the rounding bits below prec then decide exactly as
+    the exact quotient would), and libmp's ``normalize`` rounds it once.
+    """
+    if not p:
+        return fzero
+    sign, p = int(p < 0), abs(p)
+    shift = prec + 3 - p.bit_length() + q.bit_length()
+    man, rem = divmod(p << shift, q) if shift >= 0 else divmod(p, q << -shift)
+    man |= rem != 0
+    return normalize(sign, man, -shift, man.bit_length(), prec, round_nearest)
 
 
 def _parse_number(text):
@@ -145,8 +164,7 @@ class BigFloat(_Mode):
     def convert(self, x):
         if isinstance(x, Fraction):
             # rounded once: mpf(p) / q would round p and then the quotient
-            return self.mp.make_mpf(
-                from_rational(x.numerator, x.denominator, self.precision_bits, round_nearest))
+            return self.mp.make_mpf(_from_fraction(x.numerator, x.denominator, self.precision_bits))
         # an int, float, str or an mpf of any context, rounded once to the precision
         return self.mp.mpf(x)
 

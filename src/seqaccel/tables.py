@@ -22,6 +22,14 @@ runs per VALID cell.  A reader of every cell's value by its (k, n) key,
 such as the error table, takes :meth:`TransformTable.cells`, which reads
 the columns without an entry per cell; the CLI prints the columns
 themselves.
+
+Every whole-table reader by key (iterating ``entries``, its ``keys()``
+and ``items()``, ``cells`` and the error table) takes its keys from one
+list per table, made on the first such read and again only when the
+table's shape (its start label and each column's k and length) has
+changed.  So a table read whole twice makes its (k, n) tuples once.
+The list takes no part in ``==``, ``repr``, ``dataclasses.replace`` or
+pickling.
 """
 
 from __future__ import annotations
@@ -134,9 +142,7 @@ class TableEntries(MutableMapping):
         raise TypeError("a table's cells cannot be deleted")
 
     def __iter__(self):
-        start = self._table.start_label
-        return chain.from_iterable(zip(repeat(k), range(start, start + length))
-                                   for k, (_, length) in self._table.columns.items())
+        return iter(self._table._keys())
 
     def __len__(self):
         return sum(length for _, length in self._table.columns.values())
@@ -178,6 +184,8 @@ class TransformTable:
     end_label: int
     mode: object
     columns: dict
+    # (shape, keys) of the last whole-table read: see _keys
+    _key_list: tuple = field(default=(None, ()), init=False, repr=False, compare=False)
 
     @classmethod
     def from_columns(cls, columns, seq):
@@ -188,6 +196,29 @@ class TransformTable:
     @property
     def entries(self):
         return TableEntries(self)
+
+    def _keys(self):
+        """Every cell's (k, n), in ``entries`` order, as one list shared by every
+        whole-table reader of this table.
+
+        It is built on the first such read and again only when the shape it
+        was built for, the start label and each column's k and length,
+        has changed.
+        """
+        start = self.start_label
+        shape = (start, [(k, length) for k, (_, length) in self.columns.items()])
+        built, keys = self._key_list
+        if shape != built:
+            keys = list(chain.from_iterable(zip(repeat(k), range(start, start + length))
+                                            for k, length in shape[1]))
+            self._key_list = shape, keys
+        return keys
+
+    def __getstate__(self):
+        # the key list is rebuilt on demand; a pickle does not carry it
+        state = self.__dict__.copy()
+        state.pop("_key_list", None)
+        return state
 
     def _cell(self, k, n):
         """(prefix, index) of the cell (k, n) in its column, or None where the table has none."""
@@ -205,13 +236,18 @@ class TransformTable:
         prefix, _ = self.columns.get(k, ((), 0))
         return [(n, v) for n, v in enumerate(prefix, self.start_label) if v is not None]
 
-    def cells(self, read):
+    def cells(self, read, columns=None):
         """{(k, n): read(value)} for each VALID cell and ``Status.BREAKDOWN`` for
-        each BREAKDOWN cell, in ``entries`` order."""
-        start, breakdown, out = self.start_label, Status.BREAKDOWN, {}
-        for k, (prefix, length) in self.columns.items():
-            out.update({(k, n): breakdown if v is None else read(v)
-                        for n, v in enumerate(prefix, start)})
-            tail = range(start + len(prefix), start + length)
-            out.update(zip(zip(repeat(k), tail), repeat(breakdown)))
+        each BREAKDOWN cell, in ``entries`` order, keyed by the table's shared
+        key objects.
+
+        ``columns`` of the same shape as the table's, such as
+        :func:`seqaccel.analysis.error_columns`, are read in place of its own.
+        """
+        keys, breakdown = self._keys(), Status.BREAKDOWN
+        out, i = dict.fromkeys(keys, breakdown), 0
+        for prefix, length in (self.columns if columns is None else columns).values():
+            out.update(zip(keys[i:i + len(prefix)],
+                           [breakdown if v is None else read(v) for v in prefix]))
+            i += length
         return out

@@ -109,6 +109,20 @@ class TestEstimateRho:
         with pytest.raises(NonFiniteError, match=r"S_2 - S is beyond the float64 range"):
             estimate_rho(seq, -1e308)
 
+    def test_float64_ratio_beyond_the_float_range(self):
+        # a large remainder over a subnormal one: the ratio would be inf
+        seq = seq_of([3.0, 1 / 3, 1e-320, 8.988465674311579e+307], start=1)
+        with pytest.raises(NonFiniteError,
+                           match=r"^the ratio \(S_4 - S\)/\(S_3 - S\) is beyond the float64 range$"):
+            estimate_rho(seq, 0.0)
+        # rational and bigfloat hold the same ratio, 8.988465674311579e+307 / 1e-320
+        for mode in (RATIONAL, BigFloat(64)):
+            ratio = estimate_rho(seq_of(seq.values, mode=mode), mode.convert(0)).rho_estimates[-1]
+            assert mode.is_finite(ratio) and ratio > 10**627
+        # a ratio that the proxy limit (here 0.0, the last value) drops is not checked
+        proxied = seq_of([3.0, 1e-320, 8.988465674311579e+307, 0.0])
+        assert estimate_rho(proxied, None).rho_estimates == [1e-320 / 3]
+
     def test_zero_delta_is_accepted(self):
         seq, limit = generate(GeneratorSpec("zeta2", 60, 1))
         assert estimate_rho(seq, limit, 0).classification is Classification.LINEAR
@@ -172,6 +186,15 @@ class TestErrorTable:
         for transform in (lbq_transform, epsilon_transform):
             with pytest.raises(NonFiniteError, match=r"\|T_0\^\(4\) - S\| is beyond the float64 range"):
                 error_table(transform(seq, 1), -1.7e308)
+
+    @pytest.mark.parametrize("transform", [lbq_transform, epsilon_transform])
+    def test_keys_are_the_table_keys(self, transform):
+        seq, limit = generate(GeneratorSpec("alt_harmonic", 40, 1))
+        table = transform(seq, 6)
+        errs = error_table(table, limit)
+        assert list(errs) == list(table.entries)
+        assert all(a is b for a, b in zip(errs, table.entries))
+        assert all(a is b for a, b in zip(error_table(table, limit), errs))
 
     def test_reference_cell(self):
         seq, limit = generate(GeneratorSpec("archimedes_pi", 13, 1, BigFloat(128)))

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -22,6 +23,7 @@ from seqaccel import (
     lbq_transform,
     seqgen,
 )
+from seqaccel import cli
 from seqaccel.cli import main
 from seqaccel.formatting import format_exact, format_fixed
 
@@ -89,6 +91,18 @@ class TestFormatting:
         assert format_exact(Fraction(7, 4)) == "1.75"
         assert format_exact(Fraction(1, 3)) == "1/3"
         assert format_exact(0.5) == "0.5"
+
+    def test_values_past_the_int_string_limit(self):
+        # str() refuses an int of more than 4,300 digits; the exact forms print at any size
+        big = 10**5000 + 1
+        assert format_exact(Fraction(big, 3)) == "1" + "0" * 4999 + "1/3"
+        assert format_exact(Fraction(-3, big)) == "-3/1" + "0" * 4999 + "1"
+        assert format_exact(Fraction(big, 10**5000)) == "1." + "0" * 4999 + "1"
+        assert format_exact(Fraction(10 * big + 5, 10)) == "1" + "0" * 4999 + "1.5"
+        assert format_exact(Fraction(1, 5**6000)) == format_fixed(Fraction(2**6000, 10**6000), 6000)
+        assert format_fixed(Fraction(-1, 3), 5000) == "-0." + "3" * 5000
+        assert format_fixed(Fraction(big, 3), 1) == "3" * 5000 + ".7"
+        assert format_fixed(Fraction(-big), 0) == "-1" + "0" * 4999 + "1"
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -227,6 +241,19 @@ class TestGenerateAndRoundTrip:
                            "--output-format", "csv", *FAMILY_ARGS[family])
         assert code == 0
         assert out.splitlines()[1].split(",")[0] == str(seqgen.first_label(family))
+
+    def test_rational_values_past_the_int_string_limit(self, capsys):
+        # the last of these partial sums has more than 4,300 digits above and below
+        code, out, err = run(capsys, "generate", "--family", "exp_series", "--z", "7/5",
+                             "--count", "1500", "--mode", "rational")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert len(lines) == 1500
+        p, q = lines[-1].split("/")
+        assert min(len(p), len(q)) > 4300
+        seq, _ = generate(GeneratorSpec("exp_series", 1500, 0, RATIONAL, z=Fraction(7, 5)))
+        # Decimal reads and int() converts a Decimal at any size
+        assert Fraction(int(Decimal(p)), int(Decimal(q))) == seq.values[-1]
 
     def test_csv_output(self, capsys):
         code, out, _ = run(
@@ -435,6 +462,27 @@ class TestErrors:
             main(["transform", "--no-such-flag"])
         assert exc.value.code == 2
 
+    def test_parser_is_built_once_and_a_failed_parse_leaves_it_as_new(self, capsys):
+        argvs = (["transform", "--k-max", "two"],
+                 ["transform", "--family", "zeta2", "--count", "8", "--k-max", "2"])
+
+        def call(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's own exit on a bad argument
+                code = exc.code
+            return code, *capsys.readouterr()
+
+        reused = [call(argv) for argv in argvs]
+        assert cli.build_parser() is cli.build_parser()
+        fresh = []
+        for argv in argvs:
+            cli.build_parser.cache_clear()
+            fresh.append(call(argv))
+        assert reused == fresh
+        assert [code for code, _, _ in fresh] == [2, 0]
+        assert "invalid int value: 'two'" in fresh[0][2] and fresh[1][1].startswith("| n | T0 |")
+
     @pytest.mark.parametrize("command", ["generate", "classify"])
     def test_breakdown_threshold_only_where_it_is_read(self, capsys, command):
         with pytest.raises(SystemExit) as exc:
@@ -500,7 +548,10 @@ class TestErrors:
          "the remainder S_0 - S"),
         (("compare", "--limit", "-1.7e308", "--k-max", "1"),
          "1.7e308 1.6e308 1.65e308 1.62e308 1.64e308 1.63e308", "the error |T_0^(0) - S|"),
-    ], ids=["classify", "compare"])
+        # a large remainder over a subnormal one: the rho estimate would print as +inf
+        (("classify", "--limit", "0"), "3.0 0.3333333333333333 1e-320 8.988465674311579e+307",
+         "the ratio (S_3 - S)/(S_2 - S)"),
+    ], ids=["classify", "compare", "classify-ratio"])
     def test_float64_difference_beyond_the_range_is_a_clean_error(self, capsys, tmp_path,
                                                                   argv, values, message):
         # S_n - S overflows: classify would print NaN ratios, compare fail to format inf

@@ -114,18 +114,40 @@ class TestModes:
         x = mode.convert(Fraction(1, 3))
         assert abs(x * 3 - 1) < 1e-35
 
-    @given(p=st.integers(-2**300, 2**300), q=st.integers(1, 2**100),
-           bits=st.sampled_from([64, 128, 256]))
+    @given(p=st.integers(0, 3000).flatmap(lambda size: st.integers(-2**size, 2**size)),
+           q=st.integers(1, 3000).flatmap(lambda size: st.integers(1, 2**size)),
+           bits=st.sampled_from([64, 128, 256, 1200]))
     # rounding the numerator first gets these wrong in the last bit
     @example(p=316567598363139886143703424307, q=623700425302028405, bits=64)
     @example(p=319811513492108910478582328675833427582851952992, q=1013202180855784015, bits=128)
     @example(
         p=145990771338879515839081269169663877214252344419352383735847166722491327987732718,
         q=1111524412694376307, bits=256)
+    @example(p=0, q=7, bits=64)
+    @example(p=-1, q=3, bits=1200)
+    @example(p=-(2**3000 - 1), q=2**2999 + 1, bits=256)  # a quotient just under 2
+    @example(p=2**64 + 1, q=2, bits=64)  # a tie, rounded to even
+    @example(p=2**65 - 1, q=1, bits=64)  # a carry to the next power of two
     def test_bigfloat_converts_a_fraction_with_one_rounding(self, p, q, bits):
         x = Fraction(p, q)
         want = from_rational(x.numerator, x.denominator, bits, round_nearest)
-        assert BigFloat(bits).convert(x)._mpf_ == want
+        # repr, so that a sign of True or False does not pass for 1 or 0
+        assert repr(BigFloat(bits).convert(x)._mpf_) == repr(want)
+
+    def test_bigfloat_converts_the_exp_series_partial_sums_with_one_rounding(self):
+        # the partial sums of exp(7/5) to N = 4000, every 50th: S_n = a_n / (5^n n!)
+        # with a_n = 5n a_(n-1) + 7^n, operands of up to some 15,000 digits
+        sums, a, den = [], 1, 1
+        for n in range(1, 4001):
+            a, den = 5 * n * a + 7**n, 5 * n * den
+            if n % 50 == 0:
+                sums.append(Fraction(a, den))
+        assert sums[-1].denominator.bit_length() > 40000
+        for bits in (64, 256, 1200):
+            mode = BigFloat(bits)
+            for x in sums:
+                want = from_rational(x.numerator, x.denominator, bits, round_nearest)
+                assert repr(mode.convert(x)._mpf_) == repr(want)
 
     @given(digits=st.integers(10**59, 10**60 - 1), point=st.integers(0, 60),
            bits=st.sampled_from([64, 128, 256]))
@@ -450,6 +472,47 @@ class TestTransformTable:
         table = lbq_transform(seq, 30)
         assert sum(e.ok for e in table.entries.values()) > 1000
         assert live_entries() - before <= 2
+
+    def test_whole_table_readers_share_one_key_list(self):
+        table = self.breakdown_table()
+        keys = list(table.entries)
+        assert keys == [(k, n) for k, (_, length) in table.columns.items()
+                        for n in range(3, 3 + length)]
+        for again in (list(table.entries), list(table.entries.keys()),
+                      [key for key, _ in table.entries.items()], list(table.cells(str))):
+            assert again == keys and all(a is b for a, b in zip(again, keys))
+
+    def test_key_list_follows_the_shape(self):
+        table = self.breakdown_table()
+        before = list(table.entries)
+        # a column of another length, then new columns, then a new start label
+        prefix, length = table.columns[5]
+        table.columns[5] = (prefix, length + 2)
+        assert list(table.entries) == before + [(5, 3 + length), (5, 4 + length)]
+        assert list(table.cells(str)) == list(table.entries)
+        table.columns = {1: ([Fraction(1)], 3), 0: ([], 1)}
+        assert list(table.entries) == [(1, 3), (1, 4), (1, 5), (0, 3)]
+        assert table.cells(str) == {(1, 3): "1", (1, 4): Status.BREAKDOWN,
+                                    (1, 5): Status.BREAKDOWN, (0, 3): Status.BREAKDOWN}
+        table.start_label = -1
+        assert list(table.entries) == [(1, -1), (1, 0), (1, 1), (0, -1)]
+        # a cell written through the view changes no shape, and no key
+        keys = list(table.entries)
+        table.entries[1, 1] = TransformEntry.valid(Fraction(2))
+        assert all(a is b for a, b in zip(table.entries, keys))
+
+    def test_key_list_plays_no_part_in_eq_repr_replace_or_pickle(self):
+        read, fresh = self.breakdown_table(), self.breakdown_table()
+        list(read.entries)
+        assert read == fresh and repr(read) == repr(fresh)
+        assert pickle.dumps(read) == pickle.dumps(fresh)
+        for copy in (dataclasses.replace(read), pickle.loads(pickle.dumps(read))):
+            assert copy == fresh
+            assert list(copy.entries) == list(fresh.entries)
+            assert not any(a is b for a, b in zip(copy.entries, read.entries))
+        # a replaced table of another shape reads its own keys
+        shorter = dataclasses.replace(read, columns={0: read.columns[0]})
+        assert list(shorter.entries) == [(0, n) for n in range(3, 17)]
 
     def test_bigfloat_table_pickles(self):
         # each value comes back as its precision's mpf, with the same tuple
