@@ -36,8 +36,9 @@ class ConvergenceReport:
 def estimate_rho(seq, limit=None, delta=0.05):
     """Remainder-ratio estimates (S_{n+1} - S)/(S_n - S) and a classification.
 
-    With no known limit the last element serves as a proxy and the final
-    two ratios are dropped.  Classification keys off the representative
+    A given ``limit`` is read in the sequence's mode, once.  With no
+    known limit the last element serves as a proxy and the final two
+    ratios are dropped.  Classification keys off the representative
     signed estimate from the final third of the ratio list:
 
     * within delta of +1        -> LOGARITHMIC
@@ -57,8 +58,7 @@ def estimate_rho(seq, limit=None, delta=0.05):
     if len(seq) < 3:
         raise WindowError("need at least 3 elements to estimate rho")
     proxy = limit is None
-    if proxy:
-        limit = seq.values[-1]
+    limit = seq.values[-1] if proxy else seq.mode.convert(limit)
     remainders = [v - limit for v in seq.values]
     for n, r in zip(seq.labels(), remainders):
         if not seq.mode.is_finite(r):

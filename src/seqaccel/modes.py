@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import copyreg
 import math
+import re
 import sys
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import cache
 
@@ -70,15 +72,44 @@ def _from_fraction(p, q, prec):
     return normalize(sign, man, -shift, man.bit_length(), prec, round_nearest)
 
 
+# the literals that Fraction(text) reads in Python 3.11, in every Python version:
+# an integer, p/q with no space around the "/", or a decimal with an optional
+# exponent, each run of digits grouped by single underscores
+_DIGITS = r"\d+(?:_\d+)*"
+_LITERAL = re.compile(rf"(?P<num>[-+]?(?=\d|\.\d)(?:{_DIGITS})?)"
+                      rf"(?:/(?P<den>{_DIGITS})|(?:\.(?:{_DIGITS})?)?(?:[eE][-+]?{_DIGITS})?)")
+
+
+def is_literal(text):
+    """Whether ``text``, stripped, is a decimal literal or a p/q fraction string; ``p/0`` is one."""
+    return _LITERAL.fullmatch(text.strip()) is not None
+
+
+def excerpt(text):
+    """``text``, or its first and last characters for a long one: a message quotes a literal of any size."""
+    return text if len(text) <= 40 else f"{text[:20]}...{text[-10:]}"
+
+
 def _parse_number(text):
-    """Parse a decimal literal or a p/q fraction string to a Fraction (an IngestError if it is neither)."""
+    """Parse a decimal literal or a p/q fraction string to a Fraction (an IngestError if it is neither).
+
+    The digits are read by ``Decimal``, which reads any number of them:
+    ``Fraction(text)`` reads them with ``int``, which refuses more than
+    4,300 (``sys.get_int_max_str_digits``).
+    """
     text = text.strip()
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise IngestError(f"{text} has a zero denominator") from None
-    except ValueError:
-        raise IngestError(f"{text!r} is not a number") from None
+    match = _LITERAL.fullmatch(text)
+    if match is None:
+        raise IngestError(f"{excerpt(text)!r} is not a number")
+    if match["den"] is None:
+        try:
+            return Fraction(Decimal(text))
+        except InvalidOperation:  # an exponent beyond Decimal's range
+            raise IngestError(f"the exponent of {excerpt(text)!r} is out of range") from None
+    num, den = (int(Decimal(match[part])) for part in ("num", "den"))
+    if not den:  # Fraction(num, 0) would print num, at any size, in its error
+        raise IngestError(f"{excerpt(text)} has a zero denominator")
+    return Fraction(num, den)
 
 
 def value_text(x):
@@ -92,7 +123,7 @@ def value_text(x):
             exponent = math.floor(math.log10(abs(x.numerator)) - math.log10(x.denominator))
             return f"~{'-' if x < 0 else ''}1e{exponent}"
         return str(x)
-    return repr(x)
+    return repr(excerpt(x) if isinstance(x, str) else x)
 
 
 class _Mode:

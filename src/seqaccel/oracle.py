@@ -8,12 +8,11 @@ identities are verified as residuals.
 
 The oracle is exact in every mode.  Each value of S is read exactly (a
 float or mpf is a dyadic rational) and S is scaled by the least common
-denominator D of its values, so each table of forward differences it
-builds holds integers.  A table is only as deep as the determinants it
-serves read (``_difference_table``).  Every determinant row is a slice
-of a table, and every determinant is an integer over a power of D: its
-number of difference rows (``_power``), which depends on its order and
-kind, never on its label.  So a label column is a list of ints with one
+denominator D of its values, so each row of forward differences it
+reads holds integers.  Every determinant row is a slice of a row, and
+every determinant is an integer over a power of D: its number of
+difference rows (``_power``), which depends on its order and kind,
+never on its label.  So a label column is a list of ints with one
 power.  The work stays in integers until a public value is formed, and
 each public value is one Fraction: a T ratio, and the molecule ratio
 G/F that ``verify_routes`` compares, is num / (den * D), an F or G is
@@ -21,20 +20,20 @@ one integer over its column's power of D, each nonzero bilinear
 residual is one integer over a power of D, and a zero residual is the
 shared Fraction(0).
 
-The routes have one label-column builder, ``_orders``.  Given the
-highest order wanted of each kind of determinant, (shift, head), it
-builds the one difference table those orders read.  Each order's label
-column is condensed from the columns of the two orders below it by
-Sylvester's identity (Dodgson 1866, Bareiss 1968), one exact integer
-division per cell; where the divisor is zero, that one cell is its own
-``bareiss_det``.  The kinds share the columns of the determinants
-without a head row, one family per parity of the shift.
-``_t_columns`` reads the numerator and denominator of T from it;
-``oracle_transform`` and ``verify_routes`` both read T that way.  The
-molecule (and with it ``check_bilinear``) asks it for Psi_1, Psi_2, ...
-of each D^shift S it reads, and Phi_1, Phi_2, ... of D S, as deep as the
-highest order the requested levels read.  ``verify_routes`` makes one
-call for T's kinds and the molecule's, so both read one table.  F and G
+Each public call reads one ``_Table`` of its sequence, which makes each
+difference row, and each label column of each kind of determinant
+(shift, head), when it is first read, so it is only as deep as the
+determinants the call reads.  Each order's label column is condensed
+from the columns of the two orders below it by Sylvester's identity
+(Dodgson 1866, Bareiss 1968), one exact integer division per cell;
+where the divisor is zero, that one cell is its own ``bareiss_det``.
+The kinds share the columns of the determinants without a head row,
+one family per parity of the shift.  ``_t_columns`` reads the numerator
+and denominator of T from it; ``oracle_transform`` and
+``verify_routes`` both read T that way.  The molecule (and with it
+``check_bilinear``) reads Psi_1, Psi_2, ... of each D^shift S, and
+Phi_1, Phi_2, ... of D S, as deep as the levels it is asked for.
+``verify_routes`` reads T and the molecule from one table.  F and G
 stay closed-form determinants, so ``check_bilinear`` checks identities
 the molecule did not use.  ``psi_det``, ``phi_det``, ``t_denominator``
 and ``t_determinant`` take each cell by its own ``bareiss_det``, an
@@ -62,7 +61,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
 
 from .determinants import bareiss_det, integers_over
 from .errors import (
@@ -80,27 +78,68 @@ from .sequences import Sequence
 from .tables import TransformTable
 
 
-class _Differences(NamedTuple):
-    rows: list  # rows[j] = D^j (scale * S), lists of ints
-    scale: int  # least common denominator of S
+class _Table:
+    """One sequence's difference rows and determinant label columns, each made when first read.
 
-
-def _difference_table(seq, tops):
-    """D^0, D^1, ... of scale * S, as deep as the determinants of ``tops`` read.
-
-    ``tops`` maps (shift, head) to the highest order read of that kind
-    (see ``_block``); the table stops at the highest difference order
-    any of them reads (``_last_order``), or at the last nonempty one.
-    Every value is read exactly and scaled to an integer, so every row
-    is a list of ints.
+    ``rows[j]`` is D^j (scale * S), a list of ints: every value of S is
+    read exactly and scaled by ``scale``, the least common denominator
+    of S, so the rows hold integers.  ``columns[shift, head]`` lists the
+    label columns of that kind of determinant by order, from order 0
+    (the ones column) up to the highest order read so far.  A table
+    lives for one public call, and holds no reference to itself.
     """
-    values, scale = integers_over(list(map(integer_ratio, seq.values)))
-    rows = [values]
-    depth = max((_last_order(k, shift, head) for (shift, head), k in tops.items()), default=0)
-    for _ in range(min(depth, len(values) - 1)):
-        prev = rows[-1]
-        rows.append([b - a for a, b in zip(prev, prev[1:])])
-    return _Differences(rows, scale)
+
+    def __init__(self, seq):
+        values, self.scale = integers_over(list(map(integer_ratio, seq.values)))
+        self.seq = seq
+        self.rows = [values]
+        self.columns = {}
+
+    def row(self, j):
+        """D^j (scale * S), made with every row below it on first read; [] past the last nonempty row."""
+        rows = self.rows
+        while len(rows) <= j < len(rows[0]):
+            prev = rows[-1]
+            rows.append([b - a for a, b in zip(prev, prev[1:])])
+        return rows[j] if j < len(rows) else []
+
+    def column(self, j, shift=0, head=None):
+        """The label column of the order-j determinant of kind (shift, head), made on first read.
+
+        A list of ints, its values from the start label on, as far as its
+        window fits, each over scale**_power(j, head); orders -1 and 0 are
+        0 and 1 at every label.  The table keeps each column it makes and
+        hands the same list to every reader, so no reader may change one.
+
+        H[s][j], the order-j column with rows D^s S, D^(s+2) S, ..., is
+        condensed (``_condensed``) from H[s][j-1] and H[s+2][j-1] over
+        H[s+2][j-2], with H[s][1] = D^s S; a head row's order j comes from
+        its order j - 1 and H[s][j-1] over H[s][j-2].  So the order-j
+        column of a kind reads H[s + 2i] up to order top - i, where top is
+        j, or j - 1 below a head row.  Those are made iteratively, the
+        deepest shift first, so that H[s + 2i] reaches an order only after
+        H[s + 2i + 2] has reached the one below it: a request costs
+        O(order) steps, and each column is condensed once.
+        """
+        if j < 1:
+            return [j + 1] * len(self.seq)
+        top = j - (head is not None)
+        if len(self.columns.get((shift, None), ())) <= top:  # else H[shift + 2i] has reached top - i
+            for i in range(top - 1, -1, -1):
+                self._reach(shift + 2 * i, None, top - i)
+        return self._reach(shift, head, j)
+
+    def _reach(self, shift, head, j):
+        """The order-j column of (shift, head), once the columns below that it reads are made."""
+        columns = self.columns.get((shift, head))
+        if columns is None:
+            ones = [1] * len(self.seq)
+            first = self.row(shift) if head is None else list(self.seq.labels()) if head == "labels" else ones
+            columns = self.columns[shift, head] = [ones, first]
+        for i in range(len(columns), j + 1):
+            below = self.columns[shift + 2 if head is None else shift, None]
+            columns.append(_condensed(self, i, shift, head, columns[i - 1], below[i - 1], below[i - 2]))
+        return columns[j]
 
 
 def _power(k, head):
@@ -113,40 +152,32 @@ def _power(k, head):
     return max(k - (head is not None), 0)
 
 
-def _last_order(k, shift, head):
-    """The highest difference order an order-k determinant reads, or 0 (S itself) when it reads none.
-
-    Below its ``head`` row, if any, its rows are D^shift S, D^(shift+2) S, ....
-    """
-    rows = _power(k, head)
-    return shift + 2 * rows - 2 if rows else 0
-
-
-def _fits(seq, diffs, k, n, shift, head):
+def _fits(table, k, n, shift, head):
     """Whether an order-k >= 1 determinant over the columns n..n+k-1 fits the sequence.
 
-    The columns must lie in the highest order read, whose row is the
-    shortest.
+    The columns must lie in the highest difference order read, whose row
+    is the shortest: below its ``head`` row, if any, its rows are
+    D^shift S, D^(shift+2) S, ..., and one that reads no difference row
+    reads S itself.
     """
-    lo = n - seq.start_label
-    last = _last_order(k, shift, head)
-    return lo >= 0 and last < len(diffs.rows) and lo + k <= len(diffs.rows[last])
+    lo, rows = n - table.seq.start_label, _power(k, head)
+    return lo >= 0 and lo + k <= len(table.row(shift + 2 * rows - 2 if rows else 0))
 
 
-def _block(seq, diffs, k, n, shift, head):
+def _block(table, k, n, shift, head):
     """The k x k matrix of an order-k >= 1 determinant whose window fits.
 
     Its rows are the ``head`` row, if any (``"labels"``: the labels
     n..n+k-1, or ``"ones"``), then D^shift S, D^(shift+2) S, ... over the
-    columns n..n+k-1, read from ``diffs``, since D^(2i) (D^shift S) =
+    columns n..n+k-1, read from ``table``, since D^(2i) (D^shift S) =
     D^(2i+shift) S.
     """
-    lo = n - seq.start_label
+    lo = n - table.seq.start_label
     rows = [] if head is None else [list(range(n, n + k)) if head == "labels" else [1] * k]
-    return rows + [diffs.rows[order][lo:lo + k] for order in range(shift, shift + 2 * (k - len(rows)) - 1, 2)]
+    return rows + [table.row(order)[lo:lo + k] for order in range(shift, shift + 2 * (k - len(rows)) - 1, 2)]
 
 
-def _hankel_det(seq, diffs, k, n, shift=0, head=None):
+def _hankel_det(table, k, n, shift=0, head=None):
     """k x k determinant of ``_block`` at label n, an integer over scale**_power(k, head).
 
     Conventions: k = -1 gives 0, k = 0 gives 1.  A window outside the
@@ -156,22 +187,16 @@ def _hankel_det(seq, diffs, k, n, shift=0, head=None):
         if k < -1:
             raise WindowError(f"determinant order {k} is below -1")
         return k + 1
-    if not _fits(seq, diffs, k, n, shift, head):
+    if not _fits(table, k, n, shift, head):
         raise WindowError(f"labels {n}..{n + k - 1} of the order-{k} determinant over D^{shift} S "
                           f"lie outside the sequence")
-    return bareiss_det(_block(seq, diffs, k, n, shift, head))
-
-
-def _single(seq, k, n, shift=0, head=None):
-    """``_hankel_det`` of ``seq`` alone, over a difference table as deep as it reads, as (diffs, det)."""
-    diffs = _difference_table(seq, {(shift, head): k})
-    return diffs, _hankel_det(seq, diffs, k, n, shift, head)
+    return bareiss_det(_block(table, k, n, shift, head))
 
 
 def _exact(seq, k, n, shift=0, head=None):
-    """The Fraction of ``_single``'s determinant: its integer over scale**_power(k, head)."""
-    diffs, det = _single(seq, k, n, shift, head)
-    return Fraction(det, diffs.scale ** _power(k, head))
+    """The Fraction of ``_hankel_det`` over a table of ``seq`` alone: its integer over scale**_power(k, head)."""
+    table = _Table(seq)
+    return Fraction(_hankel_det(table, k, n, shift, head), table.scale ** _power(k, head))
 
 
 def psi_det(v, k, n):
@@ -202,19 +227,15 @@ def t_determinant(seq, k, n):
     """
     if k < 0:
         raise WindowError("transform order k must be nonnegative")
-    diffs, den = _single(seq, k + 1, n, 2, "ones")
+    table = _Table(seq)
+    den = _hankel_det(table, k + 1, n, 2, "ones")
     if den == 0:
         raise SingularError(f"zero denominator determinant at (k={k}, n={n})")
-    return seq.mode.convert(Fraction(_hankel_det(seq, diffs, k + 1, n), den * diffs.scale))
+    return seq.mode.convert(Fraction(_hankel_det(table, k + 1, n), den * table.scale))
 
 
-def _t_tops(k_max):
-    """The kinds that T_0, ..., T_k_max read, as ``_orders`` tops: the numerator and the denominator."""
-    return {(0, None): k_max + 1, (2, "ones"): k_max + 1}
-
-
-def _t_columns(diffs, orders):
-    """The exact label columns T_0, T_1, ... from the orders of ``_t_tops``; None is a zero denominator.
+def _t_columns(table, k_max):
+    """The exact label columns T_0, ..., T_k_max read from ``table``; None is a zero denominator.
 
     The numerator of T_k^(n) is the order-(k+1) Psi of S, over
     scale**(k+1), and its denominator the order-(k+1) determinant with a
@@ -222,8 +243,10 @@ def _t_columns(diffs, orders):
     num / (den * scale).  Both windows fit while n + 3k is a label, so
     column k of each is as long, and the two are zipped.
     """
-    return [[Fraction(num, den * diffs.scale) if den else None for num, den in zip(nums, dens)]
-            for nums, dens in zip(orders[0, None][2:], orders[2, "ones"][2:])]
+    table.column(k_max + 1)  # the deepest first, so that each shift's orders are made in one run
+    return [[Fraction(num, den * table.scale) if den else None
+             for num, den in zip(table.column(k + 1), table.column(k + 1, 2, "ones"))]
+            for k in range(k_max + 1)]
 
 
 def _cell(mode, x):
@@ -243,8 +266,7 @@ def oracle_transform(seq, k_max):
     """
     if k_max < 0:
         raise WindowError("max_order must be nonnegative")
-    columns = [[_cell(seq.mode, x) for x in column]
-               for column in _t_columns(*_orders(seq, _t_tops(k_max)))]
+    columns = [[_cell(seq.mode, x) for x in column] for column in _t_columns(_Table(seq), k_max)]
     return TransformTable.from_columns({k: (c, len(c)) for k, c in enumerate(columns)}, seq)
 
 
@@ -275,7 +297,7 @@ _MOLECULE = (
 )
 
 
-def _condensed(seq, diffs, j, shift, head, x, y, below):
+def _condensed(table, j, shift, head, x, y, below):
     """The order-j label column of (shift, head), condensed from the columns of the two orders below.
 
     x holds the minors of the order-j block without its last row, y
@@ -287,87 +309,32 @@ def _condensed(seq, diffs, j, shift, head, x, y, below):
     below[i+1] is 0, the cell is its own ``bareiss_det``.  The zip ends
     where the order-j window stops fitting.
     """
-    return [(a * d - b * c) // e if e else bareiss_det(_block(seq, diffs, j, seq.start_label + i, shift, head))
+    start = table.seq.start_label
+    return [(a * d - b * c) // e if e else bareiss_det(_block(table, j, start + i, shift, head))
             for i, (a, b, c, d, e) in enumerate(zip(x, y, x[1:], y[1:], below[1:]))]
 
 
-def _orders(seq, tops):
-    """The difference table that ``tops`` reads, and the label column of every order it names.
-
-    ``tops`` maps (shift, head) to the highest order wanted of that
-    kind.  Returns (diffs, orders), where orders[shift, head][i] is the
-    label column of the order-(i - 1) determinant: a list of ints, its
-    values from the start label on, as far as its window fits.  Every
-    cell of the order-j column is over scale**_power(j, head).  A window
-    only shrinks as the label grows, so each column is a prefix of the
-    labels.  The kinds share columns (the ones column is order 0 of
-    every kind and order 1 of a head "ones" kind), so no reader may
-    change one.
-
-    Each order is condensed from the two orders below it (``_condensed``).
-    H[s][j], the order-j column with rows D^s S, D^(s+2) S, ..., comes
-    from H[s][j-1] and H[s+2][j-1] over H[s+2][j-2], with H[s][0] = 1 and
-    H[s][1] = D^s S; a head row's order j comes from its order j - 1 and
-    H[s][j-1] over H[s][j-2].  The kinds share their H columns, one shift
-    family per parity.
-    """
-    diffs = _difference_table(seq, tops)
-    need = {}  # shift: the highest order of H[shift] read
-    for (shift, head), top in tops.items():
-        top -= head is not None  # a head row's order j reads H[shift] up to order j - 1
-        for i in range(top):
-            need[shift + 2 * i] = max(need.get(shift + 2 * i, 0), top - i)
-    zeros, ones = [0] * len(seq), [1] * len(seq)
-    H = {}
-    for s in sorted(need, reverse=True):
-        H[s] = [ones, diffs.rows[s] if s < len(diffs.rows) else []]
-        for j in range(2, need[s] + 1):
-            H[s].append(_condensed(seq, diffs, j, s, None, H[s][j - 1], H[s + 2][j - 1], H[s + 2][j - 2]))
-    orders = {}
-    for (shift, head), top in tops.items():
-        if head is None:
-            columns = H.get(shift, [ones])
-        else:
-            columns = [ones, list(seq.labels()) if head == "labels" else ones]
-            for j in range(2, top + 1):
-                columns.append(_condensed(seq, diffs, j, shift, head, columns[j - 1], H[shift][j - 1], H[shift][j - 2]))
-        orders[shift, head] = ([zeros] + columns)[:top + 2]
-    return diffs, orders
-
-
-def _molecule(seq, levels, tops=()):
-    """The label columns of F and G at the ``levels``, and the orders they read, as (diffs, orders, F, G).
+def _molecule(table, levels):
+    """The label columns of F and G at the ``levels``, read from ``table``, as (F, G).
 
     F and G are dicts {level: (column, power)}.  A column is a list of
     ints, the level's values from the start label on, as far as both the
     F and the G window fit, each over scale**power; each level's cells
-    are a prefix of the labels.  The Psi and Phi that the levels read
-    come from one ``_orders`` call, each (shift, head) as deep as the
-    highest order the levels read.  ``tops`` names more kinds for the
-    same call, which ``orders`` then holds too (``verify_routes`` adds
-    T's kinds, so T and the molecule share one table).  Level 2 is the
-    seed level: G_2/F_2 = Phi_1(D S)/Psi_0(D^2 S) = n is the lattice's
-    seed U_2^n = n, defined at every label of S, so Phi_1, which reads
-    only its label row, is read at the last label too, where D S has no
-    cell.
+    are a prefix of the labels.  Level 2 is the seed level: G_2/F_2 =
+    Phi_1(D S)/Psi_0(D^2 S) = n is the lattice's seed U_2^n = n, defined
+    at every label of S, so Phi_1, which reads only its label row, is
+    read at the last label too, where D S has no cell.
     """
-    tops = dict(tops)
-    for level in levels:
-        k, r = divmod(level, 3)
-        for shift, head, offset in _MOLECULE[r]:
-            tops[shift, head] = max(tops.get((shift, head), -1), k + offset)
-    diffs, orders = _orders(seq, tops)
     F, G = {}, {}
     for level in levels:
         k, r = divmod(level, 3)
         # a Psi or Phi of D^shift S needs D^shift S to exist, even Phi_1,
-        # which reads only its label row; a missing one is read as an empty
-        # column, since the kinds share their columns (see ``_orders``)
-        (f, p), (g, q) = ((orders[shift, head][k + offset + 1] if shift < len(seq) or k + offset < 1 else [],
+        # which reads only its label row; a missing one is an empty column
+        (f, p), (g, q) = ((table.column(k + offset, shift, head) if shift < len(table.seq) or k + offset < 1 else [],
                            _power(k + offset, head)) for shift, head, offset in _MOLECULE[r])
         size = min(len(f), len(g))
         F[level], G[level] = (f[:size], p), ([-x for x in g[:size]] if r == 1 else g[:size], q)
-    return diffs, orders, F, G
+    return F, G
 
 
 def molecule_solution(seq, max_level):
@@ -379,10 +346,11 @@ def molecule_solution(seq, max_level):
     label of S, the last one included.
     """
     mol = MoleculeSolution()
-    diffs, _, F, G = _molecule(seq, range(max_level + 1))
+    table = _Table(seq)
+    F, G = _molecule(table, range(max_level + 1))
     for level, (fs, p) in F.items():
         gs, q = G[level]
-        df, dg = diffs.scale ** p, diffs.scale ** q
+        df, dg = table.scale ** p, table.scale ** q
         for n, f, g in zip(seq.labels(), fs, gs):
             f, g = _cell(seq.mode, Fraction(f, df)), _cell(seq.mode, Fraction(g, dg))
             if f is not None and g is not None:
@@ -395,18 +363,19 @@ def verify_routes(seq, k_max):
 
     The lattice value must equal the exact determinant ratio and the
     exact molecule ratio G/F at level 3k+3.  Both are label columns
-    from one ``_orders`` call over one table: ``_molecule`` builds T's
-    kinds beside its own.  At level 3k+3, G = Psi_{k+1}(S) is over
-    scale**(k+1) and F = Psi_k(D^3 S) over scale**k, so G/F is
-    g / (f * scale), like T.  For each k, the lattice column's prefix,
-    the T column and the molecule column at level 3k+3 are walked
-    together by label; all three windows fit while n + 3k is a label.
-    A zero denominator or F = 0 counts as a mismatch.  Returns the
-    number of cells compared and the (k, n) of each mismatch.
+    read from one table, which condenses each column they share once.
+    At level 3k+3, G = Psi_{k+1}(S) is over scale**(k+1) and F =
+    Psi_k(D^3 S) over scale**k, so G/F is g / (f * scale), like T.  For
+    each k, the lattice column's prefix, the T column and the molecule
+    column at level 3k+3 are walked together by label; all three
+    windows fit while n + 3k is a label.  A zero denominator or F = 0
+    counts as a mismatch.  Returns the number of cells compared and the
+    (k, n) of each mismatch.
     """
     lattice = lbq_transform(seq, k_max)
-    diffs, orders, F, G = _molecule(seq, range(6, 3 * k_max + 4, 3), _t_tops(k_max))
-    T = _t_columns(diffs, orders)
+    table = _Table(seq)
+    F, G = _molecule(table, range(6, 3 * k_max + 4, 3))
+    T = _t_columns(table, k_max)
     cells, mismatches = 0, []
     for k in range(1, k_max + 1):
         (fs, _), (gs, _) = F[3 * k + 3], G[3 * k + 3]
@@ -414,7 +383,7 @@ def verify_routes(seq, k_max):
             if value is None:
                 continue
             cells += 1
-            if not (f != 0 and value == t == Fraction(g, f * diffs.scale)):
+            if not (f != 0 and value == t == Fraction(g, f * table.scale)):
                 mismatches.append((k, n))
     return cells, mismatches
 
@@ -482,11 +451,12 @@ def check_bilinear(seq, k_max):
     """
     if not seq.mode.is_exact:
         raise ModeUnsupportedError(f"check_bilinear needs exact arithmetic, not {seq.mode.name}")
-    diffs, _, F, G = _molecule(seq, range(k_max + 4))
+    table = _Table(seq)
+    F, G = _molecule(table, range(k_max + 4))
     residuals = {name: {} for name in _BILINEAR_FORMS}
     for name, form in _BILINEAR_FORMS.items():
         for k in range(1, k_max + 1):
-            residuals[name].update(((k, n), r) for n, r in zip(seq.labels(), _residuals(diffs.scale, form(F, G, k))))
+            residuals[name].update(((k, n), r) for n, r in zip(seq.labels(), _residuals(table.scale, form(F, G, k))))
     checked = sum(map(len, residuals.values()))
     # F_0 = 0 is structural; only positive levels signal degeneracy
     zero_f = [(level, n) for level, (fs, _) in F.items() if level > 0

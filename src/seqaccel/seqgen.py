@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .errors import (EmptyInputError, IngestError, ModeUnsupportedError, NonFiniteError,
                      SeqAccelError, SpecError)
-from .modes import FLOAT64, RATIONAL
+from .modes import FLOAT64, RATIONAL, excerpt, is_literal
 from .sequences import Sequence
 
 FAMILIES = ("archimedes_pi", "alt_harmonic", "zeta2", "geometric", "exp_series", "zeta")
@@ -177,7 +177,7 @@ def ingest(path, fmt="lines", mode=FLOAT64, column=None, start_label=None):
             try:
                 values.append(mode.parse(stripped))
             except SeqAccelError as exc:
-                raise IngestError(f"{path}:{i}: cannot parse {stripped!r}") from exc
+                raise IngestError(f"{path}:{i}: cannot parse {excerpt(stripped)!r}") from exc
         if not values:
             raise IngestError(f"{path}: no values found")
         return Sequence(0 if start_label is None else start_label, tuple(values), mode)
@@ -193,7 +193,7 @@ def _ingest_csv(path, text, mode, column, start_label):
     if not rows:
         raise IngestError(f"{path}: empty file")
     header = None
-    if not any(map(_is_number, rows[0])):
+    if not any(map(is_literal, rows[0])):
         header = [h.strip() for h in rows[0]]
         rows = rows[1:]
         if not rows:
@@ -220,7 +220,7 @@ def _ingest_csv(path, text, mode, column, start_label):
             if label_idx is not None:
                 labels.append(int(row[label_idx]))
         except (SeqAccelError, ValueError, IndexError) as exc:  # int() of the label raises ValueError
-            raise IngestError(f"{path}:{i}: cannot parse row {row!r}") from exc
+            raise IngestError(f"{path}:{i}: cannot parse row {list(map(excerpt, row))!r}") from exc
     if labels:
         if labels != list(range(labels[0], labels[0] + len(labels))):
             raise IngestError(f"{path}: label column must be consecutive integers")
@@ -230,17 +230,6 @@ def _ingest_csv(path, text, mode, column, start_label):
     if start_label is not None:
         first = start_label
     return Sequence(first, tuple(values), mode)
-
-
-def _is_number(text):
-    """Whether ``text`` is a number literal; ``p/0`` is one, with a zero denominator."""
-    try:
-        Fraction(text.strip())
-    except ZeroDivisionError:  # p/0
-        return True
-    except ValueError:
-        return False
-    return True
 
 
 def _is_int(text):

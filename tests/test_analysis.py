@@ -123,6 +123,16 @@ class TestEstimateRho:
         proxied = seq_of([3.0, 1e-320, 8.988465674311579e+307, 0.0])
         assert estimate_rho(proxied, None).rho_estimates == [1e-320 / 3]
 
+    @pytest.mark.parametrize("mode", [RATIONAL, BigFloat(64)], ids=lambda m: m.name)
+    def test_a_float_limit_is_read_in_the_mode(self, mode):
+        # Fraction - float is a float: a limit left as a float made every
+        # remainder and ratio a float, and named the wrong range on overflow
+        seq = Sequence.from_iterable([Fraction(1, 2**n) for n in range(8)], 0, mode)
+        report = estimate_rho(seq, 0.0)
+        assert report.rho_estimates == [Fraction(1, 2)] * 7
+        assert all(type(r) is mode.value_type for r in report.rho_estimates)
+        assert type(report.limit_used) is mode.value_type
+
     def test_zero_delta_is_accepted(self):
         seq, limit = generate(GeneratorSpec("zeta2", 60, 1))
         assert estimate_rho(seq, limit, 0).classification is Classification.LINEAR

@@ -255,6 +255,25 @@ class TestGenerateAndRoundTrip:
         # Decimal reads and int() converts a Decimal at any size
         assert Fraction(int(Decimal(p)), int(Decimal(q))) == seq.values[-1]
 
+    def test_rational_values_past_the_int_string_limit_read_back(self, capsys, tmp_path):
+        # the values that generate prints are read back at any size; a corrupted
+        # one ends in one short error line, which quotes an excerpt of it
+        target = tmp_path / "big.txt"
+        code, _, _ = run(capsys, "generate", "--family", "exp_series", "--z", "7/5", "--count", "1500",
+                         "--mode", "rational", "--out", str(target))
+        assert code == 0
+        code, out, err = run(capsys, "transform", "--input", str(target), "--mode", "rational", "--k-max", "1")
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 1502
+        lines = target.read_text().splitlines()
+        assert len(lines[-1]) > 8000
+        lines[-1] = lines[-1][:3000] + "x" + lines[-1][3000:]
+        target.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "transform", "--input", str(target), "--mode", "rational", "--k-max", "1")
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {target}:1500: cannot parse '") and err.count("\n") == 1
+        assert len(err) < len(str(target)) + 100
+
     def test_csv_output(self, capsys):
         code, out, _ = run(
             capsys, "generate", "--family", "alt_harmonic", "--count", "3",

@@ -6,6 +6,7 @@ import math
 import pickle
 import re
 from dataclasses import FrozenInstanceError
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -100,6 +101,40 @@ class TestModes:
     def test_rational_parse_is_exact(self):
         assert RATIONAL.parse("0.1") == Fraction(1, 10)
         assert RATIONAL.parse("3/7") == Fraction(3, 7)
+
+    @pytest.mark.parametrize("text, want", [
+        ("0", 0), ("-7", -7), ("+3", 3), (" 12 ", 12), ("\t-3/4\n", Fraction(-3, 4)), ("1_000", 1000),
+        ("1_2/3_4", Fraction(12, 34)), ("0.5", Fraction(1, 2)), (".5", Fraction(1, 2)), ("5.", 5),
+        ("-.5E+3", -500), ("1.e5", 10**5), ("2e-3", Fraction(1, 500)), ("1_0.0_1e1_0", 1001 * 10**8),
+        ("\u0661\u0662/\u0663", 4),
+    ] + [(text, None) for text in ("1/-2", "0x10", "1 /2", "1/ 2", "1__0", "_1", "1_", "1e", "e1", ".", "-",
+                                   "1/2/3", "1.5/2", "inf", "-Infinity", "nan", "1.d", "", "   ")])
+    def test_parse_reads_the_literals_fraction_reads(self, text, want):
+        # the grammar of Fraction(text) in Python 3.11, in every Python version
+        if want is None:
+            with pytest.raises(IngestError, match="is not a number$"):
+                RATIONAL.parse(text)
+        else:
+            assert RATIONAL.parse(text) == want
+
+    def test_parse_reads_literals_past_the_int_string_limit(self):
+        # Fraction(text) reads digits with int(), which refuses more than 4,300
+        p, q = "12345678" * 700, "98765431" * 700
+        assert RATIONAL.parse(f"-{p}/{q}") == Fraction(-int(Decimal(p)), int(Decimal(q)))
+        assert RATIONAL.parse(f"{p}.{q}e-3") == Fraction(int(Decimal(p + q)), 10 ** (len(q) + 3))
+        assert FLOAT64.parse(f"{p}/{q}") == float(Fraction(int(Decimal(p)), int(Decimal(q))))
+        # an error quotes a bounded excerpt of the literal
+        for text, message in [(f"{p}x{q}", "is not a number"), (f"{p}/0", "has a zero denominator")]:
+            with pytest.raises(IngestError, match=message) as info:
+                RATIONAL.parse(text)
+            assert len(str(info.value)) < 80
+        with pytest.raises(IngestError, match="^S_0 = '1234567812345678.*' is not a number in float64 mode$") as info:
+            Sequence(0, (p + "x",), FLOAT64)
+        assert len(str(info.value)) < 100
+
+    def test_parse_refuses_an_exponent_beyond_the_decimal_range(self):
+        with pytest.raises(IngestError, match="^the exponent of '1e9{30}' is out of range$"):
+            RATIONAL.parse("1e" + "9" * 30)
 
     @given(a=rationals, b=rationals, c=rationals)
     def test_rational_arithmetic_round_trips(self, a, b, c):

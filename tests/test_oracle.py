@@ -1,5 +1,6 @@
 """Determinant formulas, molecule solution, bilinear identities, kernel."""
 
+import gc
 from fractions import Fraction
 
 import mpmath
@@ -188,18 +189,20 @@ class TestOrders:
             cut = rng.randint(1, length)
             corpus.append(seq_of(values[:cut] + [values[cut - 1]] * (length - cut), start))  # a constant tail
         for seq in corpus:
+            # each kind's orders -1..top, asked for in a random order across the kinds:
+            # a column is made on first read, also one that a later request reads below
             tops = {kind: rng.randint(-1, 9) for kind in rng.sample(KINDS, rng.randint(1, len(KINDS)))}
-            diffs, orders = oracle._orders(seq, tops)
-            assert orders.keys() == tops.keys()
-            for (shift, head), top in tops.items():
-                assert len(orders[shift, head]) == top + 2
-                for k, column in enumerate(orders[shift, head], -1):
-                    labels = [n for n in seq.labels() if k < 1 or oracle._fits(seq, diffs, k, n, shift, head)]
-                    assert labels == list(seq.labels())[:len(labels)]
-                    blocks = [oracle._block(seq, diffs, k, n, shift, head) for n in labels] if k > 0 else []
-                    assert column == (list(map(determinants.bareiss_det, blocks)) if k > 0 else [k + 1] * len(labels))
-                    assert all(len(block) - (head is not None) == oracle._power(k, head) for block in blocks)
-                    assert k > 0 or oracle._power(k, head) == 0
+            requests = [(kind, k) for kind, top in tops.items() for k in range(-1, top + 1)]
+            rng.shuffle(requests)
+            table = oracle._Table(seq)
+            for (shift, head), k in requests:
+                column = table.column(k, shift, head)
+                labels = [n for n in seq.labels() if k < 1 or oracle._fits(table, k, n, shift, head)]
+                assert labels == list(seq.labels())[:len(labels)]
+                blocks = [oracle._block(table, k, n, shift, head) for n in labels] if k > 0 else []
+                assert column == (list(map(determinants.bareiss_det, blocks)) if k > 0 else [k + 1] * len(labels))
+                assert all(len(block) - (head is not None) == oracle._power(k, head) for block in blocks)
+                assert k > 0 or oracle._power(k, head) == 0
         assert fallback  # the corpus runs the zero-divisor fallback
 
 
@@ -377,10 +380,10 @@ class TestVerifyRoutes:
         molecule = oracle._molecule
 
         def perturbed(*args):
-            diffs, orders, F, G = molecule(*args)
+            F, G = molecule(*args)
             column, power = G[9]
             G[9] = [g + 1 for g in column], power
-            return diffs, orders, F, G
+            return F, G
 
         monkeypatch.setattr(oracle, "_molecule", perturbed)
         for seq in sequences:
@@ -391,8 +394,8 @@ class TestVerifyRoutes:
             assert mismatches == [(k, n) for k, n in compared if k == 2] != []
 
     def test_shared_orders_keep_their_ones_on_short_sequences(self, rng):
-        # T and the molecule read one _orders call whose kinds share columns:
-        # the ones column is order 0 of every kind and order 1 of the
+        # T and the molecule read one table whose kinds share columns: the
+        # ones column is order 0 of every kind and order 1 of the
         # denominator's (2, "ones").  Where D^shift S is missing, the molecule
         # reads an empty column; no kind may lose its ones column to that, and
         # the routes must stay the per-cell ones
@@ -400,9 +403,11 @@ class TestVerifyRoutes:
         corpus += [seq for seq in zero_minor_corpus(rng) if len(seq) <= 4]
         for seq in corpus:
             k_max = (len(seq) + 2) // 3
-            _, orders, _, _ = oracle._molecule(seq, range(3 * k_max + 4), oracle._t_tops(k_max))
-            assert all(columns[1] == [1] * len(seq) for columns in orders.values())
-            assert orders[2, "ones"][2] == [1] * len(seq)
+            table = oracle._Table(seq)
+            oracle._molecule(table, range(3 * k_max + 4))
+            oracle._t_columns(table, k_max)
+            assert all(columns[0] == [1] * len(seq) for columns in table.columns.values())
+            assert table.column(1, 2, "ones") == [1] * len(seq)
             assert verify_routes(seq, k_max) == per_cell_routes(seq, k_max)
 
 
@@ -420,17 +425,46 @@ class TestTableDepth:
         # table: verify_routes reads T and the molecule from the same one
         seq, _ = generate(GeneratorSpec("alt_harmonic", 60, 1, RATIONAL))
         built = []
-        difference_table = oracle._difference_table
 
-        def recording(*args):
-            diffs = difference_table(*args)
-            built.append(len(diffs.rows))
-            return diffs
+        class Recording(oracle._Table):
+            def __init__(self, seq):
+                super().__init__(seq)
+                built.append(self)
 
-        monkeypatch.setattr(oracle, "_difference_table", recording)
+        monkeypatch.setattr(oracle, "_Table", Recording)
         call(seq, arg)
-        assert len(built) == 1
-        assert max(built) == rows
+        assert [len(table.rows) for table in built] == [rows]
+
+
+class TestTable:
+    @pytest.mark.parametrize("call, arg", [
+        (molecule_solution, 12),
+        (check_bilinear, 5),
+        (verify_routes, 5),
+        (oracle_transform, 6),
+    ], ids=["molecule_solution", "check_bilinear", "verify_routes", "oracle_transform"])
+    def test_a_call_leaves_no_reference_cycle(self, call, arg):
+        # a table memoises its columns in a plain dict and holds no reference to
+        # itself, so all it made is freed when the call returns; a memo that
+        # refers to the table (a cached closure over it) would leave a cycle
+        # that only the cyclic collector frees
+        seq, _ = generate(GeneratorSpec("alt_harmonic", 20, 1, RATIONAL))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            call(seq, arg)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_an_order_far_past_the_sequence_runs(self):
+        # columns are made iteratively, so no recursion deepens with the order:
+        # T_1200 of a 10-term sequence reads columns of order 1201
+        seq, _ = generate(GeneratorSpec("alt_harmonic", 10, 1, RATIONAL))
+        table = oracle_transform(seq, 1200)
+        assert list(table.entries.items()) == list(oracle_transform(seq, 3).entries.items())
 
 
 class TestBilinear:
@@ -453,14 +487,13 @@ class TestBilinear:
         # must equal the residuals of molecule_solution's Fractions, also
         # when every determinant of order >= 1 is off by one and the
         # residuals are nonzero
-        orders = oracle._orders
+        column = oracle._Table.column
 
-        def perturbed(*args):
-            diffs, columns = orders(*args)
-            return diffs, {kind: cs[:2] + [[d + perturb for d in c] for c in cs[2:]]
-                           for kind, cs in columns.items()}
+        def perturbed(table, j, *kind):
+            cells = column(table, j, *kind)
+            return [d + perturb for d in cells] if j >= 1 else cells
 
-        monkeypatch.setattr(oracle, "_orders", perturbed)
+        monkeypatch.setattr(oracle._Table, "column", perturbed)
         forms = {
             "fg_fg_ff": lambda F, G, k, n: (
                 F[k, n] * G[k, n + 1] - F[k, n + 1] * G[k, n] - F[k + 1, n] * F[k - 1, n + 1]),

@@ -249,6 +249,12 @@ class TestIngest:
         with pytest.raises(IngestError, match=":1: cannot parse"):
             ingest(p, "csv", FLOAT64)
 
+    def test_csv_first_row_with_a_literal_past_the_int_string_limit_is_data(self, tmp_path):
+        # the header test reads a cell with the parser that reads the values
+        p = tmp_path / "seq.csv"
+        p.write_text(f"{'7' * 5000}\n1/3\n")
+        assert ingest(p, "csv", RATIONAL).values == ((10**5000 - 1) // 9 * 7, Fraction(1, 3))
+
     def test_csv_column_by_name(self, tmp_path):
         p = tmp_path / "seq.csv"
         p.write_text("n,a,b\n0,9,1.5\n1,9,2.5\n")
